@@ -244,31 +244,53 @@ SCALE_WIDE_PER_N = 4
 SCALE_MAGNITUDES = ((3, 3), (4, 3), (5, 1), (6, 1))
 
 
-def scale_instances(seed):
-    """Items for scale: ``("wide", key, d, w, caps, i0)`` where ``i0`` is the
-    relaxed-witness index (1 means the extremal witness), and
-    ``("magnitude", key, d, w, caps, 1)``."""
-    rng = random.Random(seed)
-    out = []
+SCALE_MAX_SHIFT = 30
+
+
+def scale_shapes():
+    """Fixed wide shapes ``(key, d, w, i0)``, ``i0`` the relaxed-witness
+    index (1 means the extremal witness), and large-magnitude shapes
+    ``(key, d, w, s)`` with capacities ``d*w + s``."""
+    rng = random.Random(CATALOGUE_SEED + 2)
+    wide = []
     for n in SCALE_WIDE_N:
         for k in range(SCALE_WIDE_PER_N):
             w = _distinct(rng, n, 2 * n)
             d = n + rng.randint(0, 2)
-            caps = tuple(d * v + 1 for v in w)
             i0 = 1 if k % 2 == 0 else rng.randint(2, n // 2)
-            out.append(("wide", f"wide-n{n}-{k}", d, w, caps, i0))
+            wide.append((f"wide-n{n}-{k}", d, w, i0))
+    magnitude = []
     for exp, count in SCALE_MAGNITUDES:
         for k in range(count):
             top = 10**exp + rng.randint(0, 10**exp // 50)
             mid = sorted(rng.sample(range(2, top), 2), reverse=True)
             w = (top, mid[0], mid[1], 1, 0)
-            d = 5 + rng.randint(0, 3)
-            s = rng.randint(1, 3)
-            out.append(
-                ("magnitude", f"mag-1e{exp}-{k}", d, w, tuple(d * v + s for v in w), 1)
-            )
+            magnitude.append((f"mag-1e{exp}-{k}", 5 + rng.randint(0, 3), w, rng.randint(1, 3)))
+    return wide, magnitude
+
+
+def scale_instances(seed):
+    """Items for scale: ``("wide", key, d, w, caps, i0)`` and
+    ``("magnitude", key, d, w, caps, 1)``. The seed shifts every profile
+    (the search explores the same tree) and orders the items."""
+    rng = random.Random(seed)
+    out = []
+    wide, magnitude = scale_shapes()
+    for key, d, w, i0 in wide:
+        ws, cs = shifted(w, tuple(d * v + 1 for v in w), d, rng.randint(0, SCALE_MAX_SHIFT))
+        out.append(("wide", key, d, ws, cs, i0))
+    for key, d, w, s in magnitude:
+        ws, cs = shifted(w, tuple(d * v + s for v in w), d, rng.randint(0, SCALE_MAX_SHIFT))
+        out.append(("magnitude", key, d, ws, cs, 1))
     rng.shuffle(out)
     return out
+
+
+BALANCED_CLI_FILES = (
+    ("balanced", (3, 2, 1, 0)),
+    ("balanced-3310", (3, 3, 1, 0)),
+    ("balanced-4210", (4, 2, 1, 0)),
+)
 
 
 def cli_instances(seed):
@@ -278,9 +300,11 @@ def cli_instances(seed):
     rng = random.Random(seed)
     files = {}
     files["six-bin"] = (6, (5, 5, 3, 1, 1, 0), (17, 17, 17, 17, 17, 8))
-    w = (3, 2, 1, 0)
-    d = threshold(w)
-    files["balanced"] = (d, w, balanced_caps(w, d, rng.randint(16, 24)))
+    # Solving at the threshold replays thousands of moves; these three
+    # solves (and W^min on six-bin) are the share of answers above p90.
+    for name, w in BALANCED_CLI_FILES:
+        d = threshold(w)
+        files[name] = (d, w, balanced_caps(w, d, rng.randint(16, 24)))
     w = _distinct(rng, 6, 9)
     d = rng.randint(6, 10)
     files["near-tight"] = (d, w, tuple(d * v + 1 for v in w))

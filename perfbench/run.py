@@ -6,19 +6,20 @@
 
 Run from the root of a source tree (``src/hmbp`` must exist; nothing is
 installed). Workloads are described in ``BENCHMARK.json`` and built in
-``gen.py`` / ``workloads.py``. One client runs answers back to back (closed
-loop, no threads) in whole passes over the seed's instance list, until at
-least ``--seconds`` of answer time and ``MIN_ANSWERS`` answers have
-accumulated. Every answer is checked between answers, with the clock
-stopped: the first answer for each item in full, later ones by digest
-equality with the first. A wrong answer prints the reason to stderr and exits
-1 without a result line.
+``gen.py`` / ``workloads.py``. A fresh worker process sets up, then one client
+runs answers back to back (closed loop, no threads) for one pass over the
+seed's instance list; workers run one after another until at least
+``--seconds`` of answer time and ``MIN_ANSWERS`` completed answers have
+accumulated. Every answer is checked with the clock stopped: worker 0 checks
+each answer in full, the others are held to its digests. A wrong answer
+prints the reason to stderr and exits 1 without a result line.
 
-``--trace 0`` prints the end-to-end metrics. ``--trace 1`` runs untraced
-passes, then traced passes with spans around hmbp's public functions
-(``tracing.py``), and prints the per-layer metrics plus the tracing overhead.
+``--trace 0`` prints the end-to-end metrics. ``--trace 1`` alternates
+untraced workers with traced ones (spans around hmbp's public functions,
+``tracing.py``) and prints the per-layer metrics plus the tracing overhead.
 The last line of stdout is one JSON object: correct, attempted, failed,
-metrics.
+metrics. The environment record, outcome counts and work-counter fingerprint
+are printed above it and written to ``.perfbench/result-*.json``.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ import time
 from collections import Counter
 from pathlib import Path
 
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 
-MIN_ANSWERS = 100  # so that at least ten answers lie beyond p90
-MIN_WORKERS = 3  # every item's latency is a best of at least three processes
+MIN_ANSWERS = 100  # completed answers per run, so that ten lie beyond p90
+MIN_WORKERS = 3  # per mode; the tracing overhead compares best-of-3 item times
+SETUP_PROBES = 2  # set-up-only processes after each untraced worker
 SPIN_SECONDS = 3
 CLI_PROBES = 5
 
@@ -59,7 +62,8 @@ def parse_args(argv):
         "--worker",
         type=int,
         default=None,
-        help="internal: set up, print 'ready', run one pass, print its JSON",
+        help="internal: set up, print 'ready', then (index >= 0) run one pass "
+        "and print its JSON",
     )
     return p.parse_args(argv)
 
@@ -71,7 +75,7 @@ def setup(name, seed):
     wl = workloads.WORKLOADS[name](seed, ROOT)
     try:
         wl.answer(wl.warmup)
-    except Exception:  # its outcome is recorded in the timed passes
+    except Exception:  # its outcome is recorded in the timed pass
         pass
     return wl
 
@@ -81,8 +85,8 @@ class WorkerFailed(Exception):
 
 
 def spin(seconds):
-    """Busy-loop before measuring. After an idle spell this host runs the
-    first seconds of work up to 50% slower; the loop absorbs that ramp.
+    """Busy-loop before measuring. After an idle spell a shared machine can
+    run the first seconds of work up to 50% slower; the loop absorbs that ramp.
     Returns the median milliseconds of its fixed block, a host-speed reading
     printed next to the metrics."""
     end = time.perf_counter() + seconds
@@ -94,65 +98,96 @@ def spin(seconds):
     return 1000 * statistics.median(blocks[len(blocks) // 2 :])
 
 
-def run_workers(name, seed, seconds):
-    """Passes in fresh worker processes, one after another, until at least
-    ``seconds`` of answer time, ``MIN_ANSWERS`` answers and ``MIN_WORKERS``
-    workers. The same code and seed run several percent faster or slower in
-    one interpreter process than in the next, so every item's best time is
-    taken across processes. Each worker's spawn-to-ready time is one set-up
-    sample."""
-    setups, results = [], []
-    spent = 0.0
-    answers = 0
-    while len(results) < MIN_WORKERS or spent < seconds or answers < MIN_ANSWERS:
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, __file__, "--workload", name, "--seed", str(seed),
-             "--seconds", "0", "--worker", str(len(results))],
-            stdout=subprocess.PIPE,
-        )
-        with proc.stdout:
-            ready = proc.stdout.readline()
-            setups.append(time.perf_counter() - start)
-            data = proc.stdout.read()
-        if proc.wait() != 0 or ready.strip() != b"ready":
-            raise WorkerFailed(f"worker exited with code {proc.returncode}")
-        res = json.loads(data)
-        if results and (res["digests"], res["fingerprint"]) != (
-            results[0]["digests"],
-            results[0]["fingerprint"],
-        ):
-            from workloads import WrongAnswer
+def spawn(name, seed, index, trace):
+    """Run one worker process to its end. Returns its spawn-to-ready seconds
+    (one set-up sample) and its result, None for a set-up probe (index -1)."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, __file__, "--workload", name, "--seed", str(seed),
+         "--seconds", "0", "--trace", str(trace), "--worker", str(index)],
+        stdout=subprocess.PIPE,
+    )
+    with proc.stdout:
+        ready = proc.stdout.readline()
+        setup_s = time.perf_counter() - start
+        data = proc.stdout.read()
+    if proc.wait() != 0 or ready.strip() != b"ready":
+        raise WorkerFailed(f"worker exited with code {proc.returncode}")
+    return setup_s, json.loads(data) if index >= 0 else None
 
-            raise WrongAnswer("answers differ between worker processes")
-        results.append(res)
-        spent += sum(res["latency"].values())
-        answers += len(res["latency"])
+
+def run_workers(name, seed, seconds, modes):
+    """Worker processes one after another, taking turns between ``modes``
+    (0 untraced, 1 traced), until each mode has ``MIN_WORKERS`` workers,
+    ``seconds`` of answer time and ``MIN_ANSWERS`` completed answers. Every
+    worker must give the first worker's answers. Untraced workers are each
+    followed by ``SETUP_PROBES`` set-up-only processes; every spawn-to-ready
+    time of an untraced process is a set-up sample."""
+    from workloads import WrongAnswer
+
+    setups = []
+    results = {m: [] for m in modes}
+
+    def short(m):
+        spent = sum(sum(r["latency"].values()) for r in results[m])
+        done = sum(len(r["latency"]) - len(r["failed"]) for r in results[m])
+        return len(results[m]) < MIN_WORKERS or spent < seconds or done < MIN_ANSWERS
+
+    first = None
+    while any(short(m) for m in modes):
+        for m in filter(short, modes):
+            setup_s, res = spawn(name, seed, sum(map(len, results.values())), m)
+            if first is None:
+                first = res
+            elif (res["digests"], res["fingerprint"]) != (
+                first["digests"],
+                first["fingerprint"],
+            ):
+                raise WrongAnswer("answers differ between worker processes")
+            results[m].append(res)
+            if m == 0:
+                setups.append(setup_s)
+                setups += [spawn(name, seed, -1, 0)[0] for _ in range(SETUP_PROBES)]
     return setups, results
 
 
-def worker(name, seed, index):
-    """One pass in this process; the result is one JSON line. Worker 0 checks
-    every answer in full; the others are held to its digests."""
+def worker(name, seed, index, trace):
+    """Set up, then one pass in this process; the result is one JSON line.
+    Worker 0 checks every answer in full; the others are held to its
+    digests by the parent."""
     wl = setup(name, seed)
     print("ready", flush=True)
+    if index < 0:
+        return
+    tracer = None
+    if trace:
+        from tracing import Tracer
+
+        tracer = Tracer()
+        tracer.install()
     run = Run(wl, check=index == 0)
-    run.passes(0)
-    if wl.name == "cli":
-        rss_kb = run.child_rss_kb
+    try:
+        run.one_pass(tracer)
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    out = {
+        "latency": run.latency,
+        "failed": run.failed,
+        "outcomes": run.outcomes,
+        "fingerprint": run.fingerprint,
+        "digests": run.digests,
+    }
+    if tracer is not None:
+        from tracing import layer_metrics
+
+        tracer.write(OUT / f"spans-{name}-{seed}-w{index}.json")
+        out["layers"] = layer_metrics(tracer, len(wl.items), 1)
+    elif wl.name == "cli":
+        out["rss_kb"] = run.child_rss_kb
     else:
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(
-        json.dumps(
-            {
-                "latency": {k: v[0] for k, v in run.by_item.items()},
-                "outcomes": run.outcomes,
-                "fingerprint": run.fingerprint,
-                "digests": {k: repr(v) for k, v in run.first.items()},
-                "rss_kb": rss_kb,
-            }
-        )
-    )
+        out["rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps(out))
 
 
 def child_seconds(code):
@@ -215,22 +250,22 @@ def lockstep_check():
 
 
 class Run:
-    """Answers in whole passes; collects latencies, outcomes and the fingerprint."""
+    """One pass over the items: latencies, outcomes, digests, fingerprint."""
 
     def __init__(self, wl, check=True):
         self.wl = wl
         self.check = check
-        self.latencies: list[float] = []
-        self.by_item: dict[str, list[float]] = {}
-        self.pass_seconds: list[float] = []
+        self.latency: dict[str, float] = {}
+        self.failed: list[str] = []
         self.outcomes: Counter = Counter()
         self.fingerprint: Counter = Counter()
-        self.first: dict[str, tuple] = {}
+        self.digests: dict[str, str] = {}
         self.child_rss_kb = 0
 
     def one(self, item, tracer=None):
+        """Time one answer, then classify, check and count it."""
         import hmbp.oracle
-        from workloads import FAILED, UNDECIDED, WrongAnswer
+        from workloads import FAILED, UNDECIDED
 
         wl = self.wl
         err = None
@@ -247,43 +282,27 @@ class Run:
         # Clock stopped from here on.
         outcome = err[0] if err else wl.outcome(item, res)
         self.outcomes[outcome] += 1
-        digest = err if err else wl.digest(item, res)
-        if item.key not in self.first:
-            if res is not None:
-                if self.check:
-                    wl.check(item, res)
-                wl.count(item, res, self.fingerprint)
-            else:
-                self.fingerprint[f"error.{err[1]}"] += 1
-            self.fingerprint[f"outcome.{outcome}"] += 1
-            self.first[item.key] = digest
-        elif self.first[item.key] != digest:
-            raise WrongAnswer(f"{item.key}: answer differs from the first pass")
-        if res is not None and hasattr(res, "maxrss_kb"):
-            self.child_rss_kb = max(self.child_rss_kb, res.maxrss_kb)
-        return end - start
+        self.fingerprint[f"outcome.{outcome}"] += 1
+        if res is None:
+            self.fingerprint[f"error.{err[1]}"] += 1
+        else:
+            if self.check:
+                wl.check(item, res)
+            wl.count(item, res, self.fingerprint)
+            if hasattr(res, "maxrss_kb"):
+                self.child_rss_kb = max(self.child_rss_kb, res.maxrss_kb)
+        self.digests[item.key] = repr(err if err else wl.digest(item, res))
+        self.latency[item.key] = end - start
+        if outcome == FAILED:
+            self.failed.append(item.key)
 
-    def passes(self, seconds, tracer=None, in_process_main=False):
-        """Whole passes until ``seconds`` of answer time (at least one)."""
-        spent = 0.0
-        answers = 0
-        passes = 0
-        while passes == 0 or spent < seconds:
-            t = 0.0
-            for item in self.wl.items:
-                if tracer is not None:
-                    tracer.answer_id = len(self.latencies)
-                dt = self.one(item, tracer)
-                self.latencies.append(dt)
-                self.by_item.setdefault(item.key, []).append(dt)
-                t += dt
-                if in_process_main:
-                    run_cli_main(self.wl.argv(item))
-            self.pass_seconds.append(t)
-            spent += t
-            answers += len(self.wl.items)
-            passes += 1
-        return answers, passes
+    def one_pass(self, tracer=None):
+        for answer_id, item in enumerate(self.wl.items):
+            if tracer is not None:
+                tracer.answer_id = answer_id
+            self.one(item, tracer)
+            if tracer is not None and self.wl.name == "cli":
+                run_cli_main(self.wl.argv(item))
 
 
 def run_cli_main(argv):
@@ -299,23 +318,28 @@ def run_cli_main(argv):
 
 
 def end_to_end(setups, results):
-    """The end-to-end metrics.
+    """The end-to-end metrics over every answer of every worker.
 
-    Each item's latency is its best over the workers (best of k, as
-    ``timeit`` reports). Throughput is the pass's answers over the sum of
-    those latencies; the percentiles are over the pass's items.
+    Failed answers end early (a RecursionError is fast), so they are left
+    out of the latency percentiles and of the throughput's numerator; their
+    time stays in its denominator.
     """
-    keys = results[0]["latency"]
-    item_ms = [1000 * min(r["latency"][k] for r in results) for k in keys]
-    n = len(keys) * len(results)
-    failed = sum(r["outcomes"].get("failed", 0) for r in results) / n
-    undecided = sum(r["outcomes"].get("undecided", 0) for r in results) / n
+    ms = [
+        1000 * t
+        for r in results
+        for key, t in r["latency"].items()
+        if key not in r["failed"]
+    ]
+    attempted = sum(len(r["latency"]) for r in results)
+    failed = sum(len(r["failed"]) for r in results)
+    undecided = sum(r["outcomes"].get("undecided", 0) for r in results)
+    seconds = sum(sum(r["latency"].values()) for r in results)
     return {
-        "answers_per_s": (1000 * len(keys) / sum(item_ms), "1/s"),
-        "answer_ms_p50": (statistics.median(item_ms), "ms"),
-        "answer_ms_p90": (statistics.quantiles(item_ms, n=10)[8], "ms"),
-        "completed_frac": (1.0 - failed, "ratio"),
-        "decided_frac": (1.0 - failed - undecided, "ratio"),
+        "answers_per_s": (len(ms) / seconds, "1/s"),
+        "answer_ms_p50": (statistics.median(ms), "ms"),
+        "answer_ms_p90": (statistics.quantiles(ms, n=10)[8], "ms"),
+        "completed_frac": (1.0 - failed / attempted, "ratio"),
+        "decided_frac": (1.0 - (failed + undecided) / attempted, "ratio"),
         "setup_s": (statistics.median(setups), "s"),
         "peak_rss_mb": (max(r["rss_kb"] for r in results) / 1024, "MB"),
     }
@@ -333,31 +357,26 @@ def unit_of(name):
     return "count/pass"
 
 
-def traced(wl, seconds, seed):
-    """Untraced passes, then traced passes; per-layer metrics and overhead."""
-    from tracing import Tracer, layer_metrics
+def traced(name, seed, seconds):
+    """Untraced and traced workers in turn. The per-layer metrics are
+    medians over the traced workers; the tracing overhead is the sum over
+    items of the best traced time, over the same sum untraced, minus one."""
+    _, results = run_workers(name, seed, seconds / 2, (0, 1))
+    untraced, traced_ = results[0], results[1]
 
-    base = Run(wl)
-    base.passes(seconds / 2)
-    run = Run(wl)
-    tracer = Tracer()
-    tracer.install()
-    try:
-        answers, passes = run.passes(
-            seconds / 2, tracer=tracer, in_process_main=wl.name == "cli"
-        )
-    finally:
-        tracer.uninstall()
-    tracer.write(OUT / f"spans-{wl.name}-{seed}.json")
-    metrics = layer_metrics(tracer, answers, passes)
-    is_cli = wl.name == "cli"
+    def best_total(rs):
+        return sum(min(r["latency"][k] for r in rs) for k in rs[0]["latency"])
+
+    metrics = {
+        k: statistics.median([r["layers"][k] for r in traced_])
+        for k in traced_[0]["layers"]
+    }
+    is_cli = name == "cli"
     interp = child_seconds("pass") if is_cli else 0.0
     metrics["cli.interpreter_s"] = interp
     metrics["cli.import_s"] = child_seconds("import hmbp") - interp if is_cli else 0.0
-    metrics["bench.trace_overhead"] = (
-        statistics.median(run.pass_seconds) / statistics.median(base.pass_seconds) - 1
-    )
-    return run, {k: (v, unit_of(k)) for k, v in metrics.items()}
+    metrics["bench.trace_overhead"] = best_total(traced_) / best_total(untraced) - 1
+    return untraced + traced_, {k: (v, unit_of(k)) for k, v in metrics.items()}
 
 
 def fingerprint_of(counts, items):
@@ -380,34 +399,33 @@ def main(argv=None):
         return 2
     try:
         if args.worker is not None:
-            worker(args.workload, args.seed, args.worker)
+            worker(args.workload, args.seed, args.worker, args.trace)
             return 0
-        print("env: " + json.dumps(environment(), sort_keys=True))
+        env = environment()
+        print("env: " + json.dumps(env, sort_keys=True))
+        print(f"host: reference block {spin(SPIN_SECONDS)} ms")
         if args.trace:
-            run, metrics = traced(setup(args.workload, args.seed), args.seconds, args.seed)
-            outcomes, counts, items = run.outcomes, run.fingerprint, len(run.wl.items)
-            passes = len(run.pass_seconds)
+            results, metrics = traced(args.workload, args.seed, args.seconds)
         else:
-            print(f"host: reference block {spin(SPIN_SECONDS)} ms")
-            setups, results = run_workers(args.workload, args.seed, args.seconds)
+            setups, by_mode = run_workers(args.workload, args.seed, args.seconds, (0,))
+            results = by_mode[0]
             metrics = end_to_end(setups, results)
-            outcomes = Counter()
-            for r in results:
-                outcomes.update(r["outcomes"])
-            counts, items = results[0]["fingerprint"], len(results[0]["latency"])
-            passes = len(results)
     except workloads.WrongAnswer as exc:
         print(f"wrong answer: {exc}", file=sys.stderr)
         return 1
     except WorkerFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    fp, digest = fingerprint_of(counts, items)
-    attempted = passes * items
+    outcomes = Counter()
+    for r in results:
+        outcomes.update(r["outcomes"])
+    items = len(results[0]["latency"])
+    fp, digest = fingerprint_of(results[0]["fingerprint"], items)
+    attempted = items * len(results)
     failed = outcomes["failed"]
     print(
         f"workload: {args.workload} seed={args.seed} trace={args.trace} "
-        f"answers={attempted} passes={passes} items/pass={items}"
+        f"answers={attempted} workers={len(results)} items/pass={items}"
     )
     print(
         f"outcomes: decided={outcomes['decided']} undecided={outcomes['undecided']} "
@@ -417,6 +435,18 @@ def main(argv=None):
     print(f"fingerprint: {digest} " + json.dumps(fp, sort_keys=True))
     for name, (value, unit) in metrics.items():
         print(f"{name} = {value} {unit}")
+    record = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "trace": args.trace,
+        "env": env,
+        "fingerprint": digest,
+        "counters": fp,
+        "outcomes": dict(outcomes),
+    }
+    OUT.mkdir(exist_ok=True)
+    path = OUT / f"result-{args.workload}-{args.seed}-trace{args.trace}.json"
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(
         json.dumps(
             {

@@ -2,16 +2,18 @@
 """Run the benchmark over several seeds and summarise its spread.
 
     python3 perfbench/sweep.py [--workloads descent,cli] [--seeds 1-10]
-        [--seconds 15] [--traced] [--out perfbench/baseline.json]
+        [--seconds 12] [--traced] [--out perfbench/baseline.json]
 
-For every workload it runs ``run.py`` once per seed (untraced), and reports
-for each end-to-end metric the median, the quartiles and the spread
+``--seeds`` is a range (``1-10``: ten seeds, as the acceptance runs use) or a
+repeat (``3x10``: seed 3 ten times, which isolates run-to-run noise). For every
+workload it runs ``run.py`` once per entry (untraced) and reports for each
+end-to-end metric the median, the quartiles and the spread
 ``(Q3 - Q1) / median`` as ``statistics.quantiles(values, n=4)`` gives them,
-next to the metric's bound in ``BENCHMARK.json``. It also records each run's
-work-counter fingerprint and outcome fractions, and with ``--traced`` one
-traced run per workload (per-layer metrics and tracing overhead). The summary
-is printed and, with ``--out``, written as JSON together with the
-environment record.
+next to the metric's bound in ``BENCHMARK.json``; a spread of a third of the
+bound or more is flagged. Runs of one seed must repeat their work-counter
+fingerprint. With ``--traced`` it adds one traced run per workload. The
+metrics come from each run's last stdout line; the environment record and
+the fingerprint from the run's ``.perfbench/result-*.json``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ ROOT = HERE.parent
 
 
 def seeds_of(text):
+    if "x" in text:
+        seed, _, times = text.partition("x")
+        return [int(seed)] * int(times)
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
 
@@ -42,33 +47,15 @@ def run_once(workload, seed, seconds, trace):
     )
     if proc.returncode != 0:
         raise SystemExit(f"{workload} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
-    lines = proc.stdout.splitlines()
-    info = {"result": json.loads(lines[-1])}
-    for line in lines:
-        head, _, rest = line.partition(": ")
-        if head == "env":
-            info["env"] = json.loads(rest)
-        elif head == "fingerprint":
-            digest, _, fp = rest.partition(" ")
-            info["fingerprint"] = digest
-            info["counters"] = json.loads(fp)
-        elif head == "host":
-            info["host"] = rest
-        elif head == "outcomes":
-            info["outcomes"] = dict(kv.split("=") for kv in rest.split())
-    return info
+    result = json.loads(proc.stdout.splitlines()[-1])
+    record = ROOT / ".perfbench" / f"result-{workload}-{seed}-trace{trace}.json"
+    return result, json.loads(record.read_text(encoding="utf-8"))
 
 
 def spread(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4)
     med = statistics.median(values)
-    return {
-        "median": med,
-        "q1": q1,
-        "q3": q3,
-        "spread": (q3 - q1) / med if med else 0.0,
-        "values": values,
-    }
+    return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med, "values": values}
 
 
 def main(argv=None):
@@ -81,43 +68,34 @@ def main(argv=None):
     p.add_argument("--out", default=None)
     args = p.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    why = {w["name"]: w["why"] for w in spec["workloads"]}
-    summary = {"seconds": args.seconds, "workloads": {}}
+    seeds = seeds_of(args.seeds)
+    summary = {"seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
     for workload in args.workloads.split(","):
-        runs = {}
-        for seed in seeds_of(args.seeds):
-            runs[seed] = run_once(workload, seed, args.seconds, 0)
-            summary.setdefault("env", runs[seed].get("env"))
-            print(f"{workload} seed {seed}: {json.dumps(runs[seed]['result']['metrics'])}",
-                  flush=True)
-        entry = {"why": why.get(workload), "metrics": {}, "runs": {}}
-        for name in bounds:
-            values = [r["result"]["metrics"][name]["value"] for r in runs.values()]
-            s = spread(values)
-            s["bound"] = bounds[name]
+        values = {name: [] for name in bounds}
+        fingerprints = {}
+        for seed in seeds:
+            result, record = run_once(workload, seed, args.seconds, 0)
+            summary.setdefault("env", record["env"])
+            if fingerprints.setdefault(seed, record["fingerprint"]) != record["fingerprint"]:
+                raise SystemExit(f"{workload} seed {seed}: fingerprint differs between runs")
+            for name in bounds:
+                values[name].append(result["metrics"][name]["value"])
+            print(f"{workload} seed {seed}: {json.dumps(result['metrics'])}", flush=True)
+        entry = {"metrics": {}, "fingerprints": fingerprints, "counters": record["counters"]}
+        for name, bound in bounds.items():
+            s = spread(values[name])
+            s["bound"] = bound
             entry["metrics"][name] = s
-            flag = "" if name == "setup_s" or s["spread"] < bounds[name] / 3 else "  <-- wide"
+            flag = "" if s["spread"] < bound / 3 else "  <-- wide"
             print(f"  {workload:12s} {name:16s} median={s['median']:.6g} "
-                  f"spread={s['spread']:.4f} bound={bounds[name]}{flag}", flush=True)
-        for seed, r in runs.items():
-            entry["runs"][seed] = {
-                "fingerprint": r["fingerprint"],
-                "outcomes": r["outcomes"],
-                "attempted": r["result"]["attempted"],
-                "host": r.get("host"),
-                "counters": r["counters"],
-            }
+                  f"spread={s['spread']:.4f} bound={bound}{flag}", flush=True)
         if args.traced:
-            seed = seeds_of(args.seeds)[0]
-            t = run_once(workload, seed, args.seconds, 1)
-            entry["traced"] = {
-                "seed": seed,
-                "fingerprint": t["fingerprint"],
-                "fingerprint_matches_untraced": t["fingerprint"] == runs[seed]["fingerprint"],
-                "per_layer": {k: v["value"] for k, v in t["result"]["metrics"].items()},
-            }
-            print(f"  traced seed {seed}: overhead "
-                  f"{entry['traced']['per_layer']['bench.trace_overhead']:.3f}", flush=True)
+            result, record = run_once(workload, seeds[0], args.seconds, 1)
+            if record["fingerprint"] != fingerprints[seeds[0]]:
+                raise SystemExit(f"{workload}: traced fingerprint differs from untraced")
+            entry["traced"] = {k: v["value"] for k, v in result["metrics"].items()}
+            print(f"  traced seed {seeds[0]}: overhead "
+                  f"{entry['traced']['bench.trace_overhead']:.3f}", flush=True)
         summary["workloads"][workload] = entry
     if args.out:
         Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")

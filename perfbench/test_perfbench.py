@@ -77,7 +77,7 @@ def test_kernel_bench_decide_anchors():
 def one_pass_fingerprint(name, seed):
     wl = workloads.WORKLOADS[name](seed, ROOT)
     r = run.Run(wl)
-    r.passes(0)
+    r.one_pass()
     return run.fingerprint_of(r.fingerprint, len(wl.items))
 
 

@@ -4,7 +4,7 @@ A workload owns one pass: a fixed list of items generated from the seed. For
 each item it knows how to produce the *answer* (the timed unit: every call
 into ``hmbp`` the workload makes for that item), how to classify the answer
 as decided, undecided (an honest refusal) or failed, how to check it, a small
-digest that must repeat on every pass, and its contribution to the
+digest that every worker process must repeat, and its contribution to the
 deterministic work-counter fingerprint.
 
 Every call into the package goes through ``hmbp.<module>.<name>`` at call
@@ -336,7 +336,7 @@ class Cli:
             path.write_text(text, encoding="utf-8")
             rel = str(path.relative_to(root))
             commands = [["check"], ["solve"], ["oracle"], ["oracle", "--wmin"]]
-            if name == "balanced":
+            if name.startswith("balanced"):
                 # d is in the thousands: the max-packing search behind W^min
                 # exhausts its default budget after seconds. ``scale`` and
                 # ``oracle-desk`` cover W^min; here it would swamp start-up.
