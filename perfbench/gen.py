@@ -195,6 +195,10 @@ KERNEL_BENCH_CASES = (
 # Near-tight shapes per n. An n = 8 shape can take the whole node budget
 # (about 2.5 s) before W^min refuses, so there are fewer of them.
 DESK_PER_N = {5: 13, 6: 13, 7: 10, 8: 3}
+# More n = 5 and 6 shapes, drawn after the others: cheap answers (0.2-25 ms)
+# that fill the middle of the latency distribution, so that p50 does not
+# jump between two distant items, and that put ten answers of a pass above p90.
+DESK_EXTRA_PER_N = {5: 50, 6: 50}
 DESK_RELAXED = 5
 DESK_MAX_SHIFT = 30
 
@@ -202,18 +206,26 @@ DESK_MAX_SHIFT = 30
 def desk_shapes():
     """Near-tight desk shapes ``C = d*w + s`` and relaxed-witness shapes."""
     rng = random.Random(CATALOGUE_SEED + 1)
+    extra_rng = random.Random(CATALOGUE_SEED + 3)
     tight = []
+
+    def draw(source, n, k):
+        w = _distinct(source, n, n + 3)
+        d = source.randint(6, 20)
+        s = source.randint(1, 3)
+        tight.append((f"tight-n{n}-{k}", w, d, tuple(d * v + s for v in w)))
+
     for n, count in DESK_PER_N.items():
         for k in range(count):
-            w = _distinct(rng, n, n + 3)
-            d = rng.randint(6, 20)
-            s = rng.randint(1, 3)
-            tight.append((f"tight-n{n}-{k}", w, d, tuple(d * v + s for v in w)))
+            draw(rng, n, k)
     relaxed = []
     for k in range(DESK_RELAXED):
         n = rng.randint(5, 6)
         w = _distinct(rng, n, n + 3)
         relaxed.append((f"relaxed-n{n}-{k}", w, rng.randint(n, n + 4), rng.randint(2, n)))
+    for n, count in DESK_EXTRA_PER_N.items():
+        for k in range(DESK_PER_N[n], DESK_PER_N[n] + count):
+            draw(extra_rng, n, k)
     return tight, relaxed
 
 
@@ -239,6 +251,10 @@ def desk_instances(seed):
 # RecursionError from about n = 46 on, so the strata straddle that edge.
 SCALE_WIDE_N = (10, 14, 18, 22, 26, 30, 34, 38, 50, 54, 58, 60)
 SCALE_WIDE_PER_N = 4
+# More widths, drawn after the others: the answers between n = 18 and 38 are
+# the middle and upper tail of the latency distribution, and with only every
+# fourth width there p50 and p90 jumped between two distant items.
+SCALE_EXTRA_WIDE_N = (20, 24, 28, 32)
 # Large magnitudes: (decimal exponent of w1, instances per pass). The w1 =
 # 10^6 answer alone takes about 3 s, most of it in b_constant.
 SCALE_MAGNITUDES = ((3, 3), (4, 3), (5, 1), (6, 1))
@@ -253,12 +269,16 @@ def scale_shapes():
     ``(key, d, w, s)`` with capacities ``d*w + s``."""
     rng = random.Random(CATALOGUE_SEED + 2)
     wide = []
+
+    def draw(source, n, k):
+        w = _distinct(source, n, 2 * n)
+        d = n + source.randint(0, 2)
+        i0 = 1 if k % 2 == 0 else source.randint(2, n // 2)
+        wide.append((f"wide-n{n}-{k}", d, w, i0))
+
     for n in SCALE_WIDE_N:
         for k in range(SCALE_WIDE_PER_N):
-            w = _distinct(rng, n, 2 * n)
-            d = n + rng.randint(0, 2)
-            i0 = 1 if k % 2 == 0 else rng.randint(2, n // 2)
-            wide.append((f"wide-n{n}-{k}", d, w, i0))
+            draw(rng, n, k)
     magnitude = []
     for exp, count in SCALE_MAGNITUDES:
         for k in range(count):
@@ -266,6 +286,10 @@ def scale_shapes():
             mid = sorted(rng.sample(range(2, top), 2), reverse=True)
             w = (top, mid[0], mid[1], 1, 0)
             magnitude.append((f"mag-1e{exp}-{k}", 5 + rng.randint(0, 3), w, rng.randint(1, 3)))
+    extra_rng = random.Random(CATALOGUE_SEED + 4)
+    for n in SCALE_EXTRA_WIDE_N:
+        for k in range(SCALE_WIDE_PER_N):
+            draw(extra_rng, n, k)
     return wide, magnitude
 
 

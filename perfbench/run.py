@@ -8,11 +8,20 @@ Run from the root of a source tree (``src/hmbp`` must exist; nothing is
 installed). Workloads are described in ``BENCHMARK.json`` and built in
 ``gen.py`` / ``workloads.py``. A fresh worker process sets up, then one client
 runs answers back to back (closed loop, no threads) for one pass over the
-seed's instance list; workers run one after another until at least
-``--seconds`` of answer time and ``MIN_ANSWERS`` completed answers have
-accumulated. Every answer is checked with the clock stopped: worker 0 checks
-each answer in full, the others are held to its digests. A wrong answer
-prints the reason to stderr and exits 1 without a result line.
+seed's instance list; workers run one after another for about ``--seconds``
+of wall time, and at least ``MIN_WORKERS`` of them. Every answer is checked
+with the clock stopped: worker 0 checks each answer in full, the others are
+held to its digests. A wrong answer prints the reason to stderr and exits 1
+without a result line.
+
+Times are scaled to a reference host speed. Each vCPU of a shared host
+runs spells of seconds to minutes up to 1.8 times slower (CPU time slows as
+much as wall time, so it is not preemption), and a run can fall wholly in
+one. So the run keeps itself and every process it starts on one CPU, times
+a fixed pure-Python block (``host_reading``, no hmbp) before the first
+answer and after every answer with the clock stopped, and multiplies each
+answer's time by ``REFERENCE_S`` over the median reading within
+``READING_WINDOW_S`` of it. Set-up samples are scaled the same way.
 
 ``--trace 0`` prints the end-to-end metrics. ``--trace 1`` alternates
 untraced workers with traced ones (spans around hmbp's public functions,
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -45,10 +55,14 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 
-MIN_ANSWERS = 100  # completed answers per run, so that ten lie beyond p90
-MIN_WORKERS = 3  # per mode; the tracing overhead compares best-of-3 item times
-SETUP_PROBES = 2  # set-up-only processes after each untraced worker
-SPIN_SECONDS = 3
+MIN_ANSWERS = 100  # per mode and run, so that ten answers lie beyond p90
+MIN_WORKERS = 3  # per mode
+SETUP_PROBES = 1  # set-up-only processes after each untraced worker
+SPIN_SECONDS = 2
+# host_reading() on the reference host (2 shared vCPUs, CPython 3.11.7) in a
+# fast spell. Answer and set-up times are scaled to that speed.
+REFERENCE_S = 0.000500
+READING_WINDOW_S = 1.0
 CLI_PROBES = 5
 
 
@@ -84,23 +98,68 @@ class WorkerFailed(Exception):
     pass
 
 
+class _Point:
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+
+def _reference_block():
+    points = [_Point(i, (i * 7) % 23) for i in range(1_000)]
+    total = 0
+    for p in points:
+        total += p.a if p.b & 1 else p.b
+    best = [0] * 101
+    for x in range(1, 24):
+        for c in range(100, x - 1, -1):
+            v = best[c - x] + x
+            if v > best[c]:
+                best[c] = v
+    return total + sorted(points, key=lambda p: -p.b)[0].a + best[-1]
+
+
+def host_reading():
+    """Seconds of a fixed pure-Python block (no hmbp), best of two: the
+    host's speed at this moment. The block allocates, reads attributes,
+    sorts and indexes lists, as the package's code does."""
+    best = float("inf")
+    gc.disable()  # a collection of the answers' garbage is not host speed
+    try:
+        for _ in range(2):
+            start = time.perf_counter()
+            _reference_block()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+def pin():
+    """Keep this process and every process it starts on one CPU. Each vCPU
+    of a shared host has its own slow spells; on one CPU the host readings
+    and the answers they scale see the same spells."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def spin(seconds):
     """Busy-loop before measuring. After an idle spell a shared machine can
     run the first seconds of work up to 50% slower; the loop absorbs that ramp.
-    Returns the median milliseconds of its fixed block, a host-speed reading
-    printed next to the metrics."""
+    Returns the median host reading of its second half in ms, printed next
+    to the metrics."""
     end = time.perf_counter() + seconds
-    blocks = []
+    readings = []
     while time.perf_counter() < end:
-        start = time.perf_counter()
-        sum(i * i for i in range(10_000))
-        blocks.append(time.perf_counter() - start)
-    return 1000 * statistics.median(blocks[len(blocks) // 2 :])
+        readings.append(host_reading())
+    return 1000 * statistics.median(readings[len(readings) // 2 :])
 
 
 def spawn(name, seed, index, trace):
     """Run one worker process to its end. Returns its spawn-to-ready seconds
-    (one set-up sample) and its result, None for a set-up probe (index -1)."""
+    (one set-up sample), scaled by the host readings just before the spawn
+    and just after ready, and its result."""
+    before = host_reading()
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, __file__, "--workload", name, "--seed", str(seed),
@@ -113,29 +172,35 @@ def spawn(name, seed, index, trace):
         data = proc.stdout.read()
     if proc.wait() != 0 or ready.strip() != b"ready":
         raise WorkerFailed(f"worker exited with code {proc.returncode}")
-    return setup_s, json.loads(data) if index >= 0 else None
+    res = json.loads(data)
+    return setup_s * 2 * REFERENCE_S / (before + res["readings"][0]), res
 
 
 def run_workers(name, seed, seconds, modes):
-    """Worker processes one after another, taking turns between ``modes``
-    (0 untraced, 1 traced), until each mode has ``MIN_WORKERS`` workers,
-    ``seconds`` of answer time and ``MIN_ANSWERS`` completed answers. Every
-    worker must give the first worker's answers. Untraced workers are each
-    followed by ``SETUP_PROBES`` set-up-only processes; every spawn-to-ready
-    time of an untraced process is a set-up sample."""
+    """Rounds of worker processes, one after another; a round runs one
+    worker per mode in ``modes`` (0 untraced, 1 traced). Rounds go on until
+    each mode has ``MIN_WORKERS`` workers and ``MIN_ANSWERS`` attempted
+    answers, and then while the next round is expected to end within
+    ``seconds`` of wall time. Every worker must give the first worker's
+    answers. Untraced workers are each followed by ``SETUP_PROBES``
+    set-up-only processes; every spawn-to-ready time of an untraced process
+    is a set-up sample."""
     from workloads import WrongAnswer
 
     setups = []
     results = {m: [] for m in modes}
+    start = time.perf_counter()
 
-    def short(m):
-        spent = sum(sum(r["latency"].values()) for r in results[m])
-        done = sum(len(r["latency"]) - len(r["failed"]) for r in results[m])
-        return len(results[m]) < MIN_WORKERS or spent < seconds or done < MIN_ANSWERS
+    def more():
+        rounds = len(results[modes[0]])
+        if rounds < MIN_WORKERS or rounds * len(first["latency"]) < MIN_ANSWERS:
+            return True
+        elapsed = time.perf_counter() - start
+        return elapsed * (rounds + 1) / rounds <= seconds
 
     first = None
-    while any(short(m) for m in modes):
-        for m in filter(short, modes):
+    while first is None or more():
+        for m in modes:
             setup_s, res = spawn(name, seed, sum(map(len, results.values())), m)
             if first is None:
                 first = res
@@ -158,6 +223,7 @@ def worker(name, seed, index, trace):
     wl = setup(name, seed)
     print("ready", flush=True)
     if index < 0:
+        print(json.dumps({"readings": [host_reading()]}))
         return
     tracer = None
     if trace:
@@ -173,6 +239,8 @@ def worker(name, seed, index, trace):
             tracer.uninstall()
     out = {
         "latency": run.latency,
+        "readings": run.readings,
+        "marks": run.marks,
         "failed": run.failed,
         "outcomes": run.outcomes,
         "fingerprint": run.fingerprint,
@@ -256,6 +324,10 @@ class Run:
         self.wl = wl
         self.check = check
         self.latency: dict[str, float] = {}
+        # Host readings and when each was taken: one before the first answer
+        # and one after every answer, so answer i lies between marks i, i+1.
+        self.readings: list[float] = []
+        self.marks: list[float] = []
         self.failed: list[str] = []
         self.outcomes: Counter = Counter()
         self.fingerprint: Counter = Counter()
@@ -269,6 +341,8 @@ class Run:
 
         wl = self.wl
         err = None
+        if not self.readings:
+            self.read_host()
         start = time.perf_counter()
         try:
             res = wl.answer(item)
@@ -293,8 +367,13 @@ class Run:
                 self.child_rss_kb = max(self.child_rss_kb, res.maxrss_kb)
         self.digests[item.key] = repr(err if err else wl.digest(item, res))
         self.latency[item.key] = end - start
+        self.read_host()
         if outcome == FAILED:
             self.failed.append(item.key)
+
+    def read_host(self):
+        self.readings.append(host_reading())
+        self.marks.append(time.perf_counter())
 
     def one_pass(self, tracer=None):
         for answer_id, item in enumerate(self.wl.items):
@@ -317,23 +396,35 @@ def run_cli_main(argv):
             pass
 
 
+def scaled(result):
+    """A worker's answer times scaled to the reference host speed."""
+    readings, marks = result["readings"], result["marks"]
+    out = {}
+    for i, (key, t) in enumerate(result["latency"].items()):
+        lo, hi = marks[i] - READING_WINDOW_S, marks[i + 1] + READING_WINDOW_S
+        near = [r for r, m in zip(readings, marks) if lo <= m <= hi]
+        out[key] = t * REFERENCE_S / statistics.median(near)
+    return out
+
+
 def end_to_end(setups, results):
-    """The end-to-end metrics over every answer of every worker.
+    """The end-to-end metrics over every answer of every worker, scaled.
 
     Failed answers end early (a RecursionError is fast), so they are left
     out of the latency percentiles and of the throughput's numerator; their
     time stays in its denominator.
     """
+    times = [scaled(r) for r in results]
     ms = [
         1000 * t
-        for r in results
-        for key, t in r["latency"].items()
+        for r, ts in zip(results, times)
+        for key, t in ts.items()
         if key not in r["failed"]
     ]
     attempted = sum(len(r["latency"]) for r in results)
     failed = sum(len(r["failed"]) for r in results)
     undecided = sum(r["outcomes"].get("undecided", 0) for r in results)
-    seconds = sum(sum(r["latency"].values()) for r in results)
+    seconds = sum(sum(ts.values()) for ts in times)
     return {
         "answers_per_s": (len(ms) / seconds, "1/s"),
         "answer_ms_p50": (statistics.median(ms), "ms"),
@@ -359,13 +450,14 @@ def unit_of(name):
 
 def traced(name, seed, seconds):
     """Untraced and traced workers in turn. The per-layer metrics are
-    medians over the traced workers; the tracing overhead is the sum over
-    items of the best traced time, over the same sum untraced, minus one."""
-    _, results = run_workers(name, seed, seconds / 2, (0, 1))
+    medians over the traced workers; the tracing overhead is the scaled
+    answer time of all traced workers over that of as many untraced ones,
+    minus one."""
+    _, results = run_workers(name, seed, seconds, (0, 1))
     untraced, traced_ = results[0], results[1]
 
-    def best_total(rs):
-        return sum(min(r["latency"][k] for r in rs) for k in rs[0]["latency"])
+    def total(rs):
+        return sum(sum(scaled(r).values()) for r in rs)
 
     metrics = {
         k: statistics.median([r["layers"][k] for r in traced_])
@@ -375,7 +467,7 @@ def traced(name, seed, seconds):
     interp = child_seconds("pass") if is_cli else 0.0
     metrics["cli.interpreter_s"] = interp
     metrics["cli.import_s"] = child_seconds("import hmbp") - interp if is_cli else 0.0
-    metrics["bench.trace_overhead"] = best_total(traced_) / best_total(untraced) - 1
+    metrics["bench.trace_overhead"] = total(traced_) / total(untraced) - 1
     return untraced + traced_, {k: (v, unit_of(k)) for k, v in metrics.items()}
 
 
@@ -401,6 +493,7 @@ def main(argv=None):
         if args.worker is not None:
             worker(args.workload, args.seed, args.worker, args.trace)
             return 0
+        pin()
         env = environment()
         print("env: " + json.dumps(env, sort_keys=True))
         print(f"host: reference block {spin(SPIN_SECONDS)} ms")

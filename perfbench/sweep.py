@@ -2,7 +2,7 @@
 """Run the benchmark over several seeds and summarise its spread.
 
     python3 perfbench/sweep.py [--workloads descent,cli] [--seeds 1-10]
-        [--seconds 12] [--traced] [--out perfbench/baseline.json]
+        [--seconds 25] [--traced] [--out perfbench/baseline.json]
 
 ``--seeds`` is a range (``1-10``: ten seeds, as the acceptance runs use) or a
 repeat (``3x10``: seed 3 ten times, which isolates run-to-run noise). For every

@@ -94,6 +94,19 @@ def test_fingerprint_repeats_exactly(name):
         assert first[0]["outcome.failed"] > 0
 
 
+def test_scaled_times_follow_the_nearby_host_readings():
+    ref = run.REFERENCE_S
+    result = {
+        "latency": {"fast": 0.1, "long": 4.9, "slow": 0.1},
+        "readings": [ref, ref, 2 * ref, 2 * ref],
+        "marks": [0.0, 0.1, 5.0, 5.1],
+    }
+    out = run.scaled(result)
+    assert out["fast"] == pytest.approx(0.1)
+    assert out["slow"] == pytest.approx(0.05)
+    assert out["long"] == pytest.approx(4.9 / 1.5)
+
+
 def test_wrong_answer_aborts(monkeypatch):
     wl = workloads.Descent(1, ROOT)
     item = wl.warmup
