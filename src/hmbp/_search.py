@@ -1,16 +1,13 @@
-"""Exhaustive search kernel, pure Python implementation.
+"""Exhaustive search kernel.
 
 Decides whether the constrained bins of an instance can each be filled with
-exactly ``d`` balls within capacity, and computes the maximum total weight
-packable into them. Bins are processed from the tightest capacity upward;
-within a bin, per-class counts are enumerated heaviest class first, count
-descending. Branches die early when some suffix of the remaining bins cannot
-hold even the lightest possible complement of the residual supply, and
-infeasible ``(bin, residual)`` states are memoized.
-
-``_search_fast.pyx`` is a compiled twin of this module: the two must stay in
-lockstep (same traversal order, same node counts). ``oracle`` selects the
-compiled kernel at import time when it is available.
+exactly ``d`` balls within capacity. Bins are processed from the last index
+down; within a bin, per-class counts are enumerated heaviest class first,
+count descending. Branches die early when some window of the remaining bins
+cannot hold even the lightest possible complement of the residual supply,
+and infeasible ``(bin, residual)`` states are memoized. Neither rule needs
+the capacities to be sorted, so ``oracle.min_bin1_weight`` can probe a
+lowered bin-1 capacity with this same search.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ from __future__ import annotations
 STATUS_INFEASIBLE = 0
 STATUS_FEASIBLE = 1
 STATUS_BUDGET = 2
-
-KERNEL_NAME = "pure"
 
 
 class _BudgetExceeded(Exception):
@@ -147,121 +142,3 @@ def search_feasible(values, supply, caps, d, k, budget):
         return status, chosen, nodes
     return status, None, nodes
 
-
-def search_max_packed(values, supply, caps, d, budget):
-    """Maximum total weight packable into bins ``1..n-1`` within capacity.
-
-    Bin 0 is unconstrained. Exact dynamic program over ``(bin, residual)``
-    states with the same pruning as :func:`search_feasible`. Returns
-    ``(status, best, nodes)``; status is infeasible when the constrained
-    bins cannot all be filled at any weight.
-    """
-    values = tuple(values)
-    supply = list(supply)
-    caps = tuple(caps)
-    n = len(caps)
-    m = len(values)
-    if n == 1:
-        return STATUS_FEASIBLE, 0, 0
-
-    cap_prefix = [0] * (n + 1)
-    for t in range(n):
-        cap_prefix[t + 1] = cap_prefix[t] + caps[t]
-
-    residual = supply
-    memo: dict = {}
-    counter = [0]
-    NEG = None  # marker for infeasible states
-
-    def tick():
-        counter[0] += 1
-        if counter[0] > budget:
-            raise _BudgetExceeded
-
-    def lightest_ok(j):
-        need_balls = 0
-        light_weight = 0
-        c = m - 1
-        avail = residual[c]
-        for length in range(1, j + 1):
-            need = d * length
-            while need_balls < need:
-                if avail == 0:
-                    if c == 0:
-                        return False
-                    c -= 1
-                    avail = residual[c]
-                    continue
-                take = avail if avail <= need - need_balls else need - need_balls
-                light_weight += take * values[c]
-                need_balls += take
-                avail -= take
-            if cap_prefix[j + 1] - cap_prefix[j - length + 1] < light_weight:
-                return False
-        return True
-
-    def min_completion(c, q):
-        total = 0
-        cc = m - 1
-        while q > 0 and cc >= c:
-            take = residual[cc] if residual[cc] <= q else q
-            total += take * values[cc]
-            q -= take
-            cc -= 1
-        return total
-
-    def best_from(j):
-        tick()
-        if j == 0:
-            return 0
-        key = (j, tuple(residual))
-        if key in memo:
-            return memo[key]
-        if caps[j] < 0 or not lightest_ok(j):
-            memo[key] = NEG
-            return NEG
-        best = choose(j, 0, d, caps[j], 0)
-        memo[key] = best
-        return best
-
-    def choose(j, c, d_left, cap_left, packed):
-        tick()
-        if d_left == 0:
-            below = best_from(j - 1)
-            if below is NEG:
-                return NEG
-            return packed + below
-        if c == m:
-            return NEG
-        rest = 0
-        for cc in range(c + 1, m):
-            rest += residual[cc]
-        lo = d_left - rest
-        if lo < 0:
-            lo = 0
-        v = values[c]
-        hi = residual[c] if residual[c] <= d_left else d_left
-        if v > 0:
-            by_cap = cap_left // v
-            if by_cap < hi:
-                hi = by_cap
-        best = NEG
-        for x in range(hi, lo - 1, -1):
-            new_cap = cap_left - x * v
-            if min_completion(c + 1, d_left - x) > new_cap:
-                continue
-            residual[c] -= x
-            sub = choose(j, c + 1, d_left - x, new_cap, packed + x * v)
-            residual[c] += x
-            if sub is not NEG and (best is NEG or sub > best):
-                best = sub
-        return best
-
-    try:
-        best = best_from(n - 1)
-    except _BudgetExceeded:
-        return STATUS_BUDGET, None, counter[0]
-    nodes = counter[0]
-    if best is NEG:
-        return STATUS_INFEASIBLE, None, nodes
-    return STATUS_FEASIBLE, best, nodes

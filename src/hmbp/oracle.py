@@ -2,13 +2,12 @@
 
 This is the ground truth for desk-scale instances: an exhaustive search over
 per-bin class count vectors with suffix-dominance pruning and memoization of
-dead states. Above the node budget it refuses with :class:`BudgetExceeded`
-rather than guessing.
+dead states (the kernel in ``_search``). Above the node budget it refuses
+with :class:`BudgetExceeded` rather than guessing.
 
-Two interchangeable kernels back the search: a compiled extension built from
-``_search_fast.pyx`` and the pure Python module ``_search``. The compiled one
-is preferred when importable and its integer range suffices; every call can
-force a specific kernel via ``kernel=``.
+The minimum bin-1 load W^min is found by bisection over the same search: a
+bin-1 load of at most ``W`` is achievable exactly when the instance with
+bin-1 capacity ``W`` is 0-feasible.
 """
 
 from __future__ import annotations
@@ -16,19 +15,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import _search as _pure
+from . import _search
 from .core import Assignment, Instance, ProfileError, is_k_feasible
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _search_fast as _fast
-except ImportError:  # pragma: no cover
-    _fast = None
-
 DEFAULT_NODE_BUDGET = 10_000_000
-
-# The compiled kernel computes in C int64; stay far from the edge.
-_FAST_MAX_MAGNITUDE = 2**40
-_FAST_MAX_COUNT = 2**31 - 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -40,28 +30,8 @@ class OracleError(ValueError):
 
 
 def kernel_name() -> str:
-    """Name of the kernel used by default: ``compiled`` or ``pure``."""
-    return "compiled" if _fast is not None else "pure"
-
-
-def _pick_kernel(inst: Instance, kernel: str):
-    if kernel == "pure":
-        return _pure
-    if kernel == "compiled":
-        if _fast is None:
-            raise OracleError("compiled search kernel is not available")
-        return _fast
-    if kernel != "auto":
-        raise OracleError(f"unknown kernel {kernel!r}")
-    if _fast is None:
-        return _pure
-    big = max(
-        abs(inst.capacities.total),
-        inst.d * max(1, inst.weights.entries[0]) * inst.n,
-    )
-    if big >= _FAST_MAX_MAGNITUDE or inst.d * inst.n >= _FAST_MAX_COUNT:
-        return _pure
-    return _fast
+    """Name of the search kernel; there is one, in pure Python."""
+    return "pure"
 
 
 @dataclass
@@ -103,11 +73,16 @@ def _build_witness(inst: Instance, values, supply, chosen, k) -> Assignment:
     return Assignment(inst.d, values, tuple(supply), counts)
 
 
+def _undecided(node_budget: int, nodes: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"undecided: node budget {node_budget} exhausted after {nodes} nodes"
+    )
+
+
 def decide(
     inst: Instance,
     k: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    kernel: str = "auto",
 ) -> OracleResult:
     """Exact k-feasibility decision with a feasible witness when one exists.
 
@@ -116,20 +91,18 @@ def decide(
     """
     if not 0 <= k <= inst.n:
         raise ProfileError(f"k={k} out of range 0..{inst.n}")
-    mod = _pick_kernel(inst, kernel)
     values, supply = _class_data(inst)
     start = time.perf_counter()
-    status, chosen, nodes = mod.search_feasible(
+    status, chosen, nodes = _search.search_feasible(
         values, supply, inst.capacities.entries, inst.d, k, node_budget
     )
     elapsed = time.perf_counter() - start
-    if status == _pure.STATUS_BUDGET:
-        raise BudgetExceeded(
-            f"undecided: node budget {node_budget} exhausted after {nodes} nodes"
-        )
-    if status == _pure.STATUS_FEASIBLE:
+    if status == _search.STATUS_BUDGET:
+        raise _undecided(node_budget, nodes)
+    if status == _search.STATUS_FEASIBLE:
         witness = _build_witness(inst, values, supply, chosen, k)
-        assert is_k_feasible(witness, inst.capacities, k)
+        if not is_k_feasible(witness, inst.capacities, k):
+            raise AssertionError(f"oracle witness is not {k}-feasible")
         return OracleResult(True, witness, nodes, elapsed)
     return OracleResult(False, None, nodes, elapsed)
 
@@ -137,24 +110,37 @@ def decide(
 def min_bin1_weight(
     inst: Instance,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    kernel: str = "auto",
 ) -> int:
     """Minimum achievable load of bin 1 over all 1-feasible assignments.
 
-    Computed as total supply weight minus the maximum weight packable into
-    the capacity-constrained bins 2..n. Raises :class:`OracleError` when the
-    instance is not 1-feasible at all.
+    Bisection on the bin-1 capacity ``W`` between ``d*w_n`` and ``d*w_1``:
+    each probe decides 0-feasibility with capacities ``(W, C_2, ..., C_n)``.
+    At ``W = d*w_1`` bin 1 is unconstrained, so an infeasible first probe
+    means the instance is not 1-feasible, and :class:`OracleError` is raised.
+    ``node_budget`` caps the nodes summed over all probes; when it runs out,
+    :class:`BudgetExceeded` is raised.
     """
-    mod = _pick_kernel(inst, kernel)
     values, supply = _class_data(inst)
-    status, best, nodes = mod.search_max_packed(
-        values, supply, inst.capacities.entries, inst.d, node_budget
-    )
-    if status == _pure.STATUS_BUDGET:
-        raise BudgetExceeded(
-            f"undecided: node budget {node_budget} exhausted after {nodes} nodes"
+    rest = inst.capacities.entries[1:]
+    used = 0
+
+    def fits(cap1: int) -> bool:
+        nonlocal used
+        status, _, nodes = _search.search_feasible(
+            values, supply, (cap1,) + rest, inst.d, 0, node_budget - used
         )
-    if status == _pure.STATUS_INFEASIBLE:
+        used += nodes
+        if status == _search.STATUS_BUDGET:
+            raise _undecided(node_budget, used)
+        return status == _search.STATUS_FEASIBLE
+
+    lo, hi = inst.d * inst.weights.entries[-1], inst.d * inst.weights.entries[0]
+    if not fits(hi):
         raise OracleError("instance is not 1-feasible; minimum bin-1 load undefined")
-    total = inst.d * inst.weights.total
-    return total - best
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi

@@ -142,9 +142,10 @@ class TestOracleCommand:
         assert code == EXIT_FEASIBLE
         assert "W^min = 6" in out
 
-    def test_budget_exhaustion_is_indeterminate(self, six_bin_file, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--wmin"]], ids=["decide", "wmin"])
+    def test_budget_exhaustion_is_indeterminate(self, six_bin_file, extra, capsys):
         code, out, _ = run_cli(
-            ["oracle", six_bin_file, "--budget", "3"], capsys
+            ["oracle", six_bin_file, *extra, "--budget", "3"], capsys
         )
         assert code == EXIT_INDETERMINATE
         assert "undecided" in out

@@ -1,18 +1,61 @@
 """Exact search tests: paper-derived regressions, reference equivalence,
-kernel twin agreement."""
+a W^min fixture beyond the reference's reach, error paths."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import hmbp
 from bruteforce import decide_naive, min_bin1_naive
-from hmbp import oracle
+from hmbp import _search
 from hmbp.core import ProfileError, is_k_feasible, make_instance, normalize
 from hmbp.oracle import BudgetExceeded, OracleError, decide, min_bin1_weight
 
-HAS_COMPILED = oracle.kernel_name() == "compiled"
+SEVEN_DISTINCT = make_instance(
+    7, (6, 5, 4, 3, 2, 1, 0), tuple(7 * v + 2 for v in (6, 5, 4, 3, 2, 1, 0))
+)
+
+# (w, d, C, W^min or None when not 1-feasible) at n = 5..8, beyond the naive
+# reference. Values were recorded from an exhaustive max-packing search of
+# bins 2..n, an algorithm independent of the bisection under test.
+WMIN_ROWS = [
+    ((4, 3, 2, 1, 0), 5, (23, 18, 13, 8, 3), 8),
+    ((6, 4, 2, 1, 0), 7, (44, 30, 16, 9, 2), 34),
+    ((7, 6, 5, 4, 3), 6, (43, 37, 31, 25, 19), 38),
+    ((7, 7, 6, 4, 0), 3, (24, 24, 21, 15, 3), 16),
+    ((7, 5, 4, 3, 1), 2, (13, 11, 7, 5, 3), None),
+    ((6, 5, 2, 1, 0), 7, (38, 38, 15, 9, 1), 35),
+    ((6, 6, 3, 1, 1), 7, (43, 43, 22, 9, 8), 39),
+    ((5, 3, 2, 1, 0), 5, (24, 16, 10, 5, 0), 25),
+    ((5, 5, 3, 1, 1, 0), 6, (29, 29, 21, 7, 7, 0), 30),
+    ((6, 5, 4, 2, 1, 0), 8, (47, 40, 32, 17, 8, 0), 48),
+    ((7, 6, 3, 2, 0, 0), 3, (23, 16, 12, 9, 6, 3), 8),
+    ((6, 5, 4, 3, 2, 0), 8, (54, 39, 34, 27, 16, 1), 44),
+    ((8, 7, 6, 5, 4, 2), 4, (34, 30, 26, 22, 18, 10), 22),
+    ((5, 4, 3, 3, 1, 1), 8, (43, 35, 27, 27, 11, 11), 25),
+    ((7, 6, 5, 3, 1, 1), 7, (46, 40, 34, 20, 12, 6), None),
+    ((4, 4, 3, 3, 2, 1), 7, (31, 31, 25, 24, 15, 8), 19),
+    ((8, 5, 3, 1, 1, 0), 7, (48, 39, 25, 11, 10, 4), 37),
+    ((7, 6, 5, 4, 3, 2, 1), 9, (66, 57, 48, 39, 30, 21, 12), 45),
+    ((9, 6, 5, 4, 3, 1, 0), 6, (56, 38, 32, 26, 20, 8, 2), 42),
+    ((9, 8, 7, 6, 5, 4, 3), 2, (21, 19, 17, 15, 13, 11, 9), 6),
+    ((5, 4, 3, 3, 2, 2, 0), 3, (16, 15, 14, 8, 6, 3, 1), None),
+    ((6, 6, 5, 4, 2, 1, 0), 7, (43, 40, 33, 27, 20, 5, 4), 39),
+    ((6, 6, 4, 3, 3, 2, 0), 6, (38, 38, 28, 22, 21, 14, 4), 19),
+    ((7, 6, 6, 5, 2, 2, 0), 8, (52, 51, 51, 43, 20, 20, 1), 39),
+    ((7, 6, 6, 4, 3, 3, 1, 0), 5, (41, 35, 33, 21, 19, 14, 11, 5), 15),
+    ((7, 6, 5, 4, 4, 4, 2, 0), 5, (34, 34, 30, 25, 21, 17, 8, 6), 20),
+    ((7, 5, 2, 2, 1, 1, 1, 0), 5, (37, 27, 12, 12, 7, 7, 7, 2), 21),
+    ((7, 7, 5, 4, 4, 2, 2, 2), 8, (59, 56, 38, 33, 32, 16, 14, 14), None),
+    ((7, 6, 6, 5, 4, 4, 3, 2), 8, (62, 50, 48, 41, 38, 32, 22, 21), 44),
+    ((6, 6, 5, 4, 3, 2, 2, 1), 4, (26, 26, 21, 20, 14, 11, 11, 5), 10),
+    ((7, 5, 3, 2, 1, 1, 1, 0), 3, (16, 16, 12, 7, 7, 5, 4, 2), 7),
+    ((7, 7, 3, 1, 1, 0, 0, 0), 4, (31, 31, 15, 7, 7, 3, 3, 3), 10),
+]
 
 
 def small_instances(rng, count, max_n=4, max_w=4, max_d=3, cap_spread=(-3, 5)):
@@ -72,6 +115,16 @@ class TestAgainstNaiveReference:
                 assert min_bin1_weight(inst) == expected, inst
 
 
+@pytest.mark.parametrize("w, d, caps, expected", WMIN_ROWS)
+def test_min_bin1_fixture(w, d, caps, expected):
+    inst = make_instance(d, w, caps)
+    if expected is None:
+        with pytest.raises(OracleError, match="not 1-feasible"):
+            min_bin1_weight(inst)
+    else:
+        assert min_bin1_weight(inst) == expected
+
+
 class TestSearchProperties:
     def test_monotone_in_k(self):
         rng = random.Random(7)
@@ -116,11 +169,30 @@ class TestSearchProperties:
 
 class TestErrorPaths:
     def test_budget_refusal(self):
-        inst = make_instance(
-            7, (6, 5, 4, 3, 2, 1, 0), tuple(7 * v + 2 for v in (6, 5, 4, 3, 2, 1, 0))
-        )
         with pytest.raises(BudgetExceeded, match="undecided"):
-            decide(inst, 0, node_budget=10)
+            decide(SEVEN_DISTINCT, 0, node_budget=10)
+
+    def test_min_bin1_budget_refusal(self):
+        with pytest.raises(BudgetExceeded, match="undecided"):
+            min_bin1_weight(SEVEN_DISTINCT, node_budget=10)
+
+    def test_min_bin1_budget_is_shared_by_probes(self, monkeypatch):
+        # The budget caps the nodes summed over every bisection probe.
+        probes = []
+        search = _search.search_feasible
+
+        def counted(*args):
+            result = search(*args)
+            probes.append(result[2])
+            return result
+
+        monkeypatch.setattr(_search, "search_feasible", counted)
+        assert min_bin1_weight(SEVEN_DISTINCT) == 30
+        total = sum(probes)
+        assert len(probes) > 1 and max(probes) < total - 1
+        assert min_bin1_weight(SEVEN_DISTINCT, node_budget=total) == 30
+        with pytest.raises(BudgetExceeded, match="undecided"):
+            min_bin1_weight(SEVEN_DISTINCT, node_budget=total - 1)
 
     def test_min_bin1_needs_one_feasibility(self):
         with pytest.raises(OracleError, match="not 1-feasible"):
@@ -130,60 +202,35 @@ class TestErrorPaths:
         with pytest.raises(ProfileError):
             decide(make_instance(1, (1,), (1,)), 2)
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(OracleError):
-            decide(make_instance(1, (1,), (1,)), 0, kernel="hyperspeed")
+    def test_witness_check_survives_optimize_flag(self):
+        # A bad witness must be caught even under ``python -O``, which strips
+        # bare asserts.
+        code = """
+import sys
+from hmbp import oracle
+from hmbp.core import Assignment, make_instance
 
-    def test_magnitude_guard_prefers_pure_kernel(self):
-        # int64-unsafe magnitudes must never reach the compiled kernel
-        huge = make_instance(10**9, (10**4, 1), (10**13 + 7, 10**13))
-        assert oracle._pick_kernel(huge, "auto").KERNEL_NAME == "pure"
-        small = make_instance(2, (2, 1), (5, 3))
-        assert oracle._pick_kernel(small, "auto").KERNEL_NAME == oracle.kernel_name()
-
-
-@pytest.mark.skipif(not HAS_COMPILED, reason="compiled kernel not built")
-class TestKernelTwins:
-    def test_decide_lockstep(self):
-        rng = random.Random(13)
-        for inst in small_instances(rng, 300, max_n=5, max_w=6, max_d=5):
-            k = rng.randint(0, inst.n)
-            pure = decide(inst, k, kernel="pure")
-            fast = decide(inst, k, kernel="compiled")
-            assert pure.feasible == fast.feasible
-            assert pure.nodes_explored == fast.nodes_explored
-            if pure.feasible:
-                assert pure.witness == fast.witness
-
-    def test_min_bin1_lockstep(self):
-        rng = random.Random(14)
-        for inst in small_instances(rng, 200, max_n=5, max_w=6, max_d=5):
-            try:
-                pure = min_bin1_weight(inst, kernel="pure")
-            except OracleError:
-                with pytest.raises(OracleError):
-                    min_bin1_weight(inst, kernel="compiled")
-                continue
-            assert pure == min_bin1_weight(inst, kernel="compiled")
-
-    @given(st.integers(2, 5), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_budget_threshold_identical(self, n, data):
-        w = tuple(
-            sorted((data.draw(st.integers(0, 5)) for _ in range(n)), reverse=True)
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+oracle._build_witness = lambda inst, values, supply, chosen, k: Assignment(
+    inst.d, values, supply, [[1, 1], [1, 1]]
+)
+try:
+    oracle.decide(make_instance(2, (3, 1), (6, 2)), 0)
+except AssertionError as exc:
+    print("caught:", exc)
+"""
+        src = str(Path(hmbp.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
         )
-        d = data.draw(st.integers(1, 4))
-        caps = tuple(
-            sorted(
-                (d * v + data.draw(st.integers(-2, 3)) for v in w), reverse=True
-            )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
-        inst = make_instance(d, w, caps)
-        budget = data.draw(st.integers(1, 40))
-        outcomes = []
-        for kern in ("pure", "compiled"):
-            try:
-                outcomes.append(("ok", decide(inst, 0, budget, kern).feasible))
-            except BudgetExceeded:
-                outcomes.append(("budget", None))
-        assert outcomes[0] == outcomes[1]
+        assert proc.returncode == 0, proc.stderr
+        assert "caught: oracle witness is not 0-feasible" in proc.stdout
