@@ -192,14 +192,14 @@ def cmd_oracle(args) -> int:
             print(f"not 1-feasible: {exc}", file=out)
             return EXIT_INFEASIBLE
         except _oracle.BudgetExceeded as exc:
-            print(f"undecided: {exc}", file=out)
+            print(exc, file=out)
             return EXIT_INDETERMINATE
         print(f"W^min = {value}", file=out)
         return EXIT_FEASIBLE
     try:
         result = _oracle.decide(inst, k=args.k, node_budget=args.budget)
     except _oracle.BudgetExceeded as exc:
-        print(f"undecided: {exc}", file=out)
+        print(exc, file=out)
         return EXIT_INDETERMINATE
     word = "feasible" if result.feasible else "infeasible"
     print(

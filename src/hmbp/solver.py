@@ -7,6 +7,8 @@ problem that strictly lowers the load of the stage's head bin until it fits,
 using three kinds of ball exchanges:
 
 * a direct relief swap through any bin with slack at least the top weight,
+  batched so that one move makes every consecutive swap through the same bin
+  and value (the move count does not grow with the multiplicity),
 * a weight-preserving three-way exchange that raises the number of top-weight
   balls in the head bin (so the matching step below has material to work with),
 * a gap-shrinking pass routed through a permutation that pairs every weight
@@ -80,6 +82,8 @@ class Move:
     ``i``/``j``/``l``/``t`` are step parameters local to the working
     (possibly truncated) problem; ``bin1_weight`` is the head-bin load after
     the move. ``stage`` is the suffix start position in the full instance.
+    A relief move may carry ``count > 1``: it is that many unit swaps through
+    the same bin, and ``bin1_weight`` is the load after the last of them.
     """
 
     kind: str
@@ -112,10 +116,21 @@ class Move:
         return " ".join(parts)
 
 
+def _apply(assignment: Assignment, move: Move) -> None:
+    """Apply ``move``'s 1-based transfers to ``assignment``."""
+    assignment.apply(
+        (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in move.transfers
+    )
+
+
 @dataclass
 class DescentTrace:
     """Ordered move log; replaying it from the initial assignment reproduces
-    the final one exactly."""
+    the final one exactly.
+
+    A batched relief move serializes like any other move, as ``value x count``
+    transfers, so the text format does not change with batching.
+    """
 
     moves: list[Move] = field(default_factory=list)
 
@@ -133,9 +148,7 @@ class DescentTrace:
     def replay(self, initial: Assignment) -> Assignment:
         out = initial.copy()
         for mv in self.moves:
-            out.apply(
-                (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in mv.transfers
-            )
+            _apply(out, mv)
         return out
 
     def count(self, kind: str) -> int:
@@ -212,39 +225,57 @@ def _bin_gap(assignment: Assignment, capacities: CapacityProfile, b: int) -> int
 
 
 def relief_swap(
-    assignment: Assignment, capacities: CapacityProfile, sink: list | None = None
+    assignment: Assignment,
+    capacities: CapacityProfile,
+    sink: list | None = None,
+    *,
+    limit: int = 1,
 ) -> Move | None:
-    """Swap a top-weight ball out of bin 1 through a bin with slack >= w1.
+    """Swap top-weight balls out of bin 1 through a bin with slack >= w1.
 
-    Picks the lowest-index bin whose gap is at least the top weight and which
-    holds some lighter ball, and trades the lightest such ball for a top ball
-    from bin 1. Strictly lowers the bin-1 load and preserves 1-feasibility.
-    Returns None when no such swap applies.
+    Picks the lowest-index bin ``b`` whose gap is at least the top weight and
+    which holds some lighter ball, and trades balls of the lightest such
+    value ``v`` for top balls from bin 1. Each unit swap strictly lowers the
+    bin-1 load by ``w1 - v`` and preserves 1-feasibility.
+
+    One call makes ``q`` unit swaps at once, recorded as one move: ``q`` is
+    the smallest of ``limit``, the top balls in bin 1, the class-``v`` balls
+    in bin ``b``, the swaps bin ``b``'s gap allows while it stays at least
+    ``w1``, and the swaps needed until bin 1 fits. Only bins 1 and ``b``
+    change, so ``q`` calls with ``limit=1`` would make the same ``q`` swaps.
+    Returns None when no swap applies.
     """
+    if limit < 1:
+        raise SolverUsageError(f"relief limit must be at least 1, got {limit}")
     top = assignment.class_values[0]
-    if assignment.bin_weight(0) <= capacities[0]:
+    excess = assignment.bin_weight(0) - capacities[0]
+    if excess <= 0:
         return None
-    if assignment.counts[0][0] == 0:
+    tops = assignment.counts[0][0]
+    if tops == 0:
         return None
     for b in range(2, assignment.n + 1):
-        if _bin_gap(assignment, capacities, b) < top:
+        gap = _bin_gap(assignment, capacities, b)
+        if gap < top:
             continue
         for c in range(assignment.m - 1, 0, -1):  # lightest value first
-            if assignment.counts[c][b - 1] > 0:
+            held = assignment.counts[c][b - 1]
+            if held > 0:
                 value = assignment.class_values[c]
+                step = top - value
+                q = min(
+                    limit, tops, held, (gap - top) // step + 1, -(-excess // step)
+                )
                 move = Move(
                     kind=KIND_RELIEF,
                     transfers=(
-                        Transfer(top, 1, 1, b),
-                        Transfer(value, 1, b, 1),
+                        Transfer(top, q, 1, b),
+                        Transfer(value, q, b, 1),
                     ),
-                    bin1_weight=assignment.bin_weight(0) - top + value,
+                    bin1_weight=assignment.bin_weight(0) - q * step,
                     j=b,
                 )
-                assignment.apply(
-                    (tr.value, tr.count, tr.src - 1, tr.dst - 1)
-                    for tr in move.transfers
-                )
+                _apply(assignment, move)
                 if sink is not None:
                     sink.append(move)
                 return move
@@ -323,9 +354,7 @@ def boost_top_count(
             j=rbin,
             t=t_index,
         )
-        assignment.apply(
-            (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in move.transfers
-        )
+        _apply(assignment, move)
         after = (assignment.bin_weight(0), assignment.bin_weight(rbin - 1))
         if before != after:
             raise AssertionError("three-way exchange changed a bin load")
@@ -423,9 +452,7 @@ def shrink_gaps(
     moves: list[Move] = []
 
     def record(move: Move) -> None:
-        assignment.apply(
-            (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in move.transfers
-        )
+        _apply(assignment, move)
         moves.append(move)
         if sink is not None:
             sink.append(move)
@@ -592,9 +619,7 @@ def normalize_suffix(
             bin1_weight=prev.bin_weight(0),
             stage=i,
         )
-        prev.apply(
-            (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in move.transfers
-        )
+        _apply(prev, move)
         excess[c_plus] -= q
         excess[c_minus] += q
         if sink is not None:
@@ -624,12 +649,14 @@ def descend(
     cfg: SolverConfig,
     sink: list | None = None,
 ) -> int:
-    """Lower the load of bin 1 until it fits, one strict improvement per round.
+    """Lower the load of bin 1 until it fits; rounds count unit improvements.
 
     ``assignment`` must be 1-feasible for ``inst`` and hold exactly its
-    supply. Returns the number of rounds. Raises :class:`StallError` when no
-    exchange applies, which the theory rules out once the multiplicity
-    clears its threshold and the total-slack condition holds.
+    supply. Returns the number of rounds: a batched relief move of ``q`` unit
+    swaps counts as ``q`` rounds, any other round as one, and ``max_rounds``
+    caps that count. Raises :class:`StallError` when no exchange applies,
+    which the theory rules out once the multiplicity clears its threshold and
+    the total-slack condition holds.
     """
     C = inst.capacities
     top = inst.weights[0]
@@ -638,9 +665,11 @@ def descend(
     while assignment.bin_weight(0) > C[0]:
         if rounds >= max_rounds:
             raise StallError("descend", f"no convergence after {rounds} rounds")
-        rounds += 1
-        if relief_swap(assignment, C, sink) is not None:
+        move = relief_swap(assignment, C, sink, limit=max_rounds - rounds)
+        if move is not None:
+            rounds += move.transfers[0].count
             continue
+        rounds += 1
         if assignment.m == 1:
             raise StallError(
                 "descend",
@@ -722,10 +751,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             finally:
                 for mv in local:
                     shifted = mv.shifted(i - 1, stage=i)
-                    assignment.apply(
-                        (tr.value, tr.count, tr.src - 1, tr.dst - 1)
-                        for tr in shifted.transfers
-                    )
+                    _apply(assignment, shifted)
                     trace.append(shifted)
     except StallError as stall:
         if (

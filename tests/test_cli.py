@@ -149,6 +149,7 @@ class TestOracleCommand:
         )
         assert code == EXIT_INDETERMINATE
         assert "undecided" in out
+        assert "undecided: undecided" not in out
 
 
 class TestSolveCommand:

@@ -1,15 +1,18 @@
 """Descent engine tests: exchange ops, matching, gap shrinking, full solve."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+import hmbp.solver
 from hmbp.cli import tight_profile
 from hmbp.core import (
     Assignment,
     CapacityProfile,
     Instance,
     WeightProfile,
+    b_constant,
     d_threshold,
     is_k_feasible,
     make_instance,
@@ -253,6 +256,17 @@ class TestReliefSwap:
         assert move is not None and move.kind == KIND_RELIEF
         assert a.bin_weight(0) == 10
         assert is_k_feasible(a, caps, 1)
+
+    def test_batch_stops_where_bin1_fits(self):
+        w = WeightProfile((3, 1, 1))
+        a = Assignment.from_bins(w, 8, [{3: 8}, {1: 8}, {1: 8}])
+        caps = CapacityProfile((18, 18, 18))  # excess 6 at step 2: three swaps
+        move = relief_swap(a, caps, limit=10)
+        assert [(tr.value, tr.count) for tr in move.transfers] == [(3, 3), (1, 3)]
+        assert move.bin1_weight == a.bin_weight(0) == 18
+        assert relief_swap(a, caps, limit=10) is None
+        with pytest.raises(SolverUsageError):
+            relief_swap(a, caps, limit=0)
 
     def test_absent_without_large_gap(self):
         w = WeightProfile((3, 1))
@@ -507,3 +521,99 @@ class TestDescendAndSolve:
         inst = make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0))
         result = solve(inst, SolverConfig(r=2, max_rounds=1))
         assert result.status == "indeterminate"
+
+
+def _unit_swaps(moves):
+    """The trace with every relief move written out as its unit swaps."""
+    out = []
+    for mv in moves:
+        if mv.kind != KIND_RELIEF:
+            out.append(mv)
+            continue
+        give, take = mv.transfers
+        unit = (replace(give, count=1), replace(take, count=1))
+        step = give.value - take.value
+        for left in range(give.count - 1, -1, -1):
+            out.append(
+                replace(mv, transfers=unit, bin1_weight=mv.bin1_weight + left * step)
+            )
+    return out
+
+
+class TestBatchedRelief:
+    def test_batched_descent_matches_single_steps(self, monkeypatch):
+        rng = random.Random(71)
+        cases = []
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            w = tuple(sorted((rng.randint(0, 7) for _ in range(n)), reverse=True))
+            d = rng.randint(1, 40)
+            if rng.random() < 0.5:
+                caps = tuple(
+                    sorted((d * v + rng.randint(-4, 6) for v in w), reverse=True)
+                )
+            else:  # total split evenly: long relief runs in the head bins
+                q, r = divmod(d * sum(w) + rng.randint(0, 3 * n), n)
+                caps = tuple(q + 1 if j < r else q for j in range(n))
+            inst = make_instance(d, w, caps)
+            for cfg in (
+                SolverConfig(r=2),
+                SolverConfig(r=1, max_rounds=rng.randint(1, 30)),
+                SolverConfig(),
+            ):
+                cases.append((inst, cfg))
+
+        def outcomes():
+            return [solve(inst, cfg) for inst, cfg in cases]
+
+        batched = outcomes()
+        single = hmbp.solver.relief_swap
+        monkeypatch.setattr(
+            hmbp.solver,
+            "relief_swap",
+            lambda a, caps, sink=None, *, limit=1: single(a, caps, sink),
+        )
+        reference = outcomes()
+
+        multi = cut_short = 0
+        for got, want in zip(batched, reference):
+            assert got.status == want.status
+            assert got.rounds == want.rounds
+            assert got.assignment == want.assignment
+            assert got.stall == want.stall
+            assert _unit_swaps(got.trace.moves) == want.trace.moves
+            counts = [
+                mv.transfers[0].count
+                for mv in got.trace.moves
+                if mv.kind == KIND_RELIEF
+            ]
+            multi += any(q > 1 for q in counts)
+            cut_short += bool(
+                got.stall
+                and "no convergence" in got.stall
+                and got.trace.moves[-1].kind == KIND_RELIEF
+                and counts[-1] > 1
+            )
+        assert multi > 50
+        assert cut_short > 0
+
+    @pytest.mark.parametrize(
+        "w, rounds, moves",
+        [
+            ((3, 2, 1, 0), 2107, 3),
+            ((5, 5, 3, 1, 1, 0), 25241, 5),
+            ((8, 7, 6, 5, 4, 3, 2, 1, 0), 303262, 8),
+        ],
+    )
+    def test_threshold_anchors(self, w, rounds, moves):
+        """Balanced capacities at d = d_threshold(w): the descent sheds
+        excess load proportional to d in one relief move per stage."""
+        wp = WeightProfile(w)
+        d = d_threshold(wp)
+        n = len(w)
+        q, r = divmod(d * sum(w) + b_constant(wp) + 5 * n, n)
+        caps = tuple(q + 1 if j < r else q for j in range(n))
+        result = solve(make_instance(d, w, caps))
+        assert result.status == "feasible"
+        assert result.rounds == rounds
+        assert len(result.trace) == moves
