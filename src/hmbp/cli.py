@@ -8,7 +8,7 @@ allowed)::
     C: 17 17 17 17 17 8
 
 Exit codes are a stable contract: 0 decided feasible, 1 decided infeasible,
-2 indeterminate/undecided, 3 input error.
+2 indeterminate/undecided (including any unexpected error), 3 input error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import (
     gap_vector,
     weight_gap_profile,
 )
-from .criteria import Feasibility, classify, sufficient_conditions
+from .criteria import Feasibility, classify, suffix_report, tight_profile
 from .solver import SolverConfig, solve
 
 EXIT_FEASIBLE = 0
@@ -127,7 +127,7 @@ def _print_assignment(inst: Instance, assignment, out) -> None:
 
 def cmd_check(args) -> int:
     inst = _load(args.file)
-    report = sufficient_conditions(inst)
+    report = suffix_report(inst)
     out = sys.stdout
     print("  i  suffix_cap  suffix_demand  b_i  necessary  sufficient", file=out)
     for i in range(1, report.n + 1):
@@ -259,26 +259,6 @@ def cmd_info(args) -> int:
     return EXIT_FEASIBLE
 
 
-def tight_profile(w: WeightProfile, d: int) -> CapacityProfile:
-    """Capacities meeting every corrected suffix condition with equality.
-
-    Built as ``C_i = d*w_i + b_i - b_{i+1}``; when that sequence dips, earlier
-    entries are raised to the running maximum from the right, which preserves
-    every suffix sum and restores monotonicity minimally.
-    """
-    caps = []
-    b_next = 0
-    for i in range(w.n, 0, -1):
-        b_i = b_constant(w.truncate(i))
-        caps.append(d * w[i - 1] + b_i - b_next)
-        b_next = b_i
-    caps.reverse()
-    for j in range(w.n - 2, -1, -1):
-        if caps[j] < caps[j + 1]:
-            caps[j] = caps[j + 1]
-    return CapacityProfile(tuple(caps))
-
-
 def _bench_rows(w: WeightProfile, d_lo: int, d_hi: int, mode: str):
     w_id = "-".join(str(v) for v in w)
     for d in range(d_lo, d_hi + 1):
@@ -389,6 +369,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        # Exit 1 means "decided infeasible"; a crash decides nothing.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
 
 
 if __name__ == "__main__":

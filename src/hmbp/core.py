@@ -169,48 +169,41 @@ class ConjugateProfile:
 def conjugate(w: WeightProfile, rows: int) -> ConjugateProfile:
     """Conjugate the Young diagram of ``w`` padded/declared to ``rows`` parts.
 
-    Column ``j`` of the diagram has height ``#{i <= rows : w_i >= j}``. The
-    result is sensitive to ``rows`` (trailing zeros change the run-length
-    form), so the caller states it explicitly.
+    Column ``j`` of the diagram has height ``#{i <= rows : w_i >= j}``, so
+    the columns form one run per positive distinct value ``v``: its height
+    is the number of entries ``>= v`` and its length is ``v`` minus the next
+    smaller value (or ``v`` itself for the smallest positive value). The
+    runs come straight from the value blocks, in O(n) whatever the weights'
+    size. The result is sensitive to ``rows`` (trailing zeros change the
+    run-length form), so the caller states it explicitly.
     """
     nonzero = sum(1 for v in w.entries if v > 0)
     if rows < nonzero:
         raise ProfileError(f"rows={rows} smaller than {nonzero} nonzero parts")
-    top = w.entries[0]
-    heights = []
-    for j in range(1, top + 1):
-        heights.append(sum(1 for v in w.entries if v >= j))
-    a0 = 0
-    while a0 < len(heights) and heights[a0] == rows:
-        a0 += 1
     runs: list[tuple[int, int]] = []
-    for h in heights[a0:]:
-        if runs and runs[-1][0] == h:
-            runs[-1] = (h, runs[-1][1] + 1)
-        else:
-            runs.append((h, 1))
+    for pos, v in enumerate(w.entries):
+        below = w.entries[pos + 1] if pos + 1 < w.n else 0
+        if v > below:
+            runs.append((pos + 1, v - below))
+    runs.reverse()
+    a0 = 0
+    if runs and runs[0][0] == rows:
+        a0 = runs.pop(0)[1]
     return ConjugateProfile(rows=rows, a0=a0, runs=tuple(runs))
 
 
 def b_constant(w: WeightProfile) -> int:
     """Correction constant of a weight profile.
 
-    Zero when all entries are equal; otherwise computed from the run-length
-    form of the conjugate diagram as a weighted sum of run overshoots. This is
-    the exact amount by which suffix-capacity bounds must exceed suffix demand
-    to become sufficient for large multiplicities.
+    Zero when all entries are equal; otherwise ``sum(g - 1)`` over the
+    weight-gap profile (:func:`weight_gap_profile`), which equals the
+    weighted sum of run overshoots of the conjugate diagram and costs O(n).
+    This is the exact amount by which suffix-capacity bounds must exceed
+    suffix demand to become sufficient for large multiplicities.
     """
-    conj = conjugate(w, w.n)
-    if conj.k == 0:
+    if w.is_constant():
         return 0
-    total = 0
-    prev_h = w.n
-    for h, a in conj.runs:
-        total += (prev_h - h) * (a - 1)
-        prev_h = h
-    last_h, last_a = conj.runs[-1]
-    total += (last_h - 1) * (last_a - 1)
-    return total
+    return sum(g - 1 for g in weight_gap_profile(w).gaps)
 
 
 @dataclass(frozen=True)

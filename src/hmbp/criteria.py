@@ -1,10 +1,12 @@
 """Suffix-sum feasibility criteria and instance classification.
 
-Two nested families of per-index conditions are evaluated: the necessary
-ones compare each suffix of capacities against the matching suffix demand
-``d * (w_i + ... + w_n)``; the sufficient ones additionally require the
-correction constant of the truncated weight profile as extra headroom, and
-only certify feasibility once the multiplicity clears its threshold.
+Two nested families of per-index conditions are evaluated, both by the one
+:func:`suffix_report`: the necessary ones compare each suffix of capacities
+against the matching suffix demand ``d * (w_i + ... + w_n)``; the sufficient
+ones additionally require the correction constant of the truncated weight
+profile as extra headroom, and only certify feasibility once the
+multiplicity clears its threshold. Each correction constant costs O(n), so
+a report costs O(n^2) whatever the size of the weights.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import Instance, b_constant, d_threshold
+from .core import CapacityProfile, Instance, WeightProfile, b_constant, d_threshold
 
 
 class Feasibility(enum.Enum):
@@ -70,7 +72,13 @@ class Verdict:
         return self.kind is Feasibility.GUARANTEED_FEASIBLE
 
 
-def _build_report(inst: Instance) -> CriteriaReport:
+def suffix_report(inst: Instance) -> CriteriaReport:
+    """Evaluate every suffix condition of ``inst``, necessary and sufficient.
+
+    A negative necessary slack proves infeasibility; all-non-negative
+    sufficient slack plus a multiplicity at or above the threshold
+    guarantees feasibility.
+    """
     w = inst.weights
     C = inst.capacities
     n = w.n
@@ -100,15 +108,24 @@ def _build_report(inst: Instance) -> CriteriaReport:
     )
 
 
-def necessary_conditions(inst: Instance) -> CriteriaReport:
-    """Evaluate the suffix dominance conditions; negative slack proves infeasibility."""
-    return _build_report(inst)
+def tight_profile(w: WeightProfile, d: int) -> CapacityProfile:
+    """Capacities meeting every corrected suffix condition with equality.
 
-
-def sufficient_conditions(inst: Instance) -> CriteriaReport:
-    """Evaluate the corrected suffix conditions; all-non-negative slack plus a
-    large enough multiplicity guarantees feasibility."""
-    return _build_report(inst)
+    Built as ``C_i = d*w_i + b_i - b_{i+1}``; when that sequence dips, earlier
+    entries are raised to the running maximum from the right, which preserves
+    every suffix sum and restores monotonicity minimally.
+    """
+    caps = []
+    b_next = 0
+    for i in range(w.n, 0, -1):
+        b_i = b_constant(w.truncate(i))
+        caps.append(d * w[i - 1] + b_i - b_next)
+        b_next = b_i
+    caps.reverse()
+    for j in range(w.n - 2, -1, -1):
+        if caps[j] < caps[j + 1]:
+            caps[j] = caps[j + 1]
+    return CapacityProfile(tuple(caps))
 
 
 def classify(inst: Instance) -> Verdict:
@@ -118,7 +135,7 @@ def classify(inst: Instance) -> Verdict:
     bin must receive exactly ``d`` equal balls, so feasibility is equivalent
     to the smallest capacity covering ``d * w``.
     """
-    report = _build_report(inst)
+    report = suffix_report(inst)
     w = inst.weights
     if w.is_constant():
         need = inst.d * w.entries[0]

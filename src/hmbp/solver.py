@@ -55,6 +55,8 @@ class StallError(RuntimeError):
     termination (multiplicity below the threshold, or total slack below the
     correction constant). Carries the operation, the step that failed and a
     human-readable detail; for matching stalls also a deficient index set.
+    ``rounds`` is the number of rounds the stalled descent made before it
+    stopped (0 outside a descent).
     """
 
     def __init__(self, op, detail, step=None, deficient=None):
@@ -63,6 +65,7 @@ class StallError(RuntimeError):
         self.detail = detail
         self.step = step
         self.deficient = deficient
+        self.rounds = 0
 
 
 @dataclass(frozen=True)
@@ -656,47 +659,52 @@ def descend(
     swaps counts as ``q`` rounds, any other round as one, and ``max_rounds``
     caps that count. Raises :class:`StallError` when no exchange applies,
     which the theory rules out once the multiplicity clears its threshold and
-    the total-slack condition holds.
+    the total-slack condition holds; the error's ``rounds`` holds the rounds
+    made before the stall.
     """
     C = inst.capacities
     top = inst.weights[0]
     max_rounds = cfg.resolved_max_rounds(inst.d, top, inst.n)
     rounds = 0
-    while assignment.bin_weight(0) > C[0]:
-        if rounds >= max_rounds:
-            raise StallError("descend", f"no convergence after {rounds} rounds")
-        move = relief_swap(assignment, C, sink, limit=max_rounds - rounds)
-        if move is not None:
-            rounds += move.transfers[0].count
-            continue
-        rounds += 1
-        if assignment.m == 1:
-            raise StallError(
-                "descend",
-                f"all weights equal {top}: every bin needs capacity "
-                f"{inst.d * top}, bin 1 has {C[0]}",
-            )
-        try:
-            boost_top_count(assignment, C, cfg, sink)
-        except StallError:
-            # The exchange ran out of material before the target count. The
-            # shrinking pass only needs a top ball in bin 1 for its exit
-            # swaps, so push on when one is there; its own stall (or lack of
-            # progress) is the decisive signal.
-            if assignment.counts[0][0] == 0:
-                raise
-        if relief_swap(assignment, C, sink) is not None:
-            continue
-        perm = find_permutation(assignment, cfg)
-        gaps = weight_gap_profile(inst.weights)
-        before = assignment.bin_weight(0)
-        shrink_gaps(assignment, C, perm, gaps, sink)
-        if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > C[0]:
-            raise StallError(
-                "descend",
-                "gap shrinking completed without freeing bin 1; the total "
-                "slack must be below the correction constant",
-            )
+    try:
+        while assignment.bin_weight(0) > C[0]:
+            if rounds >= max_rounds:
+                raise StallError("descend", f"no convergence after {rounds} rounds")
+            move = relief_swap(assignment, C, sink, limit=max_rounds - rounds)
+            if move is not None:
+                rounds += move.transfers[0].count
+                continue
+            rounds += 1
+            if assignment.m == 1:
+                raise StallError(
+                    "descend",
+                    f"all weights equal {top}: every bin needs capacity "
+                    f"{inst.d * top}, bin 1 has {C[0]}",
+                )
+            try:
+                boost_top_count(assignment, C, cfg, sink)
+            except StallError:
+                # The exchange ran out of material before the target count. The
+                # shrinking pass only needs a top ball in bin 1 for its exit
+                # swaps, so push on when one is there; its own stall (or lack of
+                # progress) is the decisive signal.
+                if assignment.counts[0][0] == 0:
+                    raise
+            if relief_swap(assignment, C, sink) is not None:
+                continue
+            perm = find_permutation(assignment, cfg)
+            gaps = weight_gap_profile(inst.weights)
+            before = assignment.bin_weight(0)
+            shrink_gaps(assignment, C, perm, gaps, sink)
+            if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > C[0]:
+                raise StallError(
+                    "descend",
+                    "gap shrinking completed without freeing bin 1; the total "
+                    "slack must be below the correction constant",
+                )
+    except StallError as stall:
+        stall.rounds = rounds
+        raise
     return rounds
 
 
@@ -754,6 +762,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                     _apply(assignment, shifted)
                     trace.append(shifted)
     except StallError as stall:
+        total_rounds += stall.rounds
         if (
             cfg.fallback_to_oracle
             and inst.n <= cfg.fallback_max_n

@@ -31,6 +31,7 @@ from .core import (
     is_k_feasible,
     weight_gap_profile,
 )
+from .criteria import suffix_report
 
 
 class UnsupportedWeightsError(ValueError):
@@ -178,25 +179,19 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
     return wit
 
 
-def _suffix_condition_slack(inst: Instance, i: int) -> int:
-    """Slack of the corrected suffix condition at position ``i``."""
-    cap = sum(inst.capacities[i - 1 :])
-    demand = inst.d * sum(inst.weights[i - 1 :])
-    return cap - demand - b_constant(inst.weights.truncate(i))
-
-
 def _assert_relaxed_shape(wit: WitnessInstance) -> None:
     # Internal sanity: the construction is supposed to satisfy these by
     # design; a failure is a bug, not a user error.
     inst = wit.instance
     i0 = wit.relax_index
-    if _suffix_condition_slack(inst, i0) != -1:
+    slacks = suffix_report(inst).sufficient_slack
+    if slacks[i0 - 1] != -1:
         raise AssertionError(f"suffix slack at {i0} is not -1")
     constant_tail = wit.construction == "relaxed-constant-tail"
     for i in range(1, inst.n + 1):
         if i == i0:
             continue
-        slack = _suffix_condition_slack(inst, i)
+        slack = slacks[i - 1]
         if constant_tail and (i > i0 or inst.weights[0] == 0):
             # A constant suffix admits no strict one-sided relaxation: every
             # condition nested inside it necessarily misses by the same
@@ -242,7 +237,7 @@ def verify_witness(
     i0 = wit.relax_index
     checks: list[WitnessCheck] = []
 
-    slack_ok = _suffix_condition_slack(inst, i0) == -1
+    slack_ok = suffix_report(inst).sufficient_slack[i0 - 1] == -1
     checks.append(WitnessCheck("suffix-slack-minus-one", "analytic", slack_ok))
     mono_ok = all(
         inst.capacities[j] >= inst.capacities[j + 1] for j in range(inst.n - 1)

@@ -7,7 +7,7 @@ lines and timings. Budgets are asserted where the criterion states one.
 import random
 import time
 
-from hmbp.cli import _bench_rows, tight_profile
+from hmbp.cli import _bench_rows
 from hmbp.core import (
     Assignment,
     CapacityProfile,
@@ -20,7 +20,7 @@ from hmbp.core import (
     make_instance,
     weight_gap_profile,
 )
-from hmbp.criteria import Feasibility, classify
+from hmbp.criteria import Feasibility, classify, tight_profile
 from hmbp.oracle import decide
 from hmbp.solver import (
     KIND_BLOCK,

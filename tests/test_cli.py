@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import hmbp.cli
 from hmbp.cli import (
     BENCH_CSV_HEADER,
     EXIT_FEASIBLE,
@@ -15,9 +16,9 @@ from hmbp.cli import (
     main,
     parse_instance,
     render_instance,
-    tight_profile,
 )
 from hmbp.core import WeightProfile, b_constant
+from hmbp.criteria import tight_profile
 
 SIX_BIN_TEXT = "d: 6\nw: 5 5 3 1 1 0\nC: 17 17 17 17 17 8\n"
 
@@ -323,6 +324,19 @@ class TestExitCodeContract:
         monkeypatch.setattr(sys, "stdin", io.StringIO("d: 2\nw: 3 1\nC: 5 3\n"))
         code, _, _ = run_cli(["oracle", "-"], capsys)
         assert code == EXIT_INFEASIBLE
+
+    def test_unexpected_error_is_undecided(self, six_bin_file, capsys, monkeypatch):
+        # exit 1 means "decided infeasible", so a crash must not produce it
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(hmbp.cli._oracle, "decide", crash)
+        code, out, err = run_cli(["oracle", six_bin_file], capsys)
+        assert code == EXIT_INDETERMINATE
+        assert out == ""
+        assert err.splitlines() == [
+            "error: RecursionError: maximum recursion depth exceeded"
+        ]
 
 
 def test_tight_profile_monotone_repair():

@@ -1,9 +1,13 @@
 """Domain type and integer-arithmetic tests for the core module."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmbp.cli import main
 from hmbp.core import (
     Assignment,
     CapacityProfile,
@@ -18,6 +22,10 @@ from hmbp.core import (
     normalize,
     weight_gap_profile,
 )
+from hmbp.criteria import classify, tight_profile
+from hmbp.witness import extremal_witness, relaxed_witness
+
+from conjugate_reference import b_by_run_overshoot, conjugate_by_columns
 
 EX_WEIGHTS = WeightProfile((5, 5, 3, 1, 1, 0))
 EX_CAPS = CapacityProfile((17, 17, 17, 17, 17, 8))
@@ -148,6 +156,42 @@ class TestBConstant:
         w = WeightProfile(tuple(sorted(entries, reverse=True)))
         for i in range(1, w.n + 1):
             assert b_constant(w.truncate(i)) == 0
+
+
+class TestAgainstColumnReference:
+    """The O(n) forms against the per-column definitions."""
+
+    def test_differential_sweep(self):
+        rng = random.Random(20261018)
+        calls = 0
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            # a small pool of values gives repeats, zeros and wide gaps
+            pool = (0, rng.randint(0, 5), rng.randint(0, 80), rng.randint(0, 80))
+            vals = sorted((rng.choice(pool) for _ in range(n)), reverse=True)
+            w = WeightProfile(tuple(vals))
+            nonzero = sum(1 for v in vals if v > 0)
+            for rows in range(nonzero, n + 4):
+                got = conjugate(w, rows)
+                ref = conjugate_by_columns(w, rows)
+                assert (got.rows, got.a0, got.runs) == (ref.rows, ref.a0, ref.runs)
+                calls += 1
+            assert b_constant(w) == b_by_run_overshoot(w), w
+        assert calls > 15_000
+
+    def test_large_weights_cost_nothing(self, capsys):
+        w = WeightProfile((10**6, 5 * 10**5, 1, 0))
+        d = 4
+        start = time.perf_counter()
+        caps = tight_profile(w, d)
+        classify(make_instance(d, w, caps))
+        extremal_witness(w, d)
+        relaxed_witness(w, d, 2)
+        assert main(["info", "--w", *map(str, w)]) == 0
+        elapsed = time.perf_counter() - start
+        assert b_constant(w) == 10**6 - 3
+        assert "b by truncation: 999997 499998 0 0" in capsys.readouterr().out
+        assert elapsed < 0.1
 
 
 class TestWeightGaps:

@@ -5,7 +5,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmbp.cli import tight_profile
 from hmbp.core import (
     CapacityProfile,
     Instance,
@@ -17,21 +16,21 @@ from hmbp.core import (
 from hmbp.criteria import (
     Feasibility,
     classify,
-    necessary_conditions,
-    sufficient_conditions,
+    suffix_report,
+    tight_profile,
 )
 from hmbp.oracle import decide
 
 
 def test_two_bin_example_slacks():
-    report = necessary_conditions(make_instance(2, (3, 1), (5, 3)))
+    report = suffix_report(make_instance(2, (3, 1), (5, 3)))
     assert report.necessary_slack == (0, 1)
     assert report.first_necessary_violation() is None
 
 
 def test_violated_sufficient_condition_at_top():
     inst = make_instance(6, (5, 5, 3, 1, 1, 0), (17, 17, 17, 17, 17, 8))
-    report = sufficient_conditions(inst)
+    report = suffix_report(inst)
     assert report.suffix_capacity[0] == 93
     assert report.suffix_demand[0] == 90
     assert report.b_values[0] == 4
@@ -45,7 +44,7 @@ def test_violated_sufficient_condition_at_top():
 
 def test_two_value_thresholds():
     # with weights (3, 1): total capacity needs 4d+1, the small bin needs d
-    report = sufficient_conditions(make_instance(5, (3, 1), (11, 10)))
+    report = suffix_report(make_instance(5, (3, 1), (11, 10)))
     assert report.suffix_demand == (20, 5)
     assert report.b_values == (1, 0)
     assert report.sufficient_slack == (0, 5)
@@ -55,7 +54,7 @@ def test_exact_demand_gives_zero_necessary_slack():
     w = WeightProfile((4, 2, 2, 1))
     d = 3
     caps = CapacityProfile(tuple(d * v for v in w))
-    report = necessary_conditions(Instance(d, w, caps))
+    report = suffix_report(Instance(d, w, caps))
     assert all(s == 0 for s in report.necessary_slack)
 
 
@@ -64,7 +63,7 @@ def test_tight_profile_has_zero_sufficient_slack():
         wp = WeightProfile(w)
         for d in (5, 11):
             inst = Instance(d, wp, tight_profile(wp, d))
-            report = sufficient_conditions(inst)
+            report = suffix_report(inst)
             assert all(s >= 0 for s in report.sufficient_slack)
             # suffix sums meet the corrected bound exactly at every index
             for i in range(wp.n):
@@ -124,7 +123,7 @@ def test_report_internal_identity(vals, d, data):
             )
         )
     )
-    report = sufficient_conditions(Instance(d, w, caps))
+    report = suffix_report(Instance(d, w, caps))
     for i in range(w.n):
         assert (
             report.sufficient_slack[i] + report.b_values[i]
@@ -150,15 +149,15 @@ def test_reports_invariant_under_normalize(vals, d, data):
         )
     )
     inst = Instance(d, w, caps)
-    before = sufficient_conditions(inst)
-    after = sufficient_conditions(normalize(inst))
+    before = suffix_report(inst)
+    after = suffix_report(normalize(inst))
     assert before.necessary_slack == after.necessary_slack
     assert before.sufficient_slack == after.sufficient_slack
 
 
 def test_balanced_weights_reports_coincide():
     w = WeightProfile((4, 3, 3, 2, 1, 1))
-    report = sufficient_conditions(make_instance(5, (4, 3, 3, 2, 1, 1), tuple(5 * v for v in w)))
+    report = suffix_report(make_instance(5, (4, 3, 3, 2, 1, 1), tuple(5 * v for v in w)))
     assert report.b_values == (0,) * 6
     assert report.necessary_slack == report.sufficient_slack
 

@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 import hmbp.solver
-from hmbp.cli import tight_profile
 from hmbp.core import (
     Assignment,
     CapacityProfile,
@@ -18,6 +17,7 @@ from hmbp.core import (
     make_instance,
     weight_gap_profile,
 )
+from hmbp.criteria import tight_profile
 from hmbp.oracle import decide
 from hmbp.solver import (
     KIND_BLOCK,
@@ -521,6 +521,23 @@ class TestDescendAndSolve:
         inst = make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0))
         result = solve(inst, SolverConfig(r=2, max_rounds=1))
         assert result.status == "indeterminate"
+
+    @pytest.mark.parametrize(
+        "max_rounds, rounds, stall",
+        [
+            (5, 5, "descend: no convergence after 5 rounds"),
+            (30, 40, "shrink_gaps: bin 4 holds 0 balls of value 2, step needs 1"),
+        ],
+    )
+    def test_rounds_include_the_stalled_stage(self, max_rounds, rounds, stall):
+        # max_rounds=5: stage 2 stalls after one 5-swap relief move.
+        # max_rounds=30: stage 2 makes 20 rounds, stage 1 makes 19 relief
+        # swaps and one shrink round before stalling.
+        inst = make_instance(40, (3, 2, 1, 0), (61, 60, 60, 60))
+        result = solve(inst, SolverConfig(r=1, max_rounds=max_rounds))
+        assert result.status == "indeterminate"
+        assert result.stall == stall
+        assert result.rounds == rounds
 
 
 def _unit_swaps(moves):
