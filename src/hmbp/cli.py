@@ -24,7 +24,7 @@ from .core import (
     Instance,
     ProfileError,
     WeightProfile,
-    b_constant,
+    b_row,
     conjugate,
     d_threshold,
     gap_vector,
@@ -247,8 +247,7 @@ def cmd_info(args) -> int:
         runs.append(f"{conj.rows}^{conj.a0}")
     runs.extend(f"{h}^{a}" for h, a in conj.runs)
     print(f"conjugate: {' '.join(runs) if runs else '(empty)'}", file=out)
-    b_row = [b_constant(w.truncate(i)) for i in range(1, w.n + 1)]
-    print("b by truncation: " + " ".join(str(b) for b in b_row), file=out)
+    print("b by truncation: " + " ".join(str(b) for b in b_row(w)), file=out)
     if len(set(w.entries)) >= 2:
         gaps = weight_gap_profile(w)
         print("gap sequence: " + " ".join(str(g) for g in gaps.gaps), file=out)

@@ -201,9 +201,32 @@ def b_constant(w: WeightProfile) -> int:
     This is the exact amount by which suffix-capacity bounds must exceed
     suffix demand to become sufficient for large multiplicities.
     """
-    if w.is_constant():
-        return 0
-    return sum(g - 1 for g in weight_gap_profile(w).gaps)
+    return b_row(w)[0]
+
+
+def b_row(w: WeightProfile) -> tuple[int, ...]:
+    """``b_constant(w.truncate(i))`` for every ``i``, in one O(n) backward pass.
+
+    With ``v = w_i``, ``s`` the next smaller value and ``k`` the entries equal
+    to ``v`` after ``i``, entry ``i - 1`` is ``k * (v - s - 1)`` plus
+    ``pred(w_p) - w_p - 1`` over every lighter entry ``w_p``; 0 when none is.
+    """
+    e = w.entries
+    row = [0] * w.n
+    below = 0  # sum of pred(w_p) - w_p - 1 over the entries lighter than w_i
+    ties = 0  # entries after i equal to w_i
+    second = None  # next value below w_i; None while the suffix is constant
+    for i in range(w.n - 2, -1, -1):
+        v, after = e[i], e[i + 1]
+        if v == after:
+            ties += 1
+        else:
+            below += (ties + 1) * (v - after - 1)
+            ties = 0
+            second = after
+        if second is not None:
+            row[i] = ties * (v - second - 1) + below
+    return tuple(row)
 
 
 @dataclass(frozen=True)

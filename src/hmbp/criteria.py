@@ -5,8 +5,9 @@ Two nested families of per-index conditions are evaluated, both by the one
 against the matching suffix demand ``d * (w_i + ... + w_n)``; the sufficient
 ones additionally require the correction constant of the truncated weight
 profile as extra headroom, and only certify feasibility once the
-multiplicity clears its threshold. Each correction constant costs O(n), so
-a report costs O(n^2) whatever the size of the weights.
+multiplicity clears its threshold. The correction constants of all the
+suffixes come from one O(n) pass (:func:`hmbp.core.b_row`), so a report
+costs O(n) whatever the size of the weights.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import CapacityProfile, Instance, WeightProfile, b_constant, d_threshold
+from .core import CapacityProfile, Instance, WeightProfile, b_row, d_threshold
 
 
 class Feasibility(enum.Enum):
@@ -93,7 +94,7 @@ def suffix_report(inst: Instance) -> CriteriaReport:
         suffix_dem.append(dem_acc)
     suffix_cap.reverse()
     suffix_dem.reverse()
-    b_vals = tuple(b_constant(w.truncate(i)) for i in range(1, n + 1))
+    b_vals = b_row(w)
     necessary = tuple(c - dm for c, dm in zip(suffix_cap, suffix_dem))
     sufficient = tuple(s - b for s, b in zip(necessary, b_vals))
     thr = d_threshold(w)
@@ -115,13 +116,8 @@ def tight_profile(w: WeightProfile, d: int) -> CapacityProfile:
     entries are raised to the running maximum from the right, which preserves
     every suffix sum and restores monotonicity minimally.
     """
-    caps = []
-    b_next = 0
-    for i in range(w.n, 0, -1):
-        b_i = b_constant(w.truncate(i))
-        caps.append(d * w[i - 1] + b_i - b_next)
-        b_next = b_i
-    caps.reverse()
+    b = b_row(w) + (0,)
+    caps = [d * w[i] + b[i] - b[i + 1] for i in range(w.n)]
     for j in range(w.n - 2, -1, -1):
         if caps[j] < caps[j + 1]:
             caps[j] = caps[j + 1]

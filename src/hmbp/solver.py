@@ -2,9 +2,10 @@
 
 Builds a feasible assignment by descending induction over suffixes of the
 instance: after stage ``i`` the bins ``i..n`` hold exactly the suffix supply
-and satisfy their capacities. Each stage runs a descent loop on the truncated
-problem that strictly lowers the load of the stage's head bin until it fits,
-using three kinds of ball exchanges:
+and satisfy their capacities. Stage ``i`` starts from the previous stage's
+bins with bin ``i``'s own ``d`` balls in front, and runs a descent loop on
+that truncated problem which strictly lowers the load of the stage's head
+bin until it fits, using three kinds of ball exchanges:
 
 * a direct relief swap through any bin with slack at least the top weight,
   batched so that one move makes every consecutive swap through the same bin
@@ -42,6 +43,9 @@ KIND_CHAIN_EXIT = "chain-exit"
 KIND_BLOCK = "block-swap"
 KIND_TOP_EXIT = "top-exit"
 KIND_NORMALIZE = "normalize"
+
+FALLBACK_MAX_N = 8  # largest instances ``fallback_to_oracle`` hands over
+FALLBACK_MAX_D = 24
 
 
 class SolverUsageError(ValueError):
@@ -137,9 +141,6 @@ class DescentTrace:
 
     moves: list[Move] = field(default_factory=list)
 
-    def append(self, move: Move) -> None:
-        self.moves.append(move)
-
     def extend(self, moves) -> None:
         self.moves.extend(moves)
 
@@ -153,9 +154,6 @@ class DescentTrace:
         for mv in self.moves:
             _apply(out, mv)
         return out
-
-    def count(self, kind: str) -> int:
-        return sum(1 for mv in self.moves if mv.kind == kind)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -190,15 +188,14 @@ class SolverConfig:
     provably terminating once the multiplicity clears its threshold
     (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working problem). Small
     experiments below the threshold should pass small overrides.
+    ``fallback_to_oracle`` hands a stalled instance to the exact search when
+    it has at most ``FALLBACK_MAX_N`` bins and ``FALLBACK_MAX_D`` balls per bin.
     """
 
     r: int | None = None
     N: int | None = None
     max_rounds: int | None = None
     fallback_to_oracle: bool = False
-    fallback_max_n: int = 8
-    fallback_max_d: int = 24
-    oracle_node_budget: int = _oracle.DEFAULT_NODE_BUDGET
 
     def resolved_r(self, n: int, top_weight: int) -> int:
         return self.r if self.r is not None else 2 * n * top_weight
@@ -630,22 +627,6 @@ def normalize_suffix(
     return prev
 
 
-def _extract_suffix(inst: Instance, assignment: Assignment, i: int) -> Assignment:
-    """Materialize bins ``i..n`` as a standalone assignment of the truncation."""
-    wt = inst.weights.truncate(i)
-    values = wt.distinct_values()
-    counts = []
-    supply = []
-    mult: dict[int, int] = {}
-    for v in wt.entries:
-        mult[v] = mult.get(v, 0) + 1
-    for v in values:
-        c = assignment.class_index(v)
-        counts.append(assignment.counts[c][i - 1 :])
-        supply.append(inst.d * mult[v])
-    return Assignment(inst.d, values, supply, counts)
-
-
 def descend(
     inst: Instance,
     assignment: Assignment,
@@ -725,8 +706,8 @@ class SolveResult:
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """Build a verified feasible assignment by descending suffix induction.
 
-    Stage ``i`` (from ``n`` down to 1) first normalizes bins ``i..n`` to the
-    suffix supply, then descends the truncated problem to feasibility.
+    Stage ``i`` (from ``n`` down to 1) descends the truncated problem on one
+    assignment of bins ``i..n`` and logs its moves with full-instance bins.
     Constant-weight truncations are decided directly: each suffix bin already
     holds ``d`` equal balls, so only the smallest capacity matters. Success
     is guaranteed whenever the corrected suffix conditions hold and the
@@ -736,13 +717,16 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolverConfig()
     trace = DescentTrace()
-    assignment = Assignment.diagonal(inst.weights, inst.d)
+    rest: list[dict[int, int]] = []
     total_rounds = 0
     try:
         for i in range(inst.n, 0, -1):
-            normalize_suffix(inst, i, assignment, trace.moves)
-            wt = inst.weights.truncate(i)
-            Ct = inst.capacities.truncate(i)
+            sub = inst.truncate(i)
+            wt, Ct = sub.weights, sub.capacities
+            # Bin i is untouched before stage i, and the descents so far moved
+            # balls only among bins i+1..n, so those bins hold exactly their own
+            # supply: prepending bin i's d balls of w_i gives stage i's start.
+            assignment = Assignment.from_bins(wt, inst.d, [{wt[0]: inst.d}] + rest)
             if wt.is_constant():
                 need = inst.d * wt[0]
                 if Ct[Ct.n - 1] < need:
@@ -751,25 +735,19 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                         f"constant suffix at {i}: every bin needs {need}, "
                         f"capacity {Ct[Ct.n - 1]} is too small",
                     )
-                continue
-            sub = _extract_suffix(inst, assignment, i)
-            local: list[Move] = []
-            try:
-                total_rounds += descend(Instance(inst.d, wt, Ct), sub, cfg, local)
-            finally:
-                for mv in local:
-                    shifted = mv.shifted(i - 1, stage=i)
-                    _apply(assignment, shifted)
-                    trace.append(shifted)
+            else:
+                local: list[Move] = []
+                try:
+                    total_rounds += descend(sub, assignment, cfg, local)
+                finally:
+                    trace.extend(mv.shifted(i - 1, stage=i) for mv in local)
+            rest = assignment.bins_as_dicts()
     except StallError as stall:
         total_rounds += stall.rounds
-        if (
-            cfg.fallback_to_oracle
-            and inst.n <= cfg.fallback_max_n
-            and inst.d <= cfg.fallback_max_d
-        ):
+        small = inst.n <= FALLBACK_MAX_N and inst.d <= FALLBACK_MAX_D
+        if cfg.fallback_to_oracle and small:
             try:
-                res = _oracle.decide(inst, 0, node_budget=cfg.oracle_node_budget)
+                res = _oracle.decide(inst, 0)
             except _oracle.BudgetExceeded:
                 res = None
             if res is not None:

@@ -121,12 +121,6 @@ def extremal_witness(w: WeightProfile, d: int) -> WitnessInstance:
     )
 
 
-def _prefix_capacity(w: WeightProfile, d: int, j: int) -> int:
-    # Large enough that every suffix condition through position j holds with
-    # room to spare, yet still non-increasing into the witness suffix.
-    return d * w[j - 1] + b_constant(w) + w.n * w[0]
-
-
 def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
     """Witness that the corrected suffix condition at ``i0`` cannot be relaxed.
 
@@ -147,7 +141,10 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
             "relaxed witnesses need a pairwise distinct or constant suffix; "
             f"suffix at {i0} is {wt.entries}"
         )
-    prefix = [_prefix_capacity(w, d, j) for j in range(1, i0)]
+    # Prefix capacities large enough that every suffix condition before i0
+    # holds with room to spare, yet still non-increasing into the suffix.
+    pad = b_constant(w) + w.n * w[0]
+    prefix = [d * w[j - 1] + pad for j in range(1, i0)]
     if constant:
         v = wt[0]
         tail = [d * v] * (wt.n - 1) + [d * v - 1]

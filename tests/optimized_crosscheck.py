@@ -1,0 +1,75 @@
+"""Layer cross-check meant to run under ``python -O``.
+
+Solves about 200 seeded desk-scale instances (n <= 6) three ways and exits
+non-zero when the layers disagree:
+
+* classify says infeasible, but the oracle finds the instance feasible;
+* classify guarantees feasibility, but the oracle says infeasible;
+* solve says feasible, but the oracle says infeasible;
+* a solver assignment fails ``is_k_feasible``.
+
+``python -O`` strips ``assert`` statements, so this checks that the library
+still verifies its answers without them. Run it as
+``PYTHONPATH=src python -O tests/optimized_crosscheck.py``.
+"""
+
+import random
+import sys
+from collections import Counter
+
+from hmbp.core import WeightProfile, is_k_feasible, make_instance
+from hmbp.criteria import Feasibility, classify, tight_profile
+from hmbp.oracle import BudgetExceeded, decide
+from hmbp.solver import SolverConfig, solve
+
+INSTANCES = 200
+NODE_BUDGET = 200_000
+
+
+def instances(seed=20261018):
+    rng = random.Random(seed)
+    for _ in range(INSTANCES):
+        n = rng.randint(2, 6)
+        w = WeightProfile(
+            tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
+        )
+        d = rng.randint(1, 8)
+        caps = [c + rng.randint(-2, 3) for c in tight_profile(w, d)]
+        cfg = SolverConfig(r=rng.randint(1, 2), N=rng.randint(1, 4))
+        yield make_instance(d, w, sorted(caps, reverse=True)), cfg
+
+
+def main() -> int:
+    if sys.flags.optimize < 1:
+        print("run me under python -O", file=sys.stderr)
+        return 2
+    faults = []
+    tally = Counter()
+    for inst, cfg in instances():
+        label = f"d={inst.d} w={inst.weights.entries} C={inst.capacities.entries}"
+        try:
+            truth = decide(inst, 0, node_budget=NODE_BUDGET).feasible
+        except BudgetExceeded:
+            continue
+        tally["oracle-feasible" if truth else "oracle-infeasible"] += 1
+        verdict = classify(inst).kind
+        tally["classify-infeasible"] += verdict is Feasibility.INFEASIBLE
+        if verdict is Feasibility.INFEASIBLE and truth:
+            faults.append(f"{label}: classify infeasible, oracle feasible")
+        if verdict is Feasibility.GUARANTEED_FEASIBLE and not truth:
+            faults.append(f"{label}: classify guaranteed feasible, oracle infeasible")
+        result = solve(inst, cfg)
+        if result.feasible:
+            tally["solver-feasible"] += 1
+            if not truth:
+                faults.append(f"{label}: solve feasible, oracle infeasible")
+            if not is_k_feasible(result.assignment, inst.capacities, 0):
+                faults.append(f"{label}: solver assignment over capacity")
+    for line in faults:
+        print(line, file=sys.stderr)
+    print(" ".join(f"{k}={v}" for k, v in sorted(tally.items())))
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,7 @@ from hmbp.core import (
     ProfileError,
     WeightProfile,
     b_constant,
+    b_row,
     conjugate,
     d_threshold,
     gap_vector,
@@ -192,6 +193,41 @@ class TestAgainstColumnReference:
         assert b_constant(w) == 10**6 - 3
         assert "b by truncation: 999997 499998 0 0" in capsys.readouterr().out
         assert elapsed < 0.1
+
+
+class TestBRow:
+    """The one-pass row of correction constants against the per-column
+    reference, truncation by truncation."""
+
+    def test_known_row(self):
+        w = WeightProfile((6, 6, 4, 4, 4, 0))
+        assert b_row(w) == (7, 6, 9, 6, 3, 0)
+        assert b_constant(w) == b_row(w)[0]
+
+    def test_differential_sweep(self):
+        rng = random.Random(20261019)
+        rows = 0
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            pool = (0, rng.randint(0, 5), rng.randint(0, 80), rng.randint(0, 80))
+            vals = sorted((rng.choice(pool) for _ in range(n)), reverse=True)
+            w = WeightProfile(tuple(vals))
+            ref = tuple(b_by_run_overshoot(w.truncate(i)) for i in range(1, n + 1))
+            assert b_row(w) == ref, w
+            rows += n
+        assert rows > 10_000
+
+    def test_long_profile_matches_gap_identity(self):
+        rng = random.Random(7)
+        vals = sorted((rng.randint(0, 10**6) for _ in range(300)), reverse=True)
+        w = WeightProfile(tuple(vals))
+        row = b_row(w)
+        for i in (1, 2, 150, 299, 300):
+            wt = w.truncate(i)
+            if wt.is_constant():
+                assert row[i - 1] == 0
+            else:
+                assert row[i - 1] == sum(g - 1 for g in weight_gap_profile(wt).gaps)
 
 
 class TestWeightGaps:

@@ -634,3 +634,98 @@ class TestBatchedRelief:
         assert result.status == "feasible"
         assert result.rounds == rounds
         assert len(result.trace) == moves
+
+
+class TestStageNumbering:
+    """Whole-solve pins: trace steps ``i``/``j``/``l`` are local to the
+    stage's truncated problem, transfers name full-instance bins."""
+
+    @pytest.mark.parametrize(
+        "d, w, C, cfg, status, rounds, stall, trace, counts",
+        [
+            (
+                28,
+                (5, 5, 4, 1, 0, 0),
+                (140, 139, 111, 29, 2, 1),
+                SolverConfig(r=2),
+                "feasible",
+                2,
+                None,
+                "chain-swap stage=3 i=4 j=2 moves=0x1:5>4,1x1:4>5 w1=112\n"
+                "chain-swap stage=3 i=4 j=2 moves=0x1:5>4,1x1:4>5 w1=112\n"
+                "chain-swap stage=3 i=3 j=2 moves=0x1:6>4,1x1:4>6 w1=112\n"
+                "chain-exit stage=3 i=3 j=2 moves=4x1:3>4,0x1:4>3 w1=108\n"
+                "top-exit stage=2 i=2 moves=5x1:2>3,4x1:3>2 w1=139\n",
+                [
+                    [28, 27, 1, 0, 0, 0],
+                    [0, 1, 26, 1, 0, 0],
+                    [0, 0, 0, 25, 2, 1],
+                    [0, 0, 1, 2, 26, 27],
+                ],
+            ),
+            (
+                18,
+                (6, 5, 4, 1, 0),
+                (108, 88, 70, 22, 2),
+                SolverConfig(r=1),
+                "indeterminate",
+                2,
+                "shrink_gaps: bin 2 holds 0 balls of value 1, step needs 1",
+                "relief-swap stage=3 j=2 moves=4x1:3>4,1x1:4>3 w1=69\n"
+                "chain-swap stage=2 i=4 j=3 moves=0x1:5>3,1x1:3>5 w1=90\n",
+                None,
+            ),
+            (
+                5,
+                (5, 4, 4, 3, 3, 2),
+                (28, 18, 18, 18, 16, 15),
+                SolverConfig(r=1, N=3),
+                "feasible",
+                3,
+                None,
+                "relief-swap stage=3 j=4 moves=4x1:3>6,2x1:6>3 w1=18\n"
+                "block-swap stage=2 i=2 j=3 l=5 t=1 "
+                "moves=3x2:5>6,4x1:6>5,2x1:6>5 w1=20\n"
+                "top-exit stage=2 i=2 moves=4x1:2>6,3x1:6>2 w1=19\n"
+                "top-exit stage=2 i=2 moves=4x1:2>5,3x1:5>2 w1=18\n",
+                [
+                    [5, 0, 0, 0, 0, 0],
+                    [0, 3, 4, 0, 2, 1],
+                    [0, 2, 0, 5, 2, 1],
+                    [0, 0, 1, 0, 1, 3],
+                ],
+            ),
+        ],
+        ids=["chain-at-stage-3", "stall-at-stage-2", "block-at-stage-2"],
+    )
+    def test_pinned_solve(self, d, w, C, cfg, status, rounds, stall, trace, counts):
+        inst = make_instance(d, w, C)
+        result = solve(inst, cfg)
+        assert result.status == status
+        assert result.rounds == rounds
+        assert result.stall == stall
+        assert not result.oracle_used
+        assert result.trace.serialize() == trace
+        if counts is None:
+            assert result.assignment is None
+        else:
+            assert result.assignment.counts == counts
+            assert result.trace.replay(Assignment.diagonal(inst.weights, d)) == (
+                result.assignment
+            )
+
+    def test_each_move_applied_once(self, monkeypatch):
+        # Every stage descends on the one working assignment; no move is
+        # replayed onto a second copy.
+        applied = []
+        original = Assignment.apply
+
+        def counting_apply(self, transfers):
+            applied.append(1)
+            return original(self, transfers)
+
+        monkeypatch.setattr(Assignment, "apply", counting_apply)
+        inst = make_instance(5, (5, 4, 4, 3, 3, 2), (28, 18, 18, 18, 16, 15))
+        result = solve(inst, SolverConfig(r=1, N=3))
+        assert result.feasible
+        assert len(applied) == len(result.trace) == 4

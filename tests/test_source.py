@@ -1,6 +1,9 @@
 """Source-level checks of the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hmbp
@@ -18,3 +21,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_layers_agree_under_optimize():
+    # The layers cross-check each other in a `python -O` process, where any
+    # check written as an assert would be gone.
+    script = Path(__file__).with_name("optimized_crosscheck.py")
+    env = dict(os.environ, PYTHONPATH=str(Path(hmbp.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", str(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    tally = {k: int(v) for k, v in (item.split("=") for item in proc.stdout.split())}
+    assert tally.get("oracle-infeasible", 0) >= 50
+    assert tally.get("classify-infeasible", 0) >= 20
+    assert tally.get("solver-feasible", 0) >= 50
