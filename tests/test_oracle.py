@@ -1,10 +1,12 @@
 """Exact search tests: paper-derived regressions, reference equivalence,
 a W^min fixture beyond the reference's reach, error paths."""
 
+import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -123,6 +125,36 @@ def test_min_bin1_fixture(w, d, caps, expected):
             min_bin1_weight(inst)
     else:
         assert min_bin1_weight(inst) == expected
+
+
+# Kernel calls recorded from the recursive kernel that the explicit-stack loop
+# replaced: the node budget is a user-facing contract, so status, node count
+# and chosen bins must stay exactly as recorded.
+PARITY_FIXTURE = Path(__file__).with_name("data") / "kernel_parity.json"
+
+
+def test_kernel_replays_parity_fixture():
+    records = json.loads(PARITY_FIXTURE.read_text(encoding="utf-8"))["records"]
+    tally = Counter((r["group"], r["status"]) for r in records)
+    assert tally[("scale-wide", _search.STATUS_FEASIBLE)] == 48
+    assert tally[("wmin-probes", _search.STATUS_INFEASIBLE)] >= 50
+    assert tally[("random-small", _search.STATUS_BUDGET)] >= 40
+    mismatches = []
+    for r in records:
+        expected = None
+        if r["chosen"] is not None:
+            expected = {}
+            for j, pairs in r["chosen"]:
+                vec = [0] * len(r["values"])
+                for c, x in pairs:
+                    vec[c] = x
+                expected[j] = tuple(vec)
+        got = _search.search_feasible(
+            r["values"], r["supply"], r["caps"], r["d"], r["k"], r["budget"]
+        )
+        if got != (r["status"], expected, r["nodes"]):
+            mismatches.append(r["key"])
+    assert mismatches == []
 
 
 class TestSearchProperties:
