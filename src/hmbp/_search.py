@@ -8,17 +8,54 @@ cannot hold even the lightest possible complement of the residual supply,
 and infeasible ``(bin, residual)`` states are memoized. Neither rule needs
 the capacities to be sorted, so ``oracle.min_bin1_weight`` can probe a
 lowered bin-1 capacity with this same search.
+
+The search is one loop over an explicit stack, so its Python stack depth
+does not grow with the instance. A bin frame is the memo key of a bin being
+filled; it is added to the memo when the bin's last choice fails. A choose
+frame ``[c, d_left, cap_left, v, x, lo, j]`` is the count ``x`` of class
+``c`` currently tried in bin ``j``; on failure it steps ``x`` down to ``lo``.
+Every bin entry and every count tried is one node of the budget.
+
+A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
+balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
+``x`` by one frees ``v`` of capacity and adds one ball of weight at most
+``values[c+1] < v``, so this slack strictly grows as ``x`` falls: the counts
+that pass form a range ``[lo, top]``. ``top`` is found by one test, or by
+bisection when the largest count fails, and the counts below it need no
+test. The cut-off rejects exactly the counts the per-count test rejected.
+
+The lightest-balls weight comes from a table built at bin entry: the ball
+counts and weights of the residual summed from the lightest class up. While
+bin ``j`` chooses at class ``c``, the classes ``c+1..m-1`` still hold their
+bin-entry residual, so each query is one ``bisect`` into that table.
+``values`` must be distinct and descending.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 STATUS_INFEASIBLE = 0
 STATUS_FEASIBLE = 1
 STATUS_BUDGET = 2
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _light_table(values, residual):
+    """Ball counts and weights of the ``i`` lightest classes, ``i = 0..m``."""
+    counts = [0]
+    weights = [0]
+    for c in range(len(values) - 1, -1, -1):
+        counts.append(counts[-1] + residual[c])
+        weights.append(weights[-1] + residual[c] * values[c])
+    return counts, weights
+
+
+def _lightest(values, counts, weights, q):
+    """Weight of the ``q`` lightest balls of a light table, ``q <= counts[-1]``."""
+    i = bisect_left(counts, q)
+    if i == 0:
+        return 0
+    return weights[i - 1] + (q - counts[i - 1]) * values[len(values) - i]
 
 
 def search_feasible(values, supply, caps, d, k, budget):
@@ -29,116 +66,112 @@ def search_feasible(values, supply, caps, d, k, budget):
     bin index to its per-class count tuple on success, else ``None``.
     """
     values = tuple(values)
-    supply = list(supply)
+    residual = list(supply)
     caps = tuple(caps)
     n = len(caps)
     m = len(values)
-    nodes = 0
     if k >= n:
-        return STATUS_FEASIBLE, {}, nodes
+        return STATUS_FEASIBLE, {}, 0
 
     cap_prefix = [0] * (n + 1)
     for t in range(n):
         cap_prefix[t + 1] = cap_prefix[t] + caps[t]
 
-    residual = supply
     picks = [[0] * m for _ in range(n)]
+    tables = [None] * n
     chosen: dict[int, tuple[int, ...]] = {}
     memo: set = set()
-    counter = [0]
+    stack: list = []
+    nodes = 0
 
-    def tick():
-        counter[0] += 1
-        if counter[0] > budget:
-            raise _BudgetExceeded
-
-    def lightest_ok(j):
-        # Every suffix of the remaining constrained bins must be able to hold
-        # the lightest possible d*L balls of the residual supply.
-        need_balls = 0
-        light_weight = 0
-        c = m - 1
-        avail = residual[c]
-        for length in range(1, j - k + 2):
-            need = d * length
-            while need_balls < need:
-                if avail == 0:
-                    if c == 0:
-                        return False
-                    c -= 1
-                    avail = residual[c]
+    # The node to expand next: bin j, or (at_bin false) class c of bin j
+    # with d_left balls and cap_left capacity still to place.
+    at_bin = True
+    j = n - 1
+    c = d_left = cap_left = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            return STATUS_BUDGET, None, nodes
+        if at_bin:
+            if j < k:
+                return STATUS_FEASIBLE, chosen, nodes
+            key = (j, tuple(residual))
+            if key in memo:
+                pass
+            elif caps[j] < 0:
+                memo.add(key)
+            else:
+                counts, weights = tables[j] = _light_table(values, residual)
+                # Every suffix of the remaining constrained bins must be able
+                # to hold the lightest possible d*L balls of the residual.
+                for length in range(1, j - k + 2):
+                    q = d * length
+                    if q > counts[m] or (
+                        cap_prefix[j + 1] - cap_prefix[j - length + 1]
+                        < _lightest(values, counts, weights, q)
+                    ):
+                        memo.add(key)
+                        break
+                else:
+                    stack.append(key)
+                    at_bin = False
+                    c, d_left, cap_left = 0, d, caps[j]
                     continue
-                take = avail if avail <= need - need_balls else need - need_balls
-                light_weight += take * values[c]
-                need_balls += take
-                avail -= take
-            if cap_prefix[j + 1] - cap_prefix[j - length + 1] < light_weight:
-                return False
-        return True
-
-    def min_completion(c, q):
-        # Weight of the lightest q balls available in classes c..m-1.
-        total = 0
-        cc = m - 1
-        while q > 0 and cc >= c:
-            take = residual[cc] if residual[cc] <= q else q
-            total += take * values[cc]
-            q -= take
-            cc -= 1
-        return total
-
-    def fill_from(j):
-        tick()
-        if j < k:
-            return STATUS_FEASIBLE
-        key = (j, tuple(residual))
-        if key in memo:
-            return STATUS_INFEASIBLE
-        if caps[j] < 0 or not lightest_ok(j):
-            memo.add(key)
-            return STATUS_INFEASIBLE
-        status = choose(j, 0, d, caps[j])
-        if status == STATUS_INFEASIBLE:
-            memo.add(key)
-        return status
-
-    def choose(j, c, d_left, cap_left):
-        tick()
-        if d_left == 0:
+        elif d_left == 0:
             chosen[j] = tuple(picks[j][:c]) + (0,) * (m - c)
-            return fill_from(j - 1)
-        if c == m:
-            return STATUS_INFEASIBLE
-        rest = 0
-        for cc in range(c + 1, m):
-            rest += residual[cc]
-        lo = d_left - rest
-        if lo < 0:
-            lo = 0
-        v = values[c]
-        hi = residual[c] if residual[c] <= d_left else d_left
-        if v > 0:
-            by_cap = cap_left // v
-            if by_cap < hi:
-                hi = by_cap
-        for x in range(hi, lo - 1, -1):
-            new_cap = cap_left - x * v
-            if min_completion(c + 1, d_left - x) > new_cap:
+            at_bin = True
+            j -= 1
+            continue
+        elif c < m:
+            counts, weights = tables[j]
+            v = values[c]
+            lo = d_left - counts[m - c - 1]
+            if lo < 0:
+                lo = 0
+            hi = residual[c] if residual[c] <= d_left else d_left
+            if v > 0 and cap_left // v < hi:
+                hi = cap_left // v
+            # Largest passing count: passing counts are the range [lo, top].
+            if hi < lo:
+                top = hi
+            elif cap_left - hi * v >= _lightest(values, counts, weights, d_left - hi):
+                top = hi
+            else:
+                top, fail = lo - 1, hi
+                while fail - top > 1:
+                    mid = (top + fail) // 2
+                    if cap_left - mid * v >= _lightest(
+                        values, counts, weights, d_left - mid
+                    ):
+                        top = mid
+                    else:
+                        fail = mid
+            if top >= lo:
+                stack.append([c, d_left, cap_left, v, top, lo, j])
+                picks[j][c] = top
+                residual[c] -= top
+                c, d_left, cap_left = c + 1, d_left - top, cap_left - top * v
                 continue
+
+        # The node just expanded failed: resume the nearest open choice.
+        while stack:
+            frame = stack[-1]
+            if type(frame) is tuple:
+                stack.pop()
+                memo.add(frame)
+                continue
+            c, d_left, cap_left, v, x, lo, j = frame
+            residual[c] += x
+            if x == lo:
+                stack.pop()
+                continue
+            x -= 1
+            frame[4] = x
             picks[j][c] = x
             residual[c] -= x
-            status = choose(j, c + 1, d_left - x, new_cap)
-            residual[c] += x
-            if status == STATUS_FEASIBLE:
-                return status
-        return STATUS_INFEASIBLE
-
-    try:
-        status = fill_from(n - 1)
-    except _BudgetExceeded:
-        return STATUS_BUDGET, None, counter[0]
-    nodes = counter[0]
-    if status == STATUS_FEASIBLE:
-        return status, chosen, nodes
-    return status, None, nodes
-
+            c, d_left, cap_left = c + 1, d_left - x, cap_left - x * v
+            at_bin = False
+            break
+        else:
+            return STATUS_INFEASIBLE, None, nodes

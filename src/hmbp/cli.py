@@ -14,6 +14,7 @@ Exit codes are a stable contract: 0 decided feasible, 1 decided infeasible,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -361,7 +362,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, so the verdict did not reach it: exit 2
+        # without an error line. Stdout goes to devnull so that the
+        # interpreter's final flush of what is left does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INDETERMINATE
     except (InstanceFormatError, ProfileError, _witness.UnsupportedWeightsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,7 +1,10 @@
 """Command-line interface tests: file format, commands, exit codes, CSV."""
 
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,11 @@ from hmbp.core import WeightProfile, b_constant
 from hmbp.criteria import tight_profile
 
 SIX_BIN_TEXT = "d: 6\nw: 5 5 3 1 1 0\nC: 17 17 17 17 17 8\n"
+SIXTY_W = range(60, 0, -1)
+SIXTY_BIN_TEXT = (
+    f"d: 60\nw: {' '.join(map(str, SIXTY_W))}\n"
+    f"C: {' '.join(str(60 * v + 1) for v in SIXTY_W)}\n"
+)
 
 
 def run_cli(argv, capsys):
@@ -33,6 +41,13 @@ def run_cli(argv, capsys):
 def six_bin_file(tmp_path):
     path = tmp_path / "six.hmbp"
     path.write_text(SIX_BIN_TEXT, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def sixty_bin_file(tmp_path):
+    path = tmp_path / "sixty.hmbp"
+    path.write_text(SIXTY_BIN_TEXT, encoding="utf-8")
     return str(path)
 
 
@@ -142,6 +157,14 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", str(path), "--wmin"], capsys)
         assert code == EXIT_FEASIBLE
         assert "W^min = 6" in out
+
+    def test_sixty_bins(self, sixty_bin_file, capsys):
+        code, out, err = run_cli(["oracle", sixty_bin_file], capsys)
+        assert (code, err) == (EXIT_FEASIBLE, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("feasible (k=0, nodes=2011, elapsed=")
+        assert len(lines) == 1 + 60 + 1 + 60
+        assert lines[1].startswith("B1: ") and lines[-1].startswith("B60: ")
 
     @pytest.mark.parametrize("extra", [[], ["--wmin"]], ids=["decide", "wmin"])
     def test_budget_exhaustion_is_indeterminate(self, six_bin_file, extra, capsys):
@@ -337,6 +360,31 @@ class TestExitCodeContract:
         assert err.splitlines() == [
             "error: RecursionError: maximum recursion depth exceeded"
         ]
+
+
+    @pytest.mark.parametrize("command", ["oracle", "check"])
+    def test_closed_stdout_is_undecided_and_quiet(
+        self, command, six_bin_file, sixty_bin_file
+    ):
+        # The reader is gone before the first write: no verdict reaches it,
+        # so the exit is 2 (never 1), with no error line and no traceback.
+        path = sixty_bin_file if command == "oracle" else six_bin_file
+        src = str(Path(hmbp.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hmbp.cli", command, path],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_INDETERMINATE
+        assert proc.stderr == b""
 
 
 def test_tight_profile_monotone_repair():

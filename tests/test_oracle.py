@@ -14,8 +14,16 @@ import pytest
 import hmbp
 from bruteforce import decide_naive, min_bin1_naive
 from hmbp import _search
-from hmbp.core import ProfileError, is_k_feasible, make_instance, normalize
+from hmbp.core import (
+    ProfileError,
+    WeightProfile,
+    is_k_feasible,
+    make_instance,
+    normalize,
+)
+from hmbp.criteria import classify
 from hmbp.oracle import BudgetExceeded, OracleError, decide, min_bin1_weight
+from hmbp.witness import extremal_witness, verify_witness
 
 SEVEN_DISTINCT = make_instance(
     7, (6, 5, 4, 3, 2, 1, 0), tuple(7 * v + 2 for v in (6, 5, 4, 3, 2, 1, 0))
@@ -155,6 +163,58 @@ def test_kernel_replays_parity_fixture():
         if got != (r["status"], expected, r["nodes"]):
             mismatches.append(r["key"])
     assert mismatches == []
+
+
+SIXTY_W = tuple(range(60, 0, -1))
+SIXTY = make_instance(60, SIXTY_W, tuple(60 * v + 1 for v in SIXTY_W))
+
+
+class TestSearchDepth:
+    # The search keeps its own stack: 60 bins of 60 classes used to raise
+    # RecursionError at the default recursion limit.
+    def test_sixty_bins_at_default_limit(self):
+        res = decide(SIXTY, 0)
+        assert res.feasible and res.nodes_explored == 2011
+        assert is_k_feasible(res.witness, SIXTY.capacities, 0)
+
+    def test_sixty_bins_under_a_low_recursion_limit(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            res = decide(SIXTY, 0)
+        finally:
+            sys.setrecursionlimit(old)
+        assert res.feasible and res.nodes_explored == 2011
+
+
+def test_layers_agree_at_wide_n():
+    # Seeded cross-check of the layers at n = 50..60, far beyond the
+    # reference search: criteria-infeasible implies oracle-infeasible, and
+    # every extremal witness is confirmed by the oracle.
+    rng = random.Random(50)
+    tally = Counter()
+    for _ in range(200):
+        n = rng.randint(50, 60)
+        w = tuple(sorted(rng.sample(range(2 * n), n), reverse=True))
+        d = n + rng.randint(0, 2)
+        caps = sorted((d * v + rng.randint(-1, 2) for v in w), reverse=True)
+        inst = make_instance(d, w, caps)
+        verdict = classify(inst)
+        feasible = decide(inst, 0).feasible
+        assert not (verdict.is_infeasible and feasible), inst
+        tally["classify-infeasible" if verdict.is_infeasible else "classify-open"] += 1
+        tally["oracle-feasible" if feasible else "oracle-infeasible"] += 1
+    for _ in range(40):
+        n = rng.randint(50, 60)
+        w = WeightProfile(tuple(sorted(rng.sample(range(2 * n), n), reverse=True)))
+        ver = verify_witness(extremal_witness(w, n + rng.randint(0, 2)))
+        assert ver.ok and ver.oracle_backed, w
+        tally["witness-confirmed"] += 1
+    assert tally["classify-infeasible"] >= 50
+    assert tally["classify-open"] >= 50
+    assert tally["oracle-feasible"] >= 40
+    assert tally["oracle-infeasible"] - tally["classify-infeasible"] >= 40
+    assert tally["witness-confirmed"] == 40
 
 
 class TestSearchProperties:

@@ -40,3 +40,45 @@ def test_layers_agree_under_optimize():
     assert tally.get("oracle-infeasible", 0) >= 50
     assert tally.get("classify-infeasible", 0) >= 20
     assert tally.get("solver-feasible", 0) >= 50
+
+
+def _called_names(node):
+    return {
+        call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+
+
+def test_search_kernel_does_not_recurse():
+    # The kernel's stack depth must not grow with the instance: no function
+    # in it calls itself, and no closure calls a sibling closure.
+    path = Path(hmbp.__file__).with_name("_search.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert any(f.name == "search_feasible" for f in functions)
+    found = [f.name for f in functions if f.name in _called_names(f)]
+    for outer in functions:
+        closures = [n for n in outer.body if isinstance(n, ast.FunctionDef)]
+        names = {f.name for f in closures}
+        found += [
+            f"{f.name}->{callee}"
+            for f in closures
+            for callee in sorted(_called_names(f) & names)
+        ]
+    assert found == []
+
+
+def test_no_recursion_limit_or_stack_size_tricks():
+    # Depth must come from the algorithm, not from a raised interpreter limit:
+    # no use of sys.setrecursionlimit or threading.stack_size, by attribute,
+    # name or import.
+    tricks = {"setrecursionlimit", "stack_size"}
+    sources = sorted(Path(hmbp.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{getattr(node, 'lineno', '?')}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if tricks & {getattr(node, field, None) for field in ("attr", "id", "name")}
+    ]
+    assert found == []
