@@ -21,8 +21,8 @@ balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
 ``x`` by one frees ``v`` of capacity and adds one ball of weight at most
 ``values[c+1] < v``, so this slack strictly grows as ``x`` falls: the counts
 that pass form a range ``[lo, top]``. ``top`` is found by one test, or by
-bisection when the largest count fails, and the counts below it need no
-test. The cut-off rejects exactly the counts the per-count test rejected.
+bisection when the largest count fails. The counts below it pass without a
+test, and the counts above it are never tried, so they cost no node.
 
 The lightest-balls weight comes from a table built at bin entry: the ball
 counts and weights of the residual summed from the lightest class up. While
@@ -77,7 +77,6 @@ def search_feasible(values, supply, caps, d, k, budget):
     for t in range(n):
         cap_prefix[t + 1] = cap_prefix[t] + caps[t]
 
-    picks = [[0] * m for _ in range(n)]
     tables = [None] * n
     chosen: dict[int, tuple[int, ...]] = {}
     memo: set = set()
@@ -97,29 +96,29 @@ def search_feasible(values, supply, caps, d, k, budget):
             if j < k:
                 return STATUS_FEASIBLE, chosen, nodes
             key = (j, tuple(residual))
-            if key in memo:
-                pass
-            elif caps[j] < 0:
+            if key not in memo:
+                if caps[j] >= 0:
+                    counts, weights = tables[j] = _light_table(values, residual)
+                    # Every suffix of the remaining constrained bins must be
+                    # able to hold the lightest possible d*L balls of the
+                    # residual.
+                    for length in range(1, j - k + 2):
+                        q = d * length
+                        if q > counts[m] or (
+                            cap_prefix[j + 1] - cap_prefix[j - length + 1]
+                            < _lightest(values, counts, weights, q)
+                        ):
+                            break
+                    else:
+                        stack.append(key)
+                        at_bin = False
+                        c, d_left, cap_left = 0, d, caps[j]
+                        continue
                 memo.add(key)
-            else:
-                counts, weights = tables[j] = _light_table(values, residual)
-                # Every suffix of the remaining constrained bins must be able
-                # to hold the lightest possible d*L balls of the residual.
-                for length in range(1, j - k + 2):
-                    q = d * length
-                    if q > counts[m] or (
-                        cap_prefix[j + 1] - cap_prefix[j - length + 1]
-                        < _lightest(values, counts, weights, q)
-                    ):
-                        memo.add(key)
-                        break
-                else:
-                    stack.append(key)
-                    at_bin = False
-                    c, d_left, cap_left = 0, d, caps[j]
-                    continue
         elif d_left == 0:
-            chosen[j] = tuple(picks[j][:c]) + (0,) * (m - c)
+            # The top c frames are this bin's choices for classes 0..c-1.
+            counts_j = tuple(frame[4] for frame in stack[len(stack) - c :])
+            chosen[j] = counts_j + (0,) * (m - c)
             at_bin = True
             j -= 1
             continue
@@ -149,7 +148,6 @@ def search_feasible(values, supply, caps, d, k, budget):
                         fail = mid
             if top >= lo:
                 stack.append([c, d_left, cap_left, v, top, lo, j])
-                picks[j][c] = top
                 residual[c] -= top
                 c, d_left, cap_left = c + 1, d_left - top, cap_left - top * v
                 continue
@@ -157,7 +155,7 @@ def search_feasible(values, supply, caps, d, k, budget):
         # The node just expanded failed: resume the nearest open choice.
         while stack:
             frame = stack[-1]
-            if type(frame) is tuple:
+            if type(frame) is tuple:  # a bin whose every choice failed
                 stack.pop()
                 memo.add(frame)
                 continue
@@ -168,7 +166,6 @@ def search_feasible(values, supply, caps, d, k, budget):
                 continue
             x -= 1
             frame[4] = x
-            picks[j][c] = x
             residual[c] -= x
             c, d_left, cap_left = c + 1, d_left - x, cap_left - x * v
             at_bin = False
