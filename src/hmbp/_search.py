@@ -55,7 +55,7 @@ def _lightest(values, counts, weights, q):
     i = bisect_left(counts, q)
     if i == 0:
         return 0
-    return weights[i - 1] + (q - counts[i - 1]) * values[len(values) - i]
+    return weights[i - 1] + (q - counts[i - 1]) * values[-i]
 
 
 def search_feasible(values, supply, caps, d, k, budget):

@@ -8,7 +8,8 @@ allowed)::
     C: 17 17 17 17 17 8
 
 Exit codes are a stable contract: 0 decided feasible, 1 decided infeasible,
-2 indeterminate/undecided (including any unexpected error), 3 input error.
+2 indeterminate/undecided (including any unexpected error and a closed
+stdout), 3 input error.
 """
 
 from __future__ import annotations

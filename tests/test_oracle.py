@@ -170,8 +170,8 @@ SIXTY = make_instance(60, SIXTY_W, tuple(60 * v + 1 for v in SIXTY_W))
 
 
 class TestSearchDepth:
-    # The search keeps its own stack: 60 bins of 60 classes used to raise
-    # RecursionError at the default recursion limit.
+    # The search's Python stack depth must not grow with n*m: a recursive
+    # search of 60 bins of 60 classes exceeds the default recursion limit.
     def test_sixty_bins_at_default_limit(self):
         res = decide(SIXTY, 0)
         assert res.feasible and res.nodes_explored == 2011
