@@ -1,7 +1,10 @@
 """Descent engine tests: exchange ops, matching, gap shrinking, full solve."""
 
+import json
 import random
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from hmbp.criteria import tight_profile
 from hmbp.oracle import decide
 from hmbp.solver import (
     KIND_BLOCK,
+    KIND_BOOST,
     KIND_CHAIN,
     KIND_CHAIN_EXIT,
     KIND_RELIEF,
@@ -729,3 +733,42 @@ class TestStageNumbering:
         result = solve(inst, SolverConfig(r=1, N=3))
         assert result.feasible
         assert len(applied) == len(result.trace) == 4
+
+
+# Whole solves recorded from the solver that rebuilt each stage's assignment
+# from exported bins: growing the assignment in place must not change a
+# status, a round count, a stall text, a trace line or a final count.
+SOLVE_PARITY = Path(__file__).with_name("data") / "solve_parity.json"
+
+
+def test_solve_replays_parity_fixture():
+    records = json.loads(SOLVE_PARITY.read_text(encoding="utf-8"))["records"]
+    tally = Counter((r["status"], r["oracle_used"]) for r in records)
+    assert tally[("feasible", False)] >= 300
+    assert tally[("indeterminate", False)] >= 100
+    assert tally[("infeasible", True)] + tally[("feasible", True)] >= 40
+    kinds = Counter(line.split()[0] for r in records for line in r["trace"].splitlines())
+    assert min(kinds[k] for k in (KIND_RELIEF, KIND_CHAIN, KIND_BLOCK)) >= 4
+    assert kinds[KIND_BOOST] >= 10
+    mismatches = []
+    for r in records:
+        res = solve(make_instance(r["d"], r["w"], r["C"]), SolverConfig(**r["cfg"]))
+        got = (
+            res.status,
+            res.rounds,
+            res.stall,
+            res.oracle_used,
+            res.trace.serialize(),
+            None if res.assignment is None else res.assignment.counts,
+        )
+        want = (
+            r["status"],
+            r["rounds"],
+            r["stall"],
+            r["oracle_used"],
+            r["trace"],
+            r["counts"],
+        )
+        if got != want:
+            mismatches.append(r["key"])
+    assert mismatches == []
