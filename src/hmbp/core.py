@@ -276,7 +276,9 @@ class Assignment:
     placed in bin ``j`` (bins 0-indexed here; reports print them 1-based).
     Every column sums to ``d`` and row ``c`` sums to ``class_supply[c]``.
     Mutation happens only through :meth:`apply`, which moves balanced groups
-    of ball transfers, so the sums are preserved at every exposed state.
+    of ball transfers, and :meth:`prepend_bin`, which adds a full bin in
+    front together with its supply, so the sums are preserved at every
+    exposed state.
     """
 
     __slots__ = ("d", "class_values", "class_supply", "counts", "_bin_weights")
@@ -313,6 +315,19 @@ class Assignment:
     def diagonal(cls, weights: WeightProfile, d: int) -> "Assignment":
         """The assignment placing ``d`` balls of ``w_j`` in bin ``j``."""
         return cls.from_bins(weights, d, [{v: d} for v in weights.entries])
+
+    @classmethod
+    def single_bin(cls, value: int, d: int) -> "Assignment":
+        """One bin holding ``d`` balls of ``value``: the last stage of a
+        suffix induction, grown towards the front with :meth:`prepend_bin`.
+        Valid by construction, so it skips :meth:`validate`."""
+        out = cls.__new__(cls)
+        out.d = d
+        out.class_values = (value,)
+        out.class_supply = (d,)
+        out.counts = [[d]]
+        out._bin_weights = [value * d]
+        return out
 
     @property
     def m(self) -> int:
@@ -364,6 +379,29 @@ class Assignment:
             delta[dst] += q
         if any(delta):
             raise ProfileError(f"unbalanced transfer group: bin deltas {delta}")
+
+    def prepend_bin(self, value: int) -> None:
+        """Insert a new bin 0 holding ``d`` balls of ``value``; the old bins
+        become bins ``1..n`` and ``value``'s supply grows by ``d``.
+
+        ``value`` joins the top class when it equals the top value and opens
+        a new top class above it when heavier; a lighter value would break
+        the non-increasing order of the positions and raises.
+        """
+        top = self.class_values[0]
+        if value < top:
+            raise ProfileError(
+                f"cannot prepend a bin of value {value} before top class {top}"
+            )
+        if value > top:
+            self.class_values = (value,) + self.class_values
+            self.class_supply = (0,) + self.class_supply
+            self.counts.insert(0, [0] * self.n)
+        self.class_supply = (self.class_supply[0] + self.d,) + self.class_supply[1:]
+        for row in self.counts:
+            row.insert(0, 0)
+        self.counts[0][0] = self.d
+        self._bin_weights.insert(0, value * self.d)
 
     def copy(self) -> "Assignment":
         return Assignment(self.d, self.class_values, self.class_supply, self.counts)

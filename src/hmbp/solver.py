@@ -2,10 +2,11 @@
 
 Builds a feasible assignment by descending induction over suffixes of the
 instance: after stage ``i`` the bins ``i..n`` hold exactly the suffix supply
-and satisfy their capacities. Stage ``i`` starts from the previous stage's
-bins with bin ``i``'s own ``d`` balls in front, and runs a descent loop on
-that truncated problem which strictly lowers the load of the stage's head
-bin until it fits, using three kinds of ball exchanges:
+and satisfy their capacities. One assignment serves the whole induction:
+stage ``i`` grows it in place by bin ``i`` with its own ``d`` balls in front
+(:meth:`~hmbp.core.Assignment.prepend_bin`), and runs a descent loop on that
+truncated problem which strictly lowers the load of the stage's head bin
+until it fits, using three kinds of ball exchanges:
 
 * a direct relief swap through any bin with slack at least the top weight,
   batched so that one move makes every consecutive swap through the same bin
@@ -17,6 +18,9 @@ bin until it fits, using three kinds of ball exchanges:
   either frees the head bin directly or drives every other bin's slack below
   its weight-profile gap.
 
+The finished assignment's row and column sums are validated from scratch
+once, with every capacity, before it is returned.
+
 Stalls are first-class outcomes: below the multiplicity threshold the theory
 gives no termination guarantee, and the engine reports exactly where it got
 stuck instead of guessing.
@@ -24,7 +28,7 @@ stuck instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import oracle as _oracle
 from .core import (
@@ -107,7 +111,9 @@ class Move:
             Transfer(tr.value, tr.count, tr.src + offset, tr.dst + offset)
             for tr in self.transfers
         )
-        return replace(self, transfers=moved, stage=stage)
+        return Move(
+            self.kind, moved, self.bin1_weight, stage, self.i, self.j, self.l, self.t
+        )
 
     def serialize(self) -> str:
         parts = [self.kind, f"stage={self.stage}"]
@@ -646,6 +652,7 @@ def descend(
     C = inst.capacities
     top = inst.weights[0]
     max_rounds = cfg.resolved_max_rounds(inst.d, top, inst.n)
+    gaps = None  # built on the first shrinking round; fixed for the descent
     rounds = 0
     try:
         while assignment.bin_weight(0) > C[0]:
@@ -674,7 +681,8 @@ def descend(
             if relief_swap(assignment, C, sink) is not None:
                 continue
             perm = find_permutation(assignment, cfg)
-            gaps = weight_gap_profile(inst.weights)
+            if gaps is None:
+                gaps = weight_gap_profile(inst.weights)
             before = assignment.bin_weight(0)
             shrink_gaps(assignment, C, perm, gaps, sink)
             if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > C[0]:
@@ -706,8 +714,12 @@ class SolveResult:
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """Build a verified feasible assignment by descending suffix induction.
 
-    Stage ``i`` (from ``n`` down to 1) descends the truncated problem on one
-    assignment of bins ``i..n`` and logs its moves with full-instance bins.
+    One assignment is grown in place: stage ``i`` (from ``n`` down to 1)
+    prepends bin ``i`` with its ``d`` balls of ``w_i``, descends the
+    truncated problem on bins ``i..n`` and logs its moves with full-instance
+    bins. The row and column sums are checked from scratch once, after the
+    last stage, together with every capacity.
+
     Constant-weight truncations are decided directly: each suffix bin already
     holds ``d`` equal balls, so only the smallest capacity matters. Success
     is guaranteed whenever the corrected suffix conditions hold and the
@@ -717,16 +729,17 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolverConfig()
     trace = DescentTrace()
-    rest: list[dict[int, int]] = []
+    assignment = Assignment.single_bin(inst.weights[-1], inst.d)
     total_rounds = 0
     try:
         for i in range(inst.n, 0, -1):
             sub = inst.truncate(i)
             wt, Ct = sub.weights, sub.capacities
-            # Bin i is untouched before stage i, and the descents so far moved
-            # balls only among bins i+1..n, so those bins hold exactly their own
-            # supply: prepending bin i's d balls of w_i gives stage i's start.
-            assignment = Assignment.from_bins(wt, inst.d, [{wt[0]: inst.d}] + rest)
+            # The descents so far moved balls only among bins i+1..n, so those
+            # bins hold exactly their own supply: prepending bin i's d balls of
+            # w_i gives stage i's start.
+            if i < inst.n:
+                assignment.prepend_bin(wt[0])
             if wt.is_constant():
                 need = inst.d * wt[0]
                 if Ct[Ct.n - 1] < need:
@@ -741,7 +754,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                     total_rounds += descend(sub, assignment, cfg, local)
                 finally:
                     trace.extend(mv.shifted(i - 1, stage=i) for mv in local)
-            rest = assignment.bins_as_dicts()
     except StallError as stall:
         total_rounds += stall.rounds
         small = inst.n <= FALLBACK_MAX_N and inst.d <= FALLBACK_MAX_D
@@ -763,6 +775,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         return SolveResult(
             "indeterminate", None, trace, rounds=total_rounds, stall=str(stall)
         )
+    assignment.validate()
     if not is_k_feasible(assignment, inst.capacities, 0):
         raise AssertionError("descent finished with an infeasible assignment")
     return SolveResult("feasible", assignment, trace, rounds=total_rounds)

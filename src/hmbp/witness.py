@@ -162,9 +162,9 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
         tail = extremal_capacities(wt, d)
         caps = CapacityProfile(tuple(prefix) + tail)
         inst = Instance(d, w, caps)
-        sub = extremal_companion(wt, d)
-        bins = [{w[j - 1]: d} for j in range(1, i0)] + sub.bins_as_dicts()
-        companion = Assignment.from_bins(w, d, bins)
+        companion = extremal_companion(wt, d)
+        for j in range(i0 - 1, 0, -1):
+            companion.prepend_bin(w[j - 1])
         wit = WitnessInstance(
             instance=inst,
             construction="relaxed-extremal",

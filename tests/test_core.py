@@ -301,6 +301,78 @@ class TestAssignment:
         a.validate()
 
 
+def assert_built_from_bins(a, weights, d, bins):
+    """``a`` matches the from-scratch build of ``bins`` in every field."""
+    a.validate()
+    built = Assignment.from_bins(weights, d, bins)
+    assert a == built
+    assert a.class_supply == built.class_supply
+    assert [a.bin_weight(j) for j in range(a.n)] == [
+        built.bin_weight(j) for j in range(built.n)
+    ]
+
+
+class TestPrependBin:
+    def test_top_value_joins_top_class(self):
+        a = Assignment.from_bins(EX_WEIGHTS, 6, EX_PARTITION)
+        a.prepend_bin(5)
+        assert a.class_values == (5, 3, 1, 0)
+        assert a.class_supply == (18, 6, 12, 6)
+        assert (a.n, a.bin_weight(0), a.bin_weight(1)) == (7, 30, 16)
+        assert_built_from_bins(
+            a, WeightProfile((5, *EX_WEIGHTS)), 6, [{5: 6}, *EX_PARTITION]
+        )
+
+    def test_heavier_value_opens_top_class(self):
+        a = Assignment.from_bins(EX_WEIGHTS, 6, EX_PARTITION)
+        a.prepend_bin(8)
+        assert a.class_values == (8, 5, 3, 1, 0)
+        assert a.class_supply == (6, 12, 6, 12, 6)
+        assert a.counts[0] == [6, 0, 0, 0, 0, 0, 0]
+        assert (a.bin_weight(0), a.bin_weight(6)) == (48, 7)
+        assert_built_from_bins(
+            a, WeightProfile((8, *EX_WEIGHTS)), 6, [{8: 6}, *EX_PARTITION]
+        )
+
+    def test_lighter_value_rejected_and_nothing_changes(self):
+        a = Assignment.from_bins(EX_WEIGHTS, 6, EX_PARTITION)
+        with pytest.raises(ProfileError, match="before top class 5"):
+            a.prepend_bin(4)
+        assert_built_from_bins(a, EX_WEIGHTS, 6, EX_PARTITION)
+
+    def test_single_bin_grows_to_the_diagonal(self):
+        w = WeightProfile((7, 7, 4, 2, 2, 0))
+        a = Assignment.single_bin(0, 3)
+        assert_built_from_bins(a, WeightProfile((0,)), 3, [{0: 3}])
+        for j in range(w.n - 2, -1, -1):
+            a.prepend_bin(w[j])
+            assert_built_from_bins(a, w.truncate(j + 1), 3, [{v: 3} for v in w[j:]])
+        assert a == Assignment.diagonal(w, 3)
+
+    def test_matches_from_bins_between_random_swaps(self):
+        # The solver's pattern: swaps among the suffix bins, then a new bin in
+        # front; after every prepend the assignment equals the rebuilt one.
+        rng = random.Random(81)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            w = WeightProfile(
+                tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
+            )
+            d = rng.randint(1, 9)
+            a = Assignment.single_bin(w[-1], d)
+            for j in range(n - 2, -1, -1):
+                for _ in range(rng.randint(0, 4) if a.n > 1 else 0):
+                    src, dst = rng.sample(range(a.n), 2)
+                    u = rng.choice([v for v in a.class_values if a.count_of(v, src)])
+                    v = rng.choice([v for v in a.class_values if a.count_of(v, dst)])
+                    a.apply([(u, 1, src, dst), (v, 1, dst, src)])
+                before = a.bins_as_dicts()
+                a.prepend_bin(w[j])
+                assert_built_from_bins(
+                    a, w.truncate(j + 1), d, [{w[j]: d}, *before]
+                )
+
+
 class TestGapVector:
     def test_worked_partition(self):
         a = Assignment.from_bins(EX_WEIGHTS, 6, EX_PARTITION)

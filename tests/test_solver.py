@@ -734,6 +734,52 @@ class TestStageNumbering:
         assert result.feasible
         assert len(applied) == len(result.trace) == 4
 
+    def test_assignment_grown_in_place_and_validated_once(self, monkeypatch):
+        # Each stage prepends its bin to the one working assignment; no stage
+        # rebuilds it from exported bins, and the sums are checked from
+        # scratch once, on the finished assignment.
+        built, validated = [], []
+        from_bins = Assignment.from_bins.__func__
+        validate = Assignment.validate
+
+        def counting_from_bins(cls, *args):
+            built.append(1)
+            return from_bins(cls, *args)
+
+        def counting_validate(self):
+            validated.append(1)
+            return validate(self)
+
+        monkeypatch.setattr(Assignment, "from_bins", classmethod(counting_from_bins))
+        monkeypatch.setattr(Assignment, "validate", counting_validate)
+        inst = make_instance(5, (5, 4, 4, 3, 3, 2), (28, 18, 18, 18, 16, 15))
+        result = solve(inst, SolverConfig(r=1, N=3))
+        assert result.feasible
+        assert (len(built), len(validated)) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "d, w, C, cfg, profiles",
+        [
+            # Stage 2 makes two shrinking passes (block-swap, then top-exit).
+            (5, (5, 4, 4, 3, 3, 2), (28, 18, 18, 18, 16, 15), SolverConfig(r=1, N=3), 1),
+            # Relief swaps only.
+            (7, (3, 1), (15, 14), SolverConfig(), 0),
+        ],
+        ids=["two-shrink-rounds", "relief-only"],
+    )
+    def test_gap_profile_built_once_per_descent(self, monkeypatch, d, w, C, cfg, profiles):
+        built = []
+        profile = hmbp.solver.weight_gap_profile
+
+        def counting_profile(weights):
+            built.append(weights)
+            return profile(weights)
+
+        monkeypatch.setattr(hmbp.solver, "weight_gap_profile", counting_profile)
+        result = solve(make_instance(d, w, C), cfg)
+        assert result.feasible
+        assert len(built) == profiles
+
 
 # Whole solves recorded from the solver that rebuilt each stage's assignment
 # from exported bins: growing the assignment in place must not change a
