@@ -363,9 +363,9 @@ class TestPrependBin:
             for j in range(n - 2, -1, -1):
                 for _ in range(rng.randint(0, 4) if a.n > 1 else 0):
                     src, dst = rng.sample(range(a.n), 2)
-                    u = rng.choice([v for v in a.class_values if a.count_of(v, src)])
-                    v = rng.choice([v for v in a.class_values if a.count_of(v, dst)])
-                    a.apply([(u, 1, src, dst), (v, 1, dst, src)])
+                    give = rng.choice([v for v in a.class_values if a.count_of(v, src)])
+                    take = rng.choice([v for v in a.class_values if a.count_of(v, dst)])
+                    a.apply([(give, 1, src, dst), (take, 1, dst, src)])
                 before = a.bins_as_dicts()
                 a.prepend_bin(w[j])
                 assert_built_from_bins(

@@ -761,13 +761,21 @@ class TestStageNumbering:
         "d, w, C, cfg, profiles",
         [
             # Stage 2 makes two shrinking passes (block-swap, then top-exit).
-            (5, (5, 4, 4, 3, 3, 2), (28, 18, 18, 18, 16, 15), SolverConfig(r=1, N=3), 1),
+            (
+                5,
+                (5, 4, 4, 3, 3, 2),
+                (28, 18, 18, 18, 16, 15),
+                SolverConfig(r=1, N=3),
+                1,
+            ),
             # Relief swaps only.
             (7, (3, 1), (15, 14), SolverConfig(), 0),
         ],
         ids=["two-shrink-rounds", "relief-only"],
     )
-    def test_gap_profile_built_once_per_descent(self, monkeypatch, d, w, C, cfg, profiles):
+    def test_gap_profile_built_once_per_descent(
+        self, monkeypatch, d, w, C, cfg, profiles
+    ):
         built = []
         profile = hmbp.solver.weight_gap_profile
 
@@ -793,8 +801,11 @@ def test_solve_replays_parity_fixture():
     assert tally[("feasible", False)] >= 300
     assert tally[("indeterminate", False)] >= 100
     assert tally[("infeasible", True)] + tally[("feasible", True)] >= 40
-    kinds = Counter(line.split()[0] for r in records for line in r["trace"].splitlines())
-    assert min(kinds[k] for k in (KIND_RELIEF, KIND_CHAIN, KIND_BLOCK)) >= 4
+    kinds = Counter(
+        line.split()[0] for r in records for line in r["trace"].splitlines()
+    )
+    moved = (KIND_RELIEF, KIND_CHAIN, KIND_CHAIN_EXIT, KIND_BLOCK, KIND_TOP_EXIT)
+    assert min(kinds[k] for k in moved) >= 4
     assert kinds[KIND_BOOST] >= 10
     mismatches = []
     for r in records:
