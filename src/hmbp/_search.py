@@ -20,14 +20,18 @@ A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
 balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
 ``x`` by one frees ``v`` of capacity and adds one ball of weight at most
 ``values[c+1] < v``, so this slack strictly grows as ``x`` falls: the counts
-that pass form a range ``[lo, top]``. ``top`` is found by one test, or by
-bisection when the largest count fails. The counts below it pass without a
+that pass form a range ``[lo, top]``. The counts below ``top`` pass without a
 test, and the counts above it are never tried, so they cost no node.
 
 The lightest-balls weight comes from a table built at bin entry: the ball
 counts and weights of the residual summed from the lightest class up. While
 bin ``j`` chooses at class ``c``, the classes ``c+1..m-1`` still hold their
-bin-entry residual, so each query is one ``bisect`` into that table.
+bin-entry residual, so the table serves every choice of the bin. Inside one
+segment of the table the slack is linear in ``x``, so ``top`` is solved in
+closed form (``_top_count``): one test of the largest count, then a
+bisection over segments, not counts, and one ceiling division. The window
+check at bin entry asks for ``d*L`` balls with ``L`` growing, so it walks
+the table forward once.
 ``values`` must be distinct and descending.
 """
 
@@ -50,18 +54,48 @@ def _light_table(values, residual):
     return counts, weights
 
 
-def _lightest(values, counts, weights, q):
-    """Weight of the ``q`` lightest balls of a light table, ``q <= counts[-1]``."""
+def _top_count(values, counts, weights, v, d_left, cap_left, lo, hi):
+    """Largest count ``x`` in ``[lo, hi]`` of a class of weight ``v`` whose
+    lightest completion fits, or ``lo - 1`` when none does.
+
+    ``x`` fits when the ``q = d_left - x`` lightest balls of the light table
+    weigh at most ``cap_left - x*v``, that is when ``q*v - lightest(q)`` is
+    at least ``need = d_left*v - cap_left``. ``lo`` must leave
+    ``q <= d_left - lo`` within the balls lighter than ``v``; then that
+    left side grows with ``q`` and is linear inside each table segment, so
+    one bisection over the segments finds the first that reaches ``need``
+    and one ceiling division solves it there.
+    """
+    if hi < lo:
+        return lo - 1
+    need = d_left * v - cap_left
+    q = d_left - hi
     i = bisect_left(counts, q)
-    if i == 0:
-        return 0
-    return weights[i - 1] + (q - counts[i - 1]) * values[-i]
+    light = weights[i - 1] + (q - counts[i - 1]) * values[-i] if i else 0
+    if q * v - light >= need:
+        return hi
+    if hi == lo:
+        return lo - 1
+    # First segment whose end passes, or else the segment of q_max.
+    q_max = d_left - lo
+    end = bisect_left(counts, q_max, i)
+    while i < end:
+        mid = (i + end) // 2
+        if counts[mid] * v - weights[mid] >= need:
+            end = mid
+        else:
+            i = mid + 1
+    # Segment i adds balls of weight u: q*(v - u) >= need + weights - counts*u.
+    u = values[-i]
+    q = (weights[i - 1] - counts[i - 1] * u + need - 1) // (v - u) + 1
+    return d_left - q if q <= q_max else lo - 1
 
 
 def search_feasible(values, supply, caps, d, k, budget):
     """Fill bins ``k..n-1`` (0-based) within capacity, ``d`` balls each.
 
-    Bins ``0..k-1`` are unconstrained and absorb whatever supply remains.
+    Bins ``0..k-1`` are unconstrained and absorb whatever supply remains;
+    ``d`` is at least 1.
     Returns ``(status, bins, nodes)`` where ``bins`` maps each constrained
     bin index to its per-class count tuple on success, else ``None``.
     """
@@ -101,12 +135,18 @@ def search_feasible(values, supply, caps, d, k, budget):
                     counts, weights = tables[j] = _light_table(values, residual)
                     # Every suffix of the remaining constrained bins must be
                     # able to hold the lightest possible d*L balls of the
-                    # residual.
+                    # residual; q = d*L grows with L, so the table index
+                    # holding the q-th lightest ball only walks forward.
+                    i = 0
                     for length in range(1, j - k + 2):
                         q = d * length
-                        if q > counts[m] or (
+                        if q > counts[m]:
+                            break
+                        while counts[i] < q:
+                            i += 1
+                        if (
                             cap_prefix[j + 1] - cap_prefix[j - length + 1]
-                            < _lightest(values, counts, weights, q)
+                            < weights[i - 1] + (q - counts[i - 1]) * values[-i]
                         ):
                             break
                     else:
@@ -131,21 +171,7 @@ def search_feasible(values, supply, caps, d, k, budget):
             hi = residual[c] if residual[c] <= d_left else d_left
             if v > 0 and cap_left // v < hi:
                 hi = cap_left // v
-            # Largest passing count: passing counts are the range [lo, top].
-            if hi < lo:
-                top = hi
-            elif cap_left - hi * v >= _lightest(values, counts, weights, d_left - hi):
-                top = hi
-            else:
-                top, fail = lo - 1, hi
-                while fail - top > 1:
-                    mid = (top + fail) // 2
-                    if cap_left - mid * v >= _lightest(
-                        values, counts, weights, d_left - mid
-                    ):
-                        top = mid
-                    else:
-                        fail = mid
+            top = _top_count(values, counts, weights, v, d_left, cap_left, lo, hi)
             if top >= lo:
                 stack.append([c, d_left, cap_left, v, top, lo, j])
                 residual[c] -= top

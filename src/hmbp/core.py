@@ -14,6 +14,7 @@ in the tens of thousands cost nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 
 class ProfileError(ValueError):
@@ -24,6 +25,19 @@ def _check_non_increasing(entries: tuple[int, ...], label: str) -> None:
     for pos in range(1, len(entries)):
         if entries[pos] > entries[pos - 1]:
             raise ProfileError(f"{label} not non-increasing at position {pos + 1}")
+
+
+def _suffix(profile, i: int):
+    """Entries ``i..n`` (1-based) of a checked profile, as the same type.
+
+    A suffix of a checked profile passes every check of its constructor, so
+    the slice is stored without re-running them.
+    """
+    if not 1 <= i <= profile.n:
+        raise ProfileError(f"truncation index {i} out of range 1..{profile.n}")
+    out = object.__new__(type(profile))
+    object.__setattr__(out, "entries", profile.entries[i - 1 :])
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,9 +64,7 @@ class WeightProfile:
 
     def truncate(self, i: int) -> "WeightProfile":
         """Suffix starting at position ``i`` (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ProfileError(f"truncation index {i} out of range 1..{self.n}")
-        return WeightProfile(self.entries[i - 1 :])
+        return _suffix(self, i)
 
     def distinct_values(self) -> tuple[int, ...]:
         """Distinct weight values in decreasing order."""
@@ -97,9 +109,7 @@ class CapacityProfile:
 
     def truncate(self, i: int) -> "CapacityProfile":
         """Suffix starting at position ``i`` (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ProfileError(f"truncation index {i} out of range 1..{self.n}")
-        return CapacityProfile(self.entries[i - 1 :])
+        return _suffix(self, i)
 
     def __iter__(self):
         return iter(self.entries)
@@ -289,8 +299,7 @@ class Assignment:
         self.class_supply = tuple(class_supply)
         self.counts = [list(row) for row in counts]
         self._bin_weights = [
-            sum(self.class_values[c] * self.counts[c][j] for c in range(self.m))
-            for j in range(self.n)
+            sum(map(mul, self.class_values, col)) for col in zip(*self.counts)
         ]
         self.validate()
 
@@ -408,17 +417,16 @@ class Assignment:
 
     def validate(self) -> None:
         """Check row/column sum invariants from scratch."""
-        for c in range(self.m):
-            if any(q < 0 for q in self.counts[c]):
+        for c, row in enumerate(self.counts):
+            if min(row, default=0) < 0:
                 raise ProfileError(f"negative count in class {c}")
-            row = sum(self.counts[c])
-            if row != self.class_supply[c]:
+            held = sum(row)
+            if held != self.class_supply[c]:
                 raise ProfileError(
-                    f"class {self.class_values[c]} holds {row} balls, "
+                    f"class {self.class_values[c]} holds {held} balls, "
                     f"supply is {self.class_supply[c]}"
                 )
-        for j in range(self.n):
-            col = self.bin_size(j)
+        for j, col in enumerate(map(sum, zip(*self.counts))):
             if col != self.d:
                 raise ProfileError(f"bin {j + 1} holds {col} balls, expected {self.d}")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import sub
 
 from . import _search
 from .core import Assignment, Instance, ProfileError, is_k_feasible
@@ -52,25 +53,26 @@ def _class_data(inst: Instance):
 
 
 def _build_witness(inst: Instance, values, supply, chosen, k) -> Assignment:
-    m = len(values)
-    counts = [[0] * inst.n for _ in range(m)]
     residual = list(supply)
-    for j, vec in chosen.items():
-        for c in range(m):
-            counts[c][j] = vec[c]
-            residual[c] -= vec[c]
+    for vec in chosen.values():
+        residual = list(map(sub, residual, vec))
     # Free bins absorb the leftovers, heaviest classes first.
+    bins = []
     c = 0
-    for j in range(k):
+    for _ in range(k):
+        vec = [0] * len(values)
         need = inst.d
         while need > 0:
             while residual[c] == 0:
                 c += 1
             take = min(residual[c], need)
-            counts[c][j] += take
+            vec[c] += take
             residual[c] -= take
             need -= take
-    return Assignment(inst.d, values, tuple(supply), counts)
+        bins.append(vec)
+    bins.extend(chosen[j] for j in range(k, inst.n))
+    # The count matrix is the transpose of the per-bin count vectors.
+    return Assignment(inst.d, values, tuple(supply), zip(*bins))
 
 
 def _undecided(node_budget: int, nodes: int) -> BudgetExceeded:

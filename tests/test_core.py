@@ -72,6 +72,19 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             EX_WEIGHTS.truncate(0)
 
+    @given(profiles(max_n=10), st.lists(st.integers(-20, 20), min_size=1, max_size=10))
+    def test_truncate_equals_checked_suffix(self, w, caps):
+        # truncate slices without re-running the checks; every suffix must
+        # equal the profile the checking constructor builds from it.
+        c = CapacityProfile(tuple(sorted(caps, reverse=True)))
+        for i in range(1, w.n + 1):
+            assert w.truncate(i) == WeightProfile(w.entries[i - 1 :])
+            assert type(w.truncate(i).entries) is tuple
+        for i in range(1, c.n + 1):
+            assert c.truncate(i) == CapacityProfile(c.entries[i - 1 :])
+        with pytest.raises(ProfileError, match="out of range"):
+            c.truncate(c.n + 1)
+
     def test_instance_shape_check(self):
         with pytest.raises(ProfileError):
             make_instance(2, (3, 1), (5, 3, 1))
@@ -268,6 +281,15 @@ class TestAssignment:
     def test_bad_column_sum_rejected(self):
         with pytest.raises(ProfileError):
             Assignment.from_bins(WeightProfile((2, 1)), 2, [{2: 2}, {1: 1}])
+
+    def test_validate_messages(self):
+        values, supply = (2, 1), (2, 2)
+        with pytest.raises(ProfileError, match="negative count in class 1"):
+            Assignment(2, values, supply, [[1, 1], [3, -1]])
+        with pytest.raises(ProfileError, match="class 2 holds 3 balls, supply is 2"):
+            Assignment(2, values, supply, [[2, 1], [0, 1]])
+        with pytest.raises(ProfileError, match="bin 1 holds 3 balls, expected 2"):
+            Assignment(2, values, supply, [[1, 1], [2, 0]])
 
     def test_unknown_value_rejected(self):
         with pytest.raises(ProfileError):

@@ -187,6 +187,81 @@ class TestSearchDepth:
         assert res.feasible and res.nodes_explored == 2011
 
 
+class TestSearchCost:
+    def test_bisects_per_node(self, monkeypatch):
+        # Each class count's upper end is solved over table segments, and the
+        # bin-entry window check walks the table forward: at most two
+        # bisections per node, where bisecting over counts took about six.
+        calls = []
+        bisect_left = _search.bisect_left
+
+        def counted(*args):
+            calls.append(1)
+            return bisect_left(*args)
+
+        monkeypatch.setattr(_search, "bisect_left", counted)
+        res = decide(SIXTY, 0)
+        assert res.feasible and res.nodes_explored == 2011
+        assert len(calls) <= 2 * res.nodes_explored
+
+
+def lightest_balls(values, residual, c):
+    """Balls of the classes lighter than ``c``, lightest first."""
+    return [
+        values[cls]
+        for cls in range(len(values) - 1, c, -1)
+        for _ in range(residual[cls])
+    ]
+
+
+def naive_top(values, residual, c, d_left, cap_left, lo, hi):
+    """Scan x from hi down; x fits when its d_left - x lightest balls fit."""
+    light = lightest_balls(values, residual, c)
+    for x in range(hi, lo - 1, -1):
+        if cap_left - x * values[c] >= sum(light[: d_left - x]):
+            return x
+    return lo - 1
+
+
+def test_top_count_matches_naive_scan():
+    rng = random.Random(81)
+    tally = Counter()
+    for _ in range(500):
+        m = rng.randint(1, 6)
+        values = sorted(rng.sample(range(rng.choice([8, 40])), m), reverse=True)
+        residual = [
+            rng.choice([0, rng.randint(1, 4), rng.randint(1, 150)]) for _ in range(m)
+        ]
+        counts, weights = _search._light_table(values, residual)
+        c = rng.randrange(m if rng.random() < 0.2 else max(m - 1, 1))
+        v = values[c]
+        d_left = rng.randint(1, rng.choice([6, 300]))
+        # As in the kernel, the completion of every count in [lo, hi] fits
+        # in the classes lighter than c.
+        lo = max(d_left - counts[m - c - 1], rng.choice([0, 0, rng.randint(0, d_left)]))
+        hi = lo - rng.randint(1, 2) if rng.random() < 0.15 else rng.randint(lo, d_left)
+        if rng.random() < 0.4 or hi < lo:
+            cap_left = rng.randint(-5, d_left * v + 20)
+        else:  # near the load of some count in the range
+            x = rng.randint(lo, hi)
+            light = lightest_balls(values, residual, c)
+            cap_left = x * v + sum(light[: d_left - x]) + rng.randint(-v, v)
+        got = _search._top_count(values, counts, weights, v, d_left, cap_left, lo, hi)
+        assert got == naive_top(values, residual, c, d_left, cap_left, lo, hi), (
+            values, residual, c, d_left, cap_left, lo, hi
+        )
+        tally["hi<lo" if hi < lo else "lo==hi" if hi == lo else "range"] += 1
+        tally["none" if got == lo - 1 else "top"] += 1
+        if lo < got < hi:
+            tally["inner"] += 1
+        if values[-1] == 0 and c < m - 1 and residual[-1] > 0:
+            tally["zero-weight"] += 1
+        if d_left >= 100:
+            tally["hundreds"] += 1
+    # Every case above, including all counts failing and an inner top.
+    assert len(tally) == 8 and min(tally.values()) >= 30
+
+
 def test_layers_agree_at_wide_n():
     # Seeded cross-check of the layers at n = 50..60, far beyond the
     # reference search: criteria-infeasible implies oracle-infeasible, and
