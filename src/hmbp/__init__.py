@@ -6,7 +6,6 @@ from .core import (
     Assignment,
     CapacityProfile,
     ConjugateProfile,
-    GapVector,
     Instance,
     ProfileError,
     WeightGapProfile,
@@ -31,18 +30,11 @@ from .criteria import (
 from .oracle import BudgetExceeded, OracleError, OracleResult, decide, min_bin1_weight
 from .solver import (
     DescentTrace,
-    MatchingPermutation,
     Move,
     SolveResult,
     SolverConfig,
     StallError,
     Transfer,
-    boost_top_count,
-    descend,
-    find_permutation,
-    normalize_suffix,
-    relief_swap,
-    shrink_gaps,
     solve,
 )
 from .witness import (
@@ -65,9 +57,7 @@ __all__ = [
     "CriteriaReport",
     "DescentTrace",
     "Feasibility",
-    "GapVector",
     "Instance",
-    "MatchingPermutation",
     "Move",
     "OracleError",
     "OracleResult",
@@ -84,24 +74,18 @@ __all__ = [
     "WitnessVerification",
     "b_constant",
     "b_row",
-    "boost_top_count",
     "classify",
     "conjugate",
     "curated_witness",
     "d_threshold",
     "decide",
-    "descend",
     "extremal_witness",
-    "find_permutation",
     "gap_vector",
     "is_k_feasible",
     "make_instance",
     "min_bin1_weight",
     "normalize",
-    "normalize_suffix",
     "relaxed_witness",
-    "relief_swap",
-    "shrink_gaps",
     "solve",
     "suffix_report",
     "verify_witness",

@@ -9,7 +9,8 @@ allowed)::
 
 Exit codes are a stable contract: 0 decided feasible, 1 decided infeasible,
 2 indeterminate/undecided (including any unexpected error and a closed
-stdout), 3 input error.
+stdout), 3 input error (a malformed instance, a usage error or a path that
+cannot be opened).
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ _BENCH_ORACLE_BUDGET = 2_000_000
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; the message carries a line number when known."""
+
+
+class PathError(ValueError):
+    """A path named on the command line cannot be opened."""
+
+
+def _open(path: str, mode: str = "r"):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise PathError(exc) from None
 
 
 def parse_instance(text: str) -> Instance:
@@ -109,7 +121,7 @@ def render_instance(inst: Instance, comments=()) -> str:
 def _load(path: str) -> Instance:
     if path == "-":
         return parse_instance(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         return parse_instance(fh.read())
 
 
@@ -168,7 +180,7 @@ def cmd_solve(args) -> int:
     result = solve(inst, cfg)
     out = sys.stdout
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+        with _open(args.trace, "w") as fh:
             fh.write(result.trace.serialize())
     if result.status == "feasible":
         how = "fallback oracle" if result.oracle_used else f"{result.rounds} rounds"
@@ -233,7 +245,7 @@ def cmd_witness(args) -> int:
     ]
     text = render_instance(wit.instance, comments)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -296,7 +308,7 @@ def cmd_bench(args) -> int:
             first_feasible = d
     text = BENCH_CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -309,8 +321,27 @@ def cmd_bench(args) -> int:
     return EXIT_FEASIBLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors: argparse's own exit code 2 means
+    "indeterminate" in this contract."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _node_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hmbp",
         description="Decide, solve and stress-test equal-cardinality "
         "weighted bin packing instances.",
@@ -333,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact decision by exhaustive search")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--budget", type=int, default=_oracle.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_node_budget, default=_oracle.DEFAULT_NODE_BUDGET)
     p.add_argument("--wmin", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
@@ -372,10 +403,12 @@ def main(argv=None) -> int:
         # interpreter's final flush of what is left does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INDETERMINATE
-    except (InstanceFormatError, ProfileError, _witness.UnsupportedWeightsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
+    except (
+        InstanceFormatError,
+        PathError,
+        ProfileError,
+        _witness.UnsupportedWeightsError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:

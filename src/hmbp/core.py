@@ -21,38 +21,32 @@ class ProfileError(ValueError):
     """Raised for malformed weight/capacity profiles or invalid queries."""
 
 
-def _check_non_increasing(entries: tuple[int, ...], label: str) -> None:
-    for pos in range(1, len(entries)):
-        if entries[pos] > entries[pos - 1]:
-            raise ProfileError(f"{label} not non-increasing at position {pos + 1}")
-
-
-def _suffix(profile, i: int):
-    """Entries ``i..n`` (1-based) of a checked profile, as the same type.
-
-    A suffix of a checked profile passes every check of its constructor, so
-    the slice is stored without re-running them.
-    """
-    if not 1 <= i <= profile.n:
-        raise ProfileError(f"truncation index {i} out of range 1..{profile.n}")
-    out = object.__new__(type(profile))
-    object.__setattr__(out, "entries", profile.entries[i - 1 :])
-    return out
-
-
 @dataclass(frozen=True)
-class WeightProfile:
-    """Non-increasing tuple of ball weights; trailing zeros are significant."""
+class _Profile:
+    """Non-empty, non-increasing tuple of integers: the body shared by
+    :class:`WeightProfile` and :class:`CapacityProfile`.
+
+    The subclasses are not decorated again: equality, ``repr`` and hashing
+    come from this dataclass and compare and print the concrete class.
+    """
 
     entries: tuple[int, ...]
 
+    _kind = _label = ""  # "weight"/"w" or "capacity"/"C", for messages
+    _non_negative = False
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(v) for v in self.entries))
-        if len(self.entries) < 1:
-            raise ProfileError("weight profile must have at least one entry")
-        if any(v < 0 for v in self.entries):
+        entries = tuple(int(v) for v in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if not entries:
+            raise ProfileError(f"{self._kind} profile must have at least one entry")
+        if self._non_negative and min(entries) < 0:
             raise ProfileError("weights must be non-negative")
-        _check_non_increasing(self.entries, "w")
+        for pos in range(1, len(entries)):
+            if entries[pos] > entries[pos - 1]:
+                raise ProfileError(
+                    f"{self._label} not non-increasing at position {pos + 1}"
+                )
 
     @property
     def n(self) -> int:
@@ -62,9 +56,33 @@ class WeightProfile:
     def total(self) -> int:
         return sum(self.entries)
 
-    def truncate(self, i: int) -> "WeightProfile":
-        """Suffix starting at position ``i`` (1-based)."""
-        return _suffix(self, i)
+    def truncate(self, i: int):
+        """Suffix starting at position ``i`` (1-based), as the same type.
+
+        A suffix of a checked profile passes every check of its constructor,
+        so the slice is stored without re-running them.
+        """
+        if not 1 <= i <= self.n:
+            raise ProfileError(f"truncation index {i} out of range 1..{self.n}")
+        out = object.__new__(type(self))
+        object.__setattr__(out, "entries", self.entries[i - 1 :])
+        return out
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, idx):
+        return self.entries[idx]
+
+
+class WeightProfile(_Profile):
+    """Non-increasing tuple of ball weights; trailing zeros are significant."""
+
+    _kind, _label = "weight", "w"
+    _non_negative = True
 
     def distinct_values(self) -> tuple[int, ...]:
         """Distinct weight values in decreasing order."""
@@ -77,48 +95,11 @@ class WeightProfile:
     def is_constant(self) -> bool:
         return self.entries[0] == self.entries[-1]
 
-    def __iter__(self):
-        return iter(self.entries)
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-
-@dataclass(frozen=True)
-class CapacityProfile:
+class CapacityProfile(_Profile):
     """Non-increasing tuple of bin capacities; entries may be negative."""
 
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(v) for v in self.entries))
-        if len(self.entries) < 1:
-            raise ProfileError("capacity profile must have at least one entry")
-        _check_non_increasing(self.entries, "C")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
-
-    def truncate(self, i: int) -> "CapacityProfile":
-        """Suffix starting at position ``i`` (1-based)."""
-        return _suffix(self, i)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
+    _kind, _label = "capacity", "C"
 
 
 @dataclass(frozen=True)
@@ -251,7 +232,6 @@ class WeightGapProfile:
     gaps: tuple[int, ...]
     second_largest: int
     predecessor_of: dict[int, int] = field(repr=False)
-    successor_of: dict[int, int] = field(repr=False)
 
     def gap_at(self, i: int) -> int:
         """Gap for weight position ``i`` (1-based, 2 <= i <= n)."""
@@ -264,7 +244,6 @@ def weight_gap_profile(w: WeightProfile) -> WeightGapProfile:
     if len(values) < 2:
         raise ProfileError("gap sequence undefined for constant weight profiles")
     predecessor = {values[t]: values[t - 1] for t in range(1, len(values))}
-    successor = {values[t]: values[t + 1] for t in range(len(values) - 1)}
     top = values[0]
     second = values[1]
     gaps = []
@@ -275,7 +254,6 @@ def weight_gap_profile(w: WeightProfile) -> WeightGapProfile:
         gaps=tuple(gaps),
         second_largest=second,
         predecessor_of=predecessor,
-        successor_of=successor,
     )
 
 
@@ -358,9 +336,6 @@ class Assignment:
 
     def bin_weight(self, j: int) -> int:
         return self._bin_weights[j]
-
-    def bin_size(self, j: int) -> int:
-        return sum(self.counts[c][j] for c in range(self.m))
 
     def apply(self, transfers) -> None:
         """Apply a balanced group of transfers ``(value, count, src, dst)``.
@@ -463,34 +438,13 @@ class Assignment:
         return f"Assignment(d={self.d}, [{bins}])"
 
 
-@dataclass(frozen=True)
-class GapVector:
-    """Per-bin slack ``C_j - w(B_j)``; negative entries mark overfull bins."""
-
-    gaps: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.gaps)
-
-    def __iter__(self):
-        return iter(self.gaps)
-
-    def __getitem__(self, idx):
-        return self.gaps[idx]
-
-    def __len__(self) -> int:
-        return len(self.gaps)
-
-
-def gap_vector(assignment: Assignment, capacities: CapacityProfile) -> GapVector:
-    """Slack of every bin under the given capacities."""
+def gap_vector(assignment: Assignment, capacities: CapacityProfile) -> tuple[int, ...]:
+    """Slack ``C_j - w(B_j)`` of every bin; negative entries mark overfull bins."""
     if assignment.n != capacities.n:
         raise ProfileError(
             f"assignment has {assignment.n} bins, capacities have {capacities.n}"
         )
-    return GapVector(
-        tuple(capacities[j] - assignment.bin_weight(j) for j in range(assignment.n))
-    )
+    return tuple(capacities[j] - assignment.bin_weight(j) for j in range(assignment.n))
 
 
 def is_k_feasible(assignment: Assignment, capacities: CapacityProfile, k: int) -> bool:

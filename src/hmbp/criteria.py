@@ -47,16 +47,15 @@ class CriteriaReport:
 
     def first_necessary_violation(self) -> int | None:
         """1-based index of the first violated necessary condition, if any."""
-        for i, slack in enumerate(self.necessary_slack, start=1):
-            if slack < 0:
-                return i
-        return None
+        return _first_negative(self.necessary_slack)
 
     def first_sufficient_violation(self) -> int | None:
-        for i, slack in enumerate(self.sufficient_slack, start=1):
-            if slack < 0:
-                return i
-        return None
+        """1-based index of the first violated sufficient condition, if any."""
+        return _first_negative(self.sufficient_slack)
+
+
+def _first_negative(slacks: tuple[int, ...]) -> int | None:
+    return next((i for i, s in enumerate(slacks, start=1) if s < 0), None)
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,6 @@ class DescentTrace:
 
     moves: list[Move] = field(default_factory=list)
 
-    def extend(self, moves) -> None:
-        self.moves.extend(moves)
-
     def serialize(self) -> str:
         return "\n".join(mv.serialize() for mv in self.moves) + (
             "\n" if self.moves else ""
@@ -179,10 +176,6 @@ class MatchingPermutation:
 
     def bin_for(self, i: int) -> int:
         return self.order[i - 1]
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
 
 @dataclass
@@ -290,7 +283,6 @@ def relief_swap(
 
 def boost_top_count(
     assignment: Assignment,
-    capacities: CapacityProfile,
     cfg: SolverConfig,
     sink: list | None = None,
 ) -> list[Move]:
@@ -670,7 +662,7 @@ def descend(
                     f"{inst.d * top}, bin 1 has {C[0]}",
                 )
             try:
-                boost_top_count(assignment, C, cfg, sink)
+                boost_top_count(assignment, cfg, sink)
             except StallError:
                 # The exchange ran out of material before the target count. The
                 # shrinking pass only needs a top ball in bin 1 for its exit
@@ -753,7 +745,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                 try:
                     total_rounds += descend(sub, assignment, cfg, local)
                 finally:
-                    trace.extend(mv.shifted(i - 1, stage=i) for mv in local)
+                    trace.moves.extend(mv.shifted(i - 1, stage=i) for mv in local)
     except StallError as stall:
         total_rounds += stall.rounds
         small = inst.n <= FALLBACK_MAX_N and inst.d <= FALLBACK_MAX_D

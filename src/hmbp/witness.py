@@ -26,7 +26,6 @@ from .core import (
     ProfileError,
     WeightProfile,
     b_constant,
-    conjugate,
     gap_vector,
     is_k_feasible,
     weight_gap_profile,
@@ -57,10 +56,6 @@ class WitnessInstance:
     def weights(self) -> WeightProfile:
         return self.instance.weights
 
-    @property
-    def d(self) -> int:
-        return self.instance.d
-
 
 def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
     """Capacity profile summing to demand plus the correction constant minus one.
@@ -75,8 +70,9 @@ def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
     if len(values) < 2:
         raise ProfileError("extremal construction needs two distinct weights")
     top, second = values[0], values[1]
-    conj = conjugate(w, w.n)
-    h_k, a_k = conj.runs[-1]
+    # The last run of the conjugate diagram has height h_k, the number of
+    # top-weight entries, and length a_k = top - second.
+    h_k, a_k = w.entries.count(top), top - second
     gaps = weight_gap_profile(w)
     caps = []
     for j in range(1, w.n + 1):
@@ -93,8 +89,7 @@ def extremal_companion(w: WeightProfile, d: int) -> Assignment:
     """The companion assignment: overfills bin 1 by one unit, nothing else."""
     values = w.distinct_values()
     top, second = values[0], values[1]
-    conj = conjugate(w, w.n)
-    h_k = conj.runs[-1][0]
+    h_k = w.entries.count(top)
     bins: list[dict[int, int]] = [{top: d}]
     for _ in range(2, h_k + 1):
         bins.append({top: d - 1, second: 1})
@@ -220,14 +215,13 @@ class WitnessVerification:
 def verify_witness(
     wit: WitnessInstance,
     node_budget: int = _oracle.DEFAULT_NODE_BUDGET,
-    use_oracle: bool = True,
 ) -> WitnessVerification:
     """Check every claim the witness makes, by oracle where affordable.
 
     Analytic checks (capacity sum, monotonicity, companion gap structure)
     always run; the exact search confirms the infeasibility claim itself
     unless the node budget runs out, in which case the result is flagged as
-    analytic-only.
+    analytic-only. ``node_budget=0`` asks for the analytic checks only.
     """
     inst = wit.instance
     w = inst.weights
@@ -251,20 +245,19 @@ def verify_witness(
             expected = (-1,) + tuple(gaps.gap_at(j) - 1 for j in range(2, w.n + 1))
             gv = gap_vector(wit.companion, inst.capacities)
             checks.append(
-                WitnessCheck("companion-gaps", "analytic", gv.gaps == expected)
+                WitnessCheck("companion-gaps", "analytic", gv == expected)
             )
 
     oracle_backed = False
-    if use_oracle:
-        try:
-            infeas = not _oracle.decide(inst, i0 - 1, node_budget).feasible
-            checks.append(WitnessCheck("infeasible-at-claim", "oracle", infeas))
-            if wit.companion_level < inst.n:
-                feas = _oracle.decide(inst, wit.companion_level, node_budget).feasible
-                checks.append(WitnessCheck("feasible-above-claim", "oracle", feas))
-            oracle_backed = True
-        except _oracle.BudgetExceeded:
-            pass
+    try:
+        infeas = not _oracle.decide(inst, i0 - 1, node_budget).feasible
+        checks.append(WitnessCheck("infeasible-at-claim", "oracle", infeas))
+        if wit.companion_level < inst.n:
+            feas = _oracle.decide(inst, wit.companion_level, node_budget).feasible
+            checks.append(WitnessCheck("feasible-above-claim", "oracle", feas))
+        oracle_backed = True
+    except _oracle.BudgetExceeded:
+        pass
 
     ok = all(c.passed for c in checks)
     return WitnessVerification(ok=ok, checks=tuple(checks), oracle_backed=oracle_backed)

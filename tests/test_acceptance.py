@@ -128,7 +128,7 @@ def test_criterion_4_witness_soundness_sweep():
             # companion slack: exactly -1 in bin 1, one below each weight gap
             # beyond (the gap-vector form forced by the capacity-sum identity)
             expected = (-1,) + tuple(gaps.gap_at(j) - 1 for j in range(2, n + 1))
-            assert gap_vector(wit.companion, inst.capacities).gaps == expected
+            assert gap_vector(wit.companion, inst.capacities) == expected
             assert decide(inst, 1).feasible
             assert not decide(inst, 0).feasible
             count += 1

@@ -343,6 +343,70 @@ class TestExitCodeContract:
         assert code == EXIT_INPUT_ERROR
         assert "not non-increasing" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nosuch"],
+            ["check"],
+            ["oracle", "{file}", "--k", "x"],
+            ["oracle", "{file}", "--budget", "-5"],
+            ["oracle", "{file}", "--budget", "0"],
+            ["oracle", "{file}", "--wmin", "--budget", "0"],
+            ["witness", "--w", "3", "1"],
+        ],
+        ids=[
+            "no-command",
+            "unknown-command",
+            "no-file",
+            "non-integer-k",
+            "negative-budget",
+            "zero-budget",
+            "zero-budget-wmin",
+            "missing-d",
+        ],
+    )
+    def test_usage_errors_are_input_errors(self, argv, six_bin_file, capsys):
+        # argparse exits 2 on its own, which the contract reserves for
+        # "indeterminate".
+        argv = [a.format(file=six_bin_file) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: hmbp")
+        assert lines[-1].startswith("hmbp") and ": error: " in lines[-1]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hmbp oracle")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{dir}"],
+            ["check", "{dir}/missing/six.hmbp"],
+            ["solve", "{file}", "--trace", "{dir}"],
+            ["witness", "--w", "3", "1", "--d", "4", "--out", "{dir}"],
+            ["bench", "--w", "3", "1", "--d-min", "2", "--d-max", "2", "--mode",
+             "tight", "--out", "{dir}/missing/out.csv"],
+        ],
+        ids=["instance-dir", "instance-missing", "trace-dir", "out-dir", "csv-missing"],
+    )
+    def test_unopenable_paths_are_input_errors(
+        self, argv, six_bin_file, tmp_path, capsys
+    ):
+        argv = [a.format(file=six_bin_file, dir=tmp_path) for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: [Errno ")
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("d: 2\nw: 3 1\nC: 5 3\n"))
         code, _, _ = run_cli(["oracle", "-"], capsys)

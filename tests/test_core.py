@@ -249,7 +249,6 @@ class TestWeightGaps:
         assert g.gaps == (2, 2, 2, 2, 1)
         assert g.second_largest == 3
         assert g.predecessor_of == {3: 5, 1: 3, 0: 1}
-        assert g.successor_of == {5: 3, 3: 1, 1: 0}
 
     def test_two_values(self):
         g = weight_gap_profile(WeightProfile((3, 1)))
@@ -398,18 +397,18 @@ class TestPrependBin:
 class TestGapVector:
     def test_worked_partition(self):
         a = Assignment.from_bins(EX_WEIGHTS, 6, EX_PARTITION)
-        assert gap_vector(a, EX_CAPS).gaps == (1, 0, 0, 1, 0, 1)
+        assert gap_vector(a, EX_CAPS) == (1, 0, 0, 1, 0, 1)
 
     def test_extremal_companion(self):
         bins = [{5: 6}, {5: 5, 3: 1}, {5: 1, 3: 5}, {1: 6}, {1: 6}, {0: 6}]
         a = Assignment.from_bins(EX_WEIGHTS, 6, bins)
         caps = CapacityProfile((29, 29, 21, 7, 7, 0))
-        assert gap_vector(a, caps).gaps == (-1, 1, 1, 1, 1, 0)
+        assert gap_vector(a, caps) == (-1, 1, 1, 1, 1, 0)
 
     def test_exact_fit_is_zero(self):
         a = Assignment.diagonal(WeightProfile((4, 2)), 3)
         caps = CapacityProfile((12, 6))
-        assert gap_vector(a, caps).gaps == (0, 0)
+        assert gap_vector(a, caps) == (0, 0)
 
     @given(profiles(max_n=6, max_w=6), st.integers(1, 5), st.data())
     @settings(max_examples=200)
@@ -427,7 +426,7 @@ class TestGapVector:
         )
         a = Assignment.diagonal(w, d)
         gv = gap_vector(a, caps)
-        assert gv.total() == caps.total - d * w.total
+        assert sum(gv) == caps.total - d * w.total
 
 
 class TestKFeasibility:

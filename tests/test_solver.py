@@ -175,7 +175,7 @@ class TestBoost:
             ],
         )
         weights_before = [a.bin_weight(j) for j in range(6)]
-        moves = boost_top_count(a, SIX_C, SolverConfig(N=2, r=2))
+        moves = boost_top_count(a, SolverConfig(N=2, r=2))
         assert len(moves) == 1
         assert a.bin_notation(0) == "5^2 3^2 1^2"
         assert a.bin_notation(1) == "5^1 3^4 0^1"
@@ -184,21 +184,19 @@ class TestBoost:
 
     def test_identity_when_target_met(self):
         a = six_bin_start()
-        assert boost_top_count(a, SIX_C, SolverConfig(N=2)) == []
+        assert boost_top_count(a, SolverConfig(N=2)) == []
         assert a == six_bin_start()
 
     def test_identity_when_bin1_all_top(self):
         w = WeightProfile((4, 4, 1))
         a = Assignment.from_bins(w, 3, [{4: 3}, {4: 3}, {1: 3}])
-        caps = CapacityProfile((11, 11, 3))
-        assert boost_top_count(a, caps, SolverConfig(N=3)) == []
+        assert boost_top_count(a, SolverConfig(N=3)) == []
 
     def test_stall_carries_detail(self):
         w = WeightProfile((3, 1))
         a = Assignment.from_bins(w, 2, [{3: 2}, {1: 2}])
-        caps = CapacityProfile((5, 4))
         with pytest.raises(StallError, match="boost"):
-            boost_top_count(a, caps, SolverConfig(N=3))
+            boost_top_count(a, SolverConfig(N=3))
 
     def test_count_rises_across_random_runs(self):
         rng = random.Random(31)
@@ -207,12 +205,9 @@ class TestBoost:
             w = WeightProfile((5, 4, 2, 1))
             bins = [{4: d}, {5: d}, {2: d}, {1: d}]
             a = Assignment.from_bins(w, d, bins)
-            caps = CapacityProfile(
-                tuple(sorted((a.bin_weight(j) for j in range(4)), reverse=True))
-            )
             before = a.counts[0][0]
             try:
-                moves = boost_top_count(a, caps, SolverConfig(N=rng.randint(1, d), r=1))
+                moves = boost_top_count(a, SolverConfig(N=rng.randint(1, d), r=1))
             except StallError:
                 continue
             assert a.counts[0][0] >= before + len(moves) * 0  # no decrease

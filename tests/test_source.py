@@ -82,3 +82,77 @@ def test_no_recursion_limit_or_stack_size_tricks():
         if tricks & {getattr(node, field, None) for field in ("attr", "id", "name")}
     ]
     assert found == []
+
+
+def test_every_parameter_is_read():
+    # A parameter no function body reads is surface without a use.
+    found = []
+    for path in sorted(Path(hmbp.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            name = getattr(fn, "name", "<lambda>")
+            found += [f"{path.name}:{name}({p})" for p in params if p not in read]
+    assert found == []
+
+
+PUBLIC_NAMES = [
+    "Assignment",
+    "BudgetExceeded",
+    "CapacityProfile",
+    "ConjugateProfile",
+    "CriteriaReport",
+    "DescentTrace",
+    "Feasibility",
+    "Instance",
+    "Move",
+    "OracleError",
+    "OracleResult",
+    "ProfileError",
+    "SolveResult",
+    "SolverConfig",
+    "StallError",
+    "Transfer",
+    "UnsupportedWeightsError",
+    "Verdict",
+    "WeightGapProfile",
+    "WeightProfile",
+    "WitnessInstance",
+    "WitnessVerification",
+    "b_constant",
+    "b_row",
+    "classify",
+    "conjugate",
+    "curated_witness",
+    "d_threshold",
+    "decide",
+    "extremal_witness",
+    "gap_vector",
+    "is_k_feasible",
+    "make_instance",
+    "min_bin1_weight",
+    "normalize",
+    "relaxed_witness",
+    "solve",
+    "suffix_report",
+    "verify_witness",
+    "weight_gap_profile",
+]
+
+
+def test_public_names_are_pinned():
+    # The solver's step functions live in hmbp.solver, not in the package
+    # namespace; a new export is a decision, made here.
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert hmbp.__all__ == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(hmbp, name)] == []

@@ -90,7 +90,7 @@ class TestExtremal:
             assert inst.capacities.total == d * w.total + b_constant(w) - 1
             gaps = weight_gap_profile(w)
             expected = (-1,) + tuple(gaps.gap_at(j) - 1 for j in range(2, w.n + 1))
-            assert gap_vector(wit.companion, inst.capacities).gaps == expected
+            assert gap_vector(wit.companion, inst.capacities) == expected
             assert decide(inst, 1).feasible
             assert not decide(inst, 0).feasible
 
@@ -215,8 +215,9 @@ class TestVerification:
 
     def test_oracle_can_be_disabled(self):
         wit = extremal_witness(WeightProfile((3, 1)), 4)
-        ver = verify_witness(wit, use_oracle=False)
+        ver = verify_witness(wit, node_budget=0)
         assert ver.ok and not ver.oracle_backed
+        assert all(c.method == "analytic" for c in ver.checks)
 
 
 class TestCuratedFixtures:
