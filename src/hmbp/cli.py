@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from . import oracle as _oracle
 from . import witness as _witness
@@ -177,11 +178,13 @@ def cmd_solve(args) -> int:
         max_rounds=args.max_rounds,
         fallback_to_oracle=args.fallback_oracle,
     )
-    result = solve(inst, cfg)
+    # The trace file is opened first, so that a path that cannot be opened
+    # exits 3 before the solve rather than after it.
+    with _open(args.trace, "w") if args.trace else nullcontext() as trace:
+        result = solve(inst, cfg)
+        if trace is not None:
+            trace.write(result.trace.serialize())
     out = sys.stdout
-    if args.trace:
-        with _open(args.trace, "w") as fh:
-            fh.write(result.trace.serialize())
     if result.status == "feasible":
         how = "fallback oracle" if result.oracle_used else f"{result.rounds} rounds"
         print(f"feasible ({how})", file=out)
@@ -302,16 +305,13 @@ def cmd_bench(args) -> int:
     w = WeightProfile(tuple(args.w))
     rows = []
     first_feasible = None
-    for row, d, oracle_word in _bench_rows(w, args.d_min, args.d_max, args.mode):
-        rows.append(row)
-        if args.mode == "tight" and oracle_word == "feasible" and first_feasible is None:
-            first_feasible = d
-    text = BENCH_CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
-    if args.out:
-        with _open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # As in cmd_solve, the output file is opened before the work.
+    with _open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        for row, d, oracle_word in _bench_rows(w, args.d_min, args.d_max, args.mode):
+            rows.append(row)
+            if oracle_word == "feasible" and first_feasible is None:
+                first_feasible = d
+        fh.write(BENCH_CSV_HEADER + "\n" + "".join(r + "\n" for r in rows))
     if args.mode == "tight" and first_feasible is not None:
         print(
             f"first oracle-feasible tight d: {first_feasible} "
@@ -330,7 +330,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _node_budget(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -354,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the constructive solver")
     p.add_argument("file")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--r", type=_positive_int, default=None)
+    p.add_argument("--N", type=_positive_int, default=None)
+    p.add_argument("--max-rounds", type=_positive_int, default=None)
     p.add_argument("--fallback-oracle", action="store_true")
     p.add_argument("--trace", default=None, metavar="PATH")
     p.set_defaults(func=cmd_solve)
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact decision by exhaustive search")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--budget", type=_node_budget, default=_oracle.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=_oracle.DEFAULT_NODE_BUDGET)
     p.add_argument("--wmin", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

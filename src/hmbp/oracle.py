@@ -7,14 +7,17 @@ with :class:`BudgetExceeded` rather than guessing.
 
 The minimum bin-1 load W^min is found by bisection over the same search: a
 bin-1 load of at most ``W`` is achievable exactly when the instance with
-bin-1 capacity ``W`` is 0-feasible.
+bin-1 capacity ``W`` is 0-feasible. The bracket is narrowed from both ends:
+each feasible probe lowers the upper end to the bin-1 load it actually found,
+and the lower end starts at the load that bins 2..n cannot absorb, so most
+answers take one or two probes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import sub
+from operator import mul, sub
 
 from . import _search
 from .core import Assignment, Instance, ProfileError, is_k_feasible
@@ -115,34 +118,45 @@ def min_bin1_weight(
 ) -> int:
     """Minimum achievable load of bin 1 over all 1-feasible assignments.
 
-    Bisection on the bin-1 capacity ``W`` between ``d*w_n`` and ``d*w_1``:
-    each probe decides 0-feasibility with capacities ``(W, C_2, ..., C_n)``.
-    At ``W = d*w_1`` bin 1 is unconstrained, so an infeasible first probe
+    Bisection on the bin-1 capacity ``W``: each probe decides 0-feasibility
+    with capacities ``(W, C_2, ..., C_n)``. The first probe is at
+    ``W = d*w_1``, where bin 1 is unconstrained, so an infeasible first probe
     means the instance is not 1-feasible, and :class:`OracleError` is raised.
-    ``node_budget`` caps the nodes summed over all probes; when it runs out,
-    :class:`BudgetExceeded` is raised.
+    A feasible probe sets the upper end to the load its bin 1 carries, which
+    is achievable and at most ``W``; an infeasible one sets the lower end to
+    ``W + 1``. The lower end starts at ``max(d*w_n, d*sum(w) - sum(C_2..C_n))``:
+    bin 1 holds ``d`` balls of weight at least ``w_n``, and bins 2..n hold no
+    more than their capacities. Both ends bound W^min at every step, so the
+    answer is exact. ``node_budget`` caps the nodes summed over all probes;
+    when it runs out, :class:`BudgetExceeded` is raised.
     """
     values, supply = _class_data(inst)
     rest = inst.capacities.entries[1:]
     used = 0
 
-    def fits(cap1: int) -> bool:
+    def bin1_load(cap1: int) -> int | None:
+        """The bin-1 load of a 0-feasible assignment under ``cap1``, or None."""
         nonlocal used
-        status, _, nodes = _search.search_feasible(
+        status, chosen, nodes = _search.search_feasible(
             values, supply, (cap1,) + rest, inst.d, 0, node_budget - used
         )
         used += nodes
         if status == _search.STATUS_BUDGET:
             raise _undecided(node_budget, used)
-        return status == _search.STATUS_FEASIBLE
+        if status == _search.STATUS_FEASIBLE:
+            return sum(map(mul, chosen[0], values))
+        return None
 
-    lo, hi = inst.d * inst.weights.entries[-1], inst.d * inst.weights.entries[0]
-    if not fits(hi):
+    d, w = inst.d, inst.weights.entries
+    hi = bin1_load(d * w[0])
+    if hi is None:
         raise OracleError("instance is not 1-feasible; minimum bin-1 load undefined")
+    lo = max(d * w[-1], d * sum(w) - sum(rest))
     while lo < hi:
         mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
+        load = bin1_load(mid)
+        if load is None:
             lo = mid + 1
+        else:
+            hi = load
     return hi

@@ -6,7 +6,10 @@ non-zero when the layers disagree:
 * classify says infeasible, but the oracle finds the instance feasible;
 * classify guarantees feasibility, but the oracle says infeasible;
 * solve says feasible, but the oracle says infeasible;
-* a solver assignment fails ``is_k_feasible``.
+* a solver assignment fails ``is_k_feasible``;
+* the bin-1 capacity W^min from ``min_bin1_weight`` is not 0-feasible, or
+  W^min - 1 is (decided with the capacities re-sorted, since bins differ
+  only by capacity).
 
 ``python -O`` strips ``assert`` statements, so this checks that the library
 still verifies its answers without them. Run it as
@@ -19,7 +22,7 @@ from collections import Counter
 
 from hmbp.core import WeightProfile, is_k_feasible, make_instance
 from hmbp.criteria import Feasibility, classify, tight_profile
-from hmbp.oracle import BudgetExceeded, decide
+from hmbp.oracle import BudgetExceeded, OracleError, decide, min_bin1_weight
 from hmbp.solver import SolverConfig, solve
 
 INSTANCES = 200
@@ -37,6 +40,24 @@ def instances(seed=20261018):
         caps = [c + rng.randint(-2, 3) for c in tight_profile(w, d)]
         cfg = SolverConfig(r=rng.randint(1, 2), N=rng.randint(1, 4))
         yield make_instance(d, w, sorted(caps, reverse=True)), cfg
+
+
+def feasible_with_bin1(inst, cap1) -> bool:
+    caps = sorted((cap1,) + inst.capacities.entries[1:], reverse=True)
+    inst = make_instance(inst.d, inst.weights.entries, caps)
+    return decide(inst, 0, node_budget=NODE_BUDGET).feasible
+
+
+def check_wmin(inst, label, faults, tally) -> None:
+    try:
+        wmin = min_bin1_weight(inst, node_budget=NODE_BUDGET)
+    except OracleError:
+        return
+    if not feasible_with_bin1(inst, wmin):
+        faults.append(f"{label}: bin-1 capacity W^min={wmin} infeasible")
+    if feasible_with_bin1(inst, wmin - 1):
+        faults.append(f"{label}: bin-1 capacity W^min-1={wmin - 1} feasible")
+    tally["wmin-checked"] += 1
 
 
 def main() -> int:
@@ -65,6 +86,7 @@ def main() -> int:
                 faults.append(f"{label}: solve feasible, oracle infeasible")
             if not is_k_feasible(result.assignment, inst.capacities, 0):
                 faults.append(f"{label}: solver assignment over capacity")
+        check_wmin(inst, label, faults, tally)
     for line in faults:
         print(line, file=sys.stderr)
     print(" ".join(f"{k}={v}" for k, v in sorted(tally.items())))

@@ -353,6 +353,10 @@ class TestExitCodeContract:
             ["oracle", "{file}", "--budget", "-5"],
             ["oracle", "{file}", "--budget", "0"],
             ["oracle", "{file}", "--wmin", "--budget", "0"],
+            ["solve", "{file}", "--r", "0"],
+            ["solve", "{file}", "--N", "-1"],
+            ["solve", "{file}", "--max-rounds", "0"],
+            ["solve", "{file}", "--max-rounds", "-1"],
             ["witness", "--w", "3", "1"],
         ],
         ids=[
@@ -363,6 +367,10 @@ class TestExitCodeContract:
             "negative-budget",
             "zero-budget",
             "zero-budget-wmin",
+            "zero-r",
+            "negative-N",
+            "zero-max-rounds",
+            "negative-max-rounds",
             "missing-d",
         ],
     )
@@ -405,6 +413,28 @@ class TestExitCodeContract:
         assert code == EXIT_INPUT_ERROR
         assert out == ""
         assert len(err.splitlines()) == 1
+        assert err.startswith("error: [Errno ")
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["solve", "{file}", "--trace", "{dir}"], "solve"),
+            (["bench", "--w", "3", "1", "--d-min", "2", "--d-max", "2", "--mode",
+              "tight", "--out", "{dir}"], "_bench_rows"),
+        ],
+        ids=["solve-trace-dir", "bench-out-dir"],
+    )
+    def test_unopenable_output_exits_before_the_work(
+        self, argv, work, six_bin_file, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output path was opened")
+
+        monkeypatch.setattr(hmbp.cli, work, never)
+        argv = [a.format(file=six_bin_file, dir=tmp_path) for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
         assert err.startswith("error: [Errno ")
 
     def test_stdin_input(self, capsys, monkeypatch):

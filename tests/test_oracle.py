@@ -344,7 +344,9 @@ class TestErrorPaths:
             min_bin1_weight(SEVEN_DISTINCT, node_budget=10)
 
     def test_min_bin1_budget_is_shared_by_probes(self, monkeypatch):
-        # The budget caps the nodes summed over every bisection probe.
+        # The budget caps the nodes summed over every bisection probe. This
+        # instance still needs four probes with the narrowed bracket.
+        inst = make_instance(7, (9, 6, 0), (69, 44, 5))
         probes = []
         search = _search.search_feasible
 
@@ -354,12 +356,36 @@ class TestErrorPaths:
             return result
 
         monkeypatch.setattr(_search, "search_feasible", counted)
-        assert min_bin1_weight(SEVEN_DISTINCT) == 30
+        assert min_bin1_weight(inst) == 63
         total = sum(probes)
         assert len(probes) > 1 and max(probes) < total - 1
-        assert min_bin1_weight(SEVEN_DISTINCT, node_budget=total) == 30
+        assert min_bin1_weight(inst, node_budget=total) == 63
         with pytest.raises(BudgetExceeded, match="undecided"):
-            min_bin1_weight(SEVEN_DISTINCT, node_budget=total - 1)
+            min_bin1_weight(inst, node_budget=total - 1)
+
+    @pytest.mark.parametrize(
+        "inst, wmin, caps_probed",
+        [
+            (SEVEN_DISTINCT, 30, [42]),
+            (make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0)), 30,
+             [30, 28, 29]),
+        ],
+        ids=["seven-distinct", "six-bin-extremal"],
+    )
+    def test_min_bin1_probes(self, inst, wmin, caps_probed, monkeypatch):
+        # The bin-1 capacities probed are a deterministic work counter: the
+        # first probe at d*w_1 finds a load that bounds W^min from above, and
+        # d*sum(w) - sum(C_2..C_n) bounds it from below.
+        probed = []
+        search = _search.search_feasible
+
+        def counted(values, supply, caps, *rest):
+            probed.append(caps[0])
+            return search(values, supply, caps, *rest)
+
+        monkeypatch.setattr(_search, "search_feasible", counted)
+        assert min_bin1_weight(inst) == wmin
+        assert probed == caps_probed
 
     def test_min_bin1_needs_one_feasibility(self):
         with pytest.raises(OracleError, match="not 1-feasible"):

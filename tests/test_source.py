@@ -40,6 +40,7 @@ def test_layers_agree_under_optimize():
     assert tally.get("oracle-infeasible", 0) >= 50
     assert tally.get("classify-infeasible", 0) >= 20
     assert tally.get("solver-feasible", 0) >= 50
+    assert tally.get("wmin-checked", 0) >= 50
 
 
 def _called_names(node):
