@@ -41,7 +41,6 @@ from .witness import (
     UnsupportedWeightsError,
     WitnessInstance,
     WitnessVerification,
-    curated_witness,
     extremal_witness,
     relaxed_witness,
     verify_witness,
@@ -76,7 +75,6 @@ __all__ = [
     "b_row",
     "classify",
     "conjugate",
-    "curated_witness",
     "d_threshold",
     "decide",
     "extremal_witness",

@@ -149,13 +149,6 @@ class ConjugateProfile:
     def k(self) -> int:
         return len(self.runs)
 
-    def expand(self) -> tuple[int, ...]:
-        """The conjugate partition as an explicit tuple of column heights."""
-        out = [self.rows] * self.a0
-        for height, length in self.runs:
-            out.extend([height] * length)
-        return tuple(out)
-
 
 def conjugate(w: WeightProfile, rows: int) -> ConjugateProfile:
     """Conjugate the Young diagram of ``w`` padded/declared to ``rows`` parts.
@@ -413,16 +406,6 @@ class Assignment:
             if self.counts[c][j] > 0
         ]
         return " ".join(parts) if parts else "(empty)"
-
-    def bins_as_dicts(self) -> list[dict[int, int]]:
-        return [
-            {
-                self.class_values[c]: self.counts[c][j]
-                for c in range(self.m)
-                if self.counts[c][j] > 0
-            }
-            for j in range(self.n)
-        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Assignment):

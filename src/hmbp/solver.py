@@ -22,13 +22,15 @@ The finished assignment's row and column sums are validated from scratch
 once, with every capacity, before it is returned.
 
 Stalls are first-class outcomes: below the multiplicity threshold the theory
-gives no termination guarantee, and the engine reports exactly where it got
-stuck instead of guessing.
+gives no termination guarantee. A stage that stalls in the matching or the
+shrinking step is undone and restarted with the richness threshold ``r`` and
+the top-count target ``N`` halved; the stall is reported, with exactly where
+the engine got stuck, once ``r = N = 1`` stalls too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import oracle as _oracle
 from .core import (
@@ -47,9 +49,6 @@ KIND_CHAIN_EXIT = "chain-exit"
 KIND_BLOCK = "block-swap"
 KIND_TOP_EXIT = "top-exit"
 KIND_NORMALIZE = "normalize"
-
-FALLBACK_MAX_N = 8  # largest instances ``fallback_to_oracle`` hands over
-FALLBACK_MAX_D = 24
 
 
 class SolverUsageError(ValueError):
@@ -185,10 +184,11 @@ class SolverConfig:
     ``r`` is the matching richness threshold and ``N`` the target top-ball
     count in the head bin; both default to values that make the engine
     provably terminating once the multiplicity clears its threshold
-    (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working problem). Small
-    experiments below the threshold should pass small overrides.
-    ``fallback_to_oracle`` hands a stalled instance to the exact search when
-    it has at most ``FALLBACK_MAX_N`` bins and ``FALLBACK_MAX_D`` balls per bin.
+    (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working problem). Below the
+    threshold no bin may be that rich: a stage that stalls in the matching
+    or the shrinking step restarts from its start state with both values
+    halved, rounded up, down to 1. ``fallback_to_oracle`` hands a stalled
+    instance to the exact search under its default node budget.
     """
 
     r: int | None = None
@@ -689,6 +689,30 @@ def descend(
     return rounds
 
 
+def _descend_stage(
+    inst: Instance, assignment: Assignment, cfg: SolverConfig, sink: list
+) -> int:
+    """:func:`descend` one stage; after a matching or shrinking stall, undo
+    the attempt's moves (latest first, emptying ``sink``) and restart it with
+    ``r`` and ``N`` halved, rounded up. The stall at ``r = N = 1`` is raised.
+    """
+    attempt = cfg
+    while True:
+        try:
+            return descend(inst, assignment, attempt, sink)
+        except StallError as stall:
+            r = attempt.resolved_r(inst.n, inst.weights[0])
+            N = attempt.resolved_N(inst.n, inst.weights[0])
+            if stall.op not in ("matching", "shrink_gaps") or max(r, N) <= 1:
+                raise
+        for mv in reversed(sink):
+            assignment.apply(
+                (tr.value, tr.count, tr.dst - 1, tr.src - 1) for tr in mv.transfers
+            )
+        sink.clear()
+        attempt = replace(cfg, r=-(-r // 2), N=-(-N // 2))
+
+
 @dataclass
 class SolveResult:
     status: str  # "feasible" | "infeasible" | "indeterminate"
@@ -715,9 +739,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     Constant-weight truncations are decided directly: each suffix bin already
     holds ``d`` equal balls, so only the smallest capacity matters. Success
     is guaranteed whenever the corrected suffix conditions hold and the
-    multiplicity clears its threshold; otherwise the engine may stall, and
-    with ``fallback_to_oracle`` set it hands desk-scale instances to the
-    exact search instead of giving up.
+    multiplicity clears its threshold. Below it a stalled stage restarts at
+    half ``r`` and ``N``; a stall that remains ends the solve, and with
+    ``fallback_to_oracle`` set the exact search decides the instance unless
+    its node budget runs out.
     """
     cfg = cfg or SolverConfig()
     trace = DescentTrace()
@@ -743,21 +768,19 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             else:
                 local: list[Move] = []
                 try:
-                    total_rounds += descend(sub, assignment, cfg, local)
+                    total_rounds += _descend_stage(sub, assignment, cfg, local)
                 finally:
                     trace.moves.extend(mv.shifted(i - 1, stage=i) for mv in local)
     except StallError as stall:
         total_rounds += stall.rounds
-        small = inst.n <= FALLBACK_MAX_N and inst.d <= FALLBACK_MAX_D
-        if cfg.fallback_to_oracle and small:
+        if cfg.fallback_to_oracle:
             try:
                 res = _oracle.decide(inst, 0)
             except _oracle.BudgetExceeded:
-                res = None
-            if res is not None:
-                status = "feasible" if res.feasible else "infeasible"
+                pass
+            else:
                 return SolveResult(
-                    status,
+                    "feasible" if res.feasible else "infeasible",
                     res.witness,
                     trace,
                     rounds=total_rounds,

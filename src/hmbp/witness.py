@@ -262,30 +262,3 @@ def verify_witness(
     ok = all(c.passed for c in checks)
     return WitnessVerification(ok=ok, checks=tuple(checks), oracle_backed=oracle_backed)
 
-
-# Hand-built capacity deltas (relative to d*w) for weight profiles where the
-# extremal construction fails more than one corrected condition; each of
-# these misses only the full-profile condition, by one, yet stays infeasible.
-CURATED_DELTAS: dict[tuple[int, ...], tuple[int, ...]] = {
-    (6, 6, 4, 4, 4, 0): (-1, -5, 5, 3, 1, 3),
-}
-
-# A profile whose optimality status is unresolved; shipped for bench
-# exploration only.
-EXPLORATION_PROFILE: tuple[int, ...] = (10, 9, 9, 6, 6, 0)
-
-
-def curated_witness(w: WeightProfile, d: int) -> WitnessInstance:
-    """Hand-built witness instance for specially curated weight profiles."""
-    delta = CURATED_DELTAS.get(w.entries)
-    if delta is None:
-        raise UnsupportedWeightsError(f"no curated witness for {w.entries}")
-    caps = CapacityProfile(tuple(d * w[j] + delta[j] for j in range(w.n)))
-    inst = Instance(d, w, caps)
-    return WitnessInstance(
-        instance=inst,
-        construction="curated",
-        relax_index=1,
-        companion=None,
-        companion_level=w.n,
-    )

@@ -28,6 +28,14 @@ def conjugate_by_columns(w: WeightProfile, rows: int) -> ConjugateProfile:
     return ConjugateProfile(rows=rows, a0=a0, runs=tuple(runs))
 
 
+def expand(conj: ConjugateProfile) -> tuple[int, ...]:
+    """The conjugate partition as an explicit tuple of column heights."""
+    out = [conj.rows] * conj.a0
+    for height, length in conj.runs:
+        out.extend([height] * length)
+    return tuple(out)
+
+
 def b_by_run_overshoot(w: WeightProfile) -> int:
     """b(w) as the weighted sum of run overshoots of the conjugate diagram."""
     conj = conjugate_by_columns(w, w.n)

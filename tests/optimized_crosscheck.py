@@ -6,7 +6,8 @@ non-zero when the layers disagree:
 * classify says infeasible, but the oracle finds the instance feasible;
 * classify guarantees feasibility, but the oracle says infeasible;
 * solve says feasible, but the oracle says infeasible;
-* a solver assignment fails ``is_k_feasible``;
+* a solver assignment fails ``is_k_feasible``, here or on a seeded slice of
+  the family F(w, d) (``family.cross_check``), solved with the defaults;
 * the bin-1 capacity W^min from ``min_bin1_weight`` is not 0-feasible, or
   W^min - 1 is (decided with the capacities re-sorted, since bins differ
   only by capacity).
@@ -20,6 +21,7 @@ import random
 import sys
 from collections import Counter
 
+from family import cross_check
 from hmbp.core import WeightProfile, is_k_feasible, make_instance
 from hmbp.criteria import Feasibility, classify, tight_profile
 from hmbp.oracle import BudgetExceeded, OracleError, decide, min_bin1_weight
@@ -27,6 +29,7 @@ from hmbp.solver import SolverConfig, solve
 
 INSTANCES = 200
 NODE_BUDGET = 200_000
+FAMILY_SEED = 11  # not the seed of the tier-1 slice in test_solver.py
 
 
 def instances(seed=20261018):
@@ -87,6 +90,9 @@ def main() -> int:
             if not is_k_feasible(result.assignment, inst.capacities, 0):
                 faults.append(f"{label}: solver assignment over capacity")
         check_wmin(inst, label, faults, tally)
+    family_tally, family_faults = cross_check(seed=FAMILY_SEED, per_d=30)
+    faults += family_faults
+    tally.update({f"family-{k}": v for k, v in family_tally.items()})
     for line in faults:
         print(line, file=sys.stderr)
     print(" ".join(f"{k}={v}" for k, v in sorted(tally.items())))

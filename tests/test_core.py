@@ -26,7 +26,8 @@ from hmbp.core import (
 from hmbp.criteria import classify, tight_profile
 from hmbp.witness import extremal_witness, relaxed_witness
 
-from conjugate_reference import b_by_run_overshoot, conjugate_by_columns
+from conjugate_reference import b_by_run_overshoot, conjugate_by_columns, expand
+from helpers import bins_as_dicts
 
 EX_WEIGHTS = WeightProfile((5, 5, 3, 1, 1, 0))
 EX_CAPS = CapacityProfile((17, 17, 17, 17, 17, 8))
@@ -102,7 +103,7 @@ class TestConjugate:
         assert c.a0 == 0
         assert c.runs == ((5, 1), (3, 2), (2, 2))
         assert c.k == 3
-        assert c.expand() == (5, 3, 3, 2, 2)
+        assert expand(c) == (5, 3, 3, 2, 2)
 
     def test_constant_profile_all_full_columns(self):
         c = conjugate(WeightProfile((4, 4, 4)), 3)
@@ -119,7 +120,7 @@ class TestConjugate:
         rows = nonzero + extra
         if rows == 0:
             rows = 1
-        expanded = conjugate(w, rows).expand()
+        expanded = expand(conjugate(w, rows))
         rebuilt = tuple(
             sum(1 for h in expanded if h >= i) for i in range(1, rows + 1)
         )
@@ -387,7 +388,7 @@ class TestPrependBin:
                     give = rng.choice([v for v in a.class_values if a.count_of(v, src)])
                     take = rng.choice([v for v in a.class_values if a.count_of(v, dst)])
                     a.apply([(give, 1, src, dst), (take, 1, dst, src)])
-                before = a.bins_as_dicts()
+                before = bins_as_dicts(a)
                 a.prepend_bin(w[j])
                 assert_built_from_bins(
                     a, w.truncate(j + 1), d, [{w[j]: d}, *before]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import hmbp.oracle
 import hmbp.solver
 from hmbp.core import (
     Assignment,
@@ -42,6 +43,10 @@ from hmbp.solver import (
     shrink_gaps,
     solve,
 )
+from hmbp.witness import extremal_witness
+
+from family import cross_check
+from helpers import bins_as_dicts
 
 SIX_W = WeightProfile((5, 5, 3, 1, 1, 0))
 SIX_C = CapacityProfile((17, 17, 17, 17, 17, 8))
@@ -329,7 +334,7 @@ class TestNormalizeSuffix:
         inst = Instance(3, w, CapacityProfile((100, 100, 100)))
         moves = []
         normalize_suffix(inst, 3, a, moves)
-        assert a.bins_as_dicts()[2] == {1: 3}
+        assert bins_as_dicts(a)[2] == {1: 3}
         assert all(m.kind == "normalize" for m in moves)
         a.validate()
 
@@ -402,13 +407,13 @@ class TestDescendAndSolve:
     def test_even_split(self):
         result = solve(make_instance(6, (3, 1), (12, 12)), SolverConfig(r=1))
         assert result.status == "feasible"
-        assert result.assignment.bins_as_dicts() == [{3: 3, 1: 3}, {3: 3, 1: 3}]
+        assert bins_as_dicts(result.assignment) == [{3: 3, 1: 3}, {3: 3, 1: 3}]
 
     def test_odd_split(self):
         d = 7
         result = solve(make_instance(d, (3, 1), (2 * d + 1, 2 * d)))
         assert result.status == "feasible"
-        assert result.assignment.bins_as_dicts()[0] == {3: 4, 1: 3}
+        assert bins_as_dicts(result.assignment)[0] == {3: 4, 1: 3}
 
     def test_extremal_stalls_without_fallback(self):
         inst = make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0))
@@ -421,6 +426,59 @@ class TestDescendAndSolve:
         result = solve(inst, SolverConfig(r=2, fallback_to_oracle=True))
         assert result.status == "infeasible"
         assert result.oracle_used
+
+    def test_six_bin_solves_with_defaults(self, monkeypatch):
+        # The default r = 2*n*w1 finds no rich bin at d = 6: stage 1 stalls
+        # in the matching step and restarts at half r and N until it
+        # finishes. The discarded attempts made moves, and the trace still
+        # replays to the assignment, so they were undone and left no move.
+        attempts, discarded = [], []
+        original = hmbp.solver.descend
+
+        def recording_descend(inst, assignment, cfg, sink):
+            top = inst.weights[0]
+            attempts.append(
+                (inst.n, cfg.resolved_r(inst.n, top), cfg.resolved_N(inst.n, top))
+            )
+            try:
+                return original(inst, assignment, cfg, sink)
+            except StallError:
+                discarded.append(len(sink))
+                raise
+
+        monkeypatch.setattr(hmbp.solver, "descend", recording_descend)
+        inst = make_instance(6, SIX_W.entries, SIX_C.entries)
+        result = solve(inst)
+        assert result.status == "feasible"
+        assert not result.oracle_used
+        assert [(r, N) for n, r, N in attempts if n == 6] == [
+            (60, 1800), (30, 900), (15, 450), (8, 225), (4, 113), (2, 57)
+        ]
+        assert len(discarded) == 5 and sum(discarded) > 0
+        assert result.trace.replay(Assignment.diagonal(SIX_W, 6)) == (
+            result.assignment
+        )
+
+    def test_fallback_takes_any_size(self):
+        # n = 9 bins: the oracle settles the extremal witness at once.
+        wit = extremal_witness(WeightProfile((8, 7, 6, 5, 4, 3, 2, 1, 0)), 30)
+        result = solve(wit.instance, SolverConfig(fallback_to_oracle=True))
+        assert result.status == "infeasible"
+        assert result.oracle_used
+        assert result.stall
+
+    def test_fallback_refused_by_budget_keeps_the_stall(self, monkeypatch):
+        inst = make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0))
+        stall = solve(inst).stall
+
+        def refuse(*args):
+            raise hmbp.oracle.BudgetExceeded("undecided: node budget exhausted")
+
+        monkeypatch.setattr(hmbp.oracle, "decide", refuse)
+        result = solve(inst, SolverConfig(fallback_to_oracle=True))
+        assert result.status == "indeterminate"
+        assert result.stall == stall
+        assert not result.oracle_used
 
     def test_curated_profile_never_claimed_feasible(self):
         w = (6, 6, 4, 4, 4, 0)
@@ -786,7 +844,10 @@ class TestStageNumbering:
 
 # Whole solves recorded from the solver that rebuilt each stage's assignment
 # from exported bins: growing the assignment in place must not change a
-# status, a round count, a stall text, a trace line or a final count.
+# status, a round count, a stall text, a trace line or a final count. The 39
+# records whose outcome the stage restart and the uncapped oracle fallback
+# changed were re-recorded; no record that ended feasible without the oracle
+# changed.
 SOLVE_PARITY = Path(__file__).with_name("data") / "solve_parity.json"
 
 
@@ -824,3 +885,14 @@ def test_solve_replays_parity_fixture():
         if got != want:
             mismatches.append(r["key"])
     assert mismatches == []
+
+
+def test_family_slice_solver_feasible_is_oracle_feasible():
+    # F(w, d) sits far below the threshold, where the default r and N find no
+    # rich bin; restarting a stalled stage at half r and N leaves 29 of the
+    # 475 oracle-feasible profiles unsolved (377 without the restart).
+    tally, faults = cross_check(seed=20261018, per_d=30)
+    assert faults == []
+    assert tally["oracle-feasible"] == 475
+    assert tally["stalled-on-feasible"] == 29
+    assert tally["solver-feasible"] >= 400

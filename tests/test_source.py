@@ -41,6 +41,7 @@ def test_layers_agree_under_optimize():
     assert tally.get("classify-infeasible", 0) >= 20
     assert tally.get("solver-feasible", 0) >= 50
     assert tally.get("wmin-checked", 0) >= 50
+    assert tally.get("family-solver-feasible", 0) >= 400
 
 
 def _called_names(node):
@@ -134,7 +135,6 @@ PUBLIC_NAMES = [
     "b_row",
     "classify",
     "conjugate",
-    "curated_witness",
     "d_threshold",
     "decide",
     "extremal_witness",

@@ -15,14 +15,18 @@ from hmbp.core import (
 )
 from hmbp.oracle import decide
 from hmbp.witness import (
-    CURATED_DELTAS,
-    EXPLORATION_PROFILE,
     UnsupportedWeightsError,
-    curated_witness,
     extremal_capacities,
     extremal_witness,
     relaxed_witness,
     verify_witness,
+)
+
+from helpers import (
+    CURATED_DELTAS,
+    EXPLORATION_PROFILE,
+    bins_as_dicts,
+    curated_witness,
 )
 
 
@@ -38,7 +42,7 @@ class TestExtremal:
     def test_six_bin_construction(self):
         wit = extremal_witness(WeightProfile((5, 5, 3, 1, 1, 0)), 6)
         assert wit.instance.capacities.entries == (29, 29, 21, 7, 7, 0)
-        assert wit.companion.bins_as_dicts() == [
+        assert bins_as_dicts(wit.companion) == [
             {5: 6},
             {5: 5, 3: 1},
             {5: 1, 3: 5},
