@@ -12,9 +12,11 @@ lowered bin-1 capacity with this same search.
 The search is one loop over an explicit stack, so its Python stack depth
 does not grow with the instance. A bin frame is the memo key of a bin being
 filled; it is added to the memo when the bin's last choice fails. A choose
-frame ``[c, d_left, cap_left, v, x, lo, j]`` is the count ``x`` of class
-``c`` currently tried in bin ``j``; on failure it steps ``x`` down to ``lo``.
-Every bin entry and every count tried is one node of the budget.
+frame ``[c, d_left, cap_left, v, x, lo, j]`` is the count ``x >= 1`` of
+class ``c`` currently tried in bin ``j``; on failure it steps ``x`` down to
+``lo``, and it leaves the stack when ``x`` reaches 0, since a count of 0
+changes nothing to undo. Every bin entry and every count tried is one node of
+the budget.
 
 A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
 balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
@@ -32,6 +34,18 @@ closed form (``_top_count``): one test of the largest count, then a
 bisection over segments, not counts, and one ceiling division. The window
 check at bin entry asks for ``d*L`` balls with ``L`` growing, so it walks
 the table forward once.
+
+Most choices of a deep search set a count to 0. When ``lo`` is 0, one ball
+of class ``c`` fits exactly when ``v <= t = cap_left - lightest(d_left - 1)``,
+and ``t`` stays fixed while counts are 0, because the table, ``d_left`` and
+``cap_left`` do. So a run of classes heavier than ``t`` is crossed in one
+step: one bisection over the table finds ``t``, one more checks that count 0
+fits, and one over ``values`` finds the run's end. The run still costs one
+node per class, and a budget that runs out inside it stops the search at the
+same node as a class-by-class walk would. With the runs crossed this way the
+search makes fewer bisections than nodes: 696 over 2,011 nodes at
+``w = (60, ..., 1)``, ``d = 60``, ``C = d*w + 1``, where solving every
+class's top took 3,716.
 ``values`` must be distinct and descending.
 """
 
@@ -100,6 +114,7 @@ def search_feasible(values, supply, caps, d, k, budget):
     bin index to its per-class count tuple on success, else ``None``.
     """
     values = tuple(values)
+    neg_values = [-u for u in values]  # ascending, for bisection
     residual = list(supply)
     caps = tuple(caps)
     n = len(caps)
@@ -156,27 +171,54 @@ def search_feasible(values, supply, caps, d, k, budget):
                         continue
                 memo.add(key)
         elif d_left == 0:
-            # The top c frames are this bin's choices for classes 0..c-1.
-            counts_j = tuple(frame[4] for frame in stack[len(stack) - c :])
-            chosen[j] = counts_j + (0,) * (m - c)
+            # The choose frames above bin j's key hold its nonzero counts.
+            row = [0] * m
+            for frame in reversed(stack):
+                if type(frame) is tuple:
+                    break
+                row[frame[0]] = frame[4]
+            chosen[j] = tuple(row)
             at_bin = True
             j -= 1
             continue
         elif c < m:
             counts, weights = tables[j]
             v = values[c]
-            lo = d_left - counts[m - c - 1]
-            if lo < 0:
-                lo = 0
             hi = residual[c] if residual[c] <= d_left else d_left
             if v > 0 and cap_left // v < hi:
                 hi = cap_left // v
-            top = _top_count(values, counts, weights, v, d_left, cap_left, lo, hi)
-            if top >= lo:
-                stack.append([c, d_left, cap_left, v, top, lo, j])
-                residual[c] -= top
-                c, d_left, cap_left = c + 1, d_left - top, cap_left - top * v
-                continue
+            lo = d_left - counts[m - c - 1]
+            if lo <= 0:
+                # The d_left lightest balls are all lighter than v, and one
+                # ball of weight u fits beside the d_left - 1 lightest when
+                # u <= t.
+                lo = 0
+                q = d_left - 1
+                i = bisect_left(counts, q)
+                t = cap_left - (
+                    weights[i - 1] + (q - counts[i - 1]) * values[-i] if i else 0
+                )
+            if lo or v <= t:
+                top = _top_count(values, counts, weights, v, d_left, cap_left, lo, hi)
+                if top >= lo:
+                    if top:
+                        stack.append([c, d_left, cap_left, v, top, lo, j])
+                        residual[c] -= top
+                    c, d_left, cap_left = c + 1, d_left - top, cap_left - top * v
+                    continue
+            else:
+                # Count 1 fails, and count 0 fits when the d_left-th lightest
+                # ball weighs at most t. Then every class before the first
+                # of weight at most t takes 0, at one node each; that ball's
+                # class m - i bounds the run.
+                i = bisect_left(counts, d_left, i)
+                if values[-i] <= t:
+                    end = bisect_left(neg_values, -t, c + 1, m - i)
+                    nodes += end - c - 1
+                    if nodes > budget:
+                        return STATUS_BUDGET, None, budget + 1
+                    c = end
+                    continue
 
         # The node just expanded failed: resume the nearest open choice.
         while stack:
@@ -191,8 +233,11 @@ def search_feasible(values, supply, caps, d, k, budget):
                 stack.pop()
                 continue
             x -= 1
-            frame[4] = x
-            residual[c] -= x
+            if x:
+                frame[4] = x
+                residual[c] -= x
+            else:
+                stack.pop()
             c, d_left, cap_left = c + 1, d_left - x, cap_left - x * v
             at_bin = False
             break

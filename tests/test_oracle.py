@@ -189,9 +189,10 @@ class TestSearchDepth:
 
 class TestSearchCost:
     def test_bisects_per_node(self, monkeypatch):
-        # Each class count's upper end is solved over table segments, and the
-        # bin-entry window check walks the table forward: at most two
-        # bisections per node, where bisecting over counts took about six.
+        # Each class count's upper end is solved over table segments, a run
+        # of zero counts is crossed in one step, and the bin-entry window
+        # check walks the table forward: at most one bisection per node,
+        # where the per-class loop took about two.
         calls = []
         bisect_left = _search.bisect_left
 
@@ -202,7 +203,38 @@ class TestSearchCost:
         monkeypatch.setattr(_search, "bisect_left", counted)
         res = decide(SIXTY, 0)
         assert res.feasible and res.nodes_explored == 2011
-        assert len(calls) <= 2 * res.nodes_explored
+        assert len(calls) <= res.nodes_explored
+
+    def test_zero_runs_skip_top_count(self, monkeypatch):
+        # Most choose nodes of the 60-bin search set a class count to 0; they
+        # are crossed in runs without solving each class's top count, which
+        # the per-class loop did at 1,890 of 2,011 nodes.
+        calls = []
+        top_count = _search._top_count
+
+        def counted(*args):
+            calls.append(1)
+            return top_count(*args)
+
+        monkeypatch.setattr(_search, "_top_count", counted)
+        res = decide(SIXTY, 0)
+        assert res.feasible and res.nodes_explored == 2011
+        assert len(calls) < res.nodes_explored // 4
+
+
+def test_budget_cut_off_on_every_budget():
+    # A budget that runs out inside a run of zero counts must stop the search
+    # exactly where counting one node per class would: at budget + 1 nodes.
+    w = tuple(range(40, 0, -2))
+    d = 20
+    args = (w, [d] * len(w), tuple(d * v + 1 for v in w), d, 0)
+    full = _search.search_feasible(*args, 10**9)
+    assert full[0] == _search.STATUS_FEASIBLE and full[2] == 251
+    for budget in range(full[2] + 3):
+        expected = (
+            (_search.STATUS_BUDGET, None, budget + 1) if budget < full[2] else full
+        )
+        assert _search.search_feasible(*args, budget) == expected, budget
 
 
 def lightest_balls(values, residual, c):
