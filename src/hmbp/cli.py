@@ -91,24 +91,19 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(f"line {ln_d}: d takes exactly one integer")
     if d_vals[0] < 1:
         raise InstanceFormatError(f"line {ln_d}: d must be positive")
-    ln_w, w_vals = fields["w"]
-    ln_c, c_vals = fields["C"]
-    for label, ln, vals in (("w", ln_w, w_vals), ("C", ln_c, c_vals)):
-        for pos in range(1, len(vals)):
-            if vals[pos] > vals[pos - 1]:
-                raise InstanceFormatError(
-                    f"line {ln}: {label} not non-increasing at position {pos + 1}"
-                )
-    if len(w_vals) != len(c_vals):
+    profiles = []
+    for key, profile in (("w", WeightProfile), ("C", CapacityProfile)):
+        ln, vals = fields[key]
+        try:
+            profiles.append(profile(tuple(vals)))
+        except ProfileError as exc:
+            raise InstanceFormatError(f"line {ln}: {exc}") from None
+    w, C = profiles
+    if w.n != C.n:
         raise InstanceFormatError(
-            f"line {ln_c}: C has {len(c_vals)} entries, w has {len(w_vals)}"
+            f"line {fields['C'][0]}: C has {C.n} entries, w has {w.n}"
         )
-    try:
-        return Instance(
-            d_vals[0], WeightProfile(tuple(w_vals)), CapacityProfile(tuple(c_vals))
-        )
-    except ProfileError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    return Instance(d_vals[0], w, C)
 
 
 def render_instance(inst: Instance, comments=()) -> str:
@@ -213,14 +208,15 @@ def cmd_oracle(args) -> int:
             return EXIT_INDETERMINATE
         print(f"W^min = {value}", file=out)
         return EXIT_FEASIBLE
+    k = 0 if args.k is None else args.k
     try:
-        result = _oracle.decide(inst, k=args.k, node_budget=args.budget)
+        result = _oracle.decide(inst, k=k, node_budget=args.budget)
     except _oracle.BudgetExceeded as exc:
         print(exc, file=out)
         return EXIT_INDETERMINATE
     word = "feasible" if result.feasible else "infeasible"
     print(
-        f"{word} (k={args.k}, nodes={result.nodes_explored}, "
+        f"{word} (k={k}, nodes={result.nodes_explored}, "
         f"elapsed={result.elapsed * 1000:.1f}ms)",
         file=out,
     )
@@ -363,9 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact decision by exhaustive search")
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=0)
+    # --k defaults to None (read as 0): argparse lets an exclusive option
+    # given at its default value pass, and "--k 0 --wmin" is a usage error.
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--k", type=int, default=None)
+    only.add_argument("--wmin", action="store_true")
     p.add_argument("--budget", type=_positive_int, default=_oracle.DEFAULT_NODE_BUDGET)
-    p.add_argument("--wmin", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("witness", help="emit an infeasibility witness instance")
@@ -381,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep multiplicities and emit CSV")
     p.add_argument("--w", type=int, nargs="+", required=True)
-    p.add_argument("--d-min", type=int, required=True)
-    p.add_argument("--d-max", type=int, required=True)
+    p.add_argument("--d-min", type=_positive_int, required=True)
+    p.add_argument("--d-max", type=_positive_int, required=True)
     p.add_argument("--mode", choices=("tight", "witness"), required=True)
     p.add_argument("--out", default=None, metavar="CSV")
     p.set_defaults(func=cmd_bench)

@@ -89,11 +89,14 @@ class Transfer:
 class Move:
     """One trace entry: a balanced group of transfers plus diagnostics.
 
+    Every step builds its moves through one private helper, which applies
+    the transfers, reads ``bin1_weight`` (the head-bin load) from the
+    assignment after them and appends the move to the step's log.
     ``i``/``j``/``l``/``t`` are step parameters local to the working
-    (possibly truncated) problem; ``bin1_weight`` is the head-bin load after
-    the move. ``stage`` is the suffix start position in the full instance.
-    A relief move may carry ``count > 1``: it is that many unit swaps through
-    the same bin, and ``bin1_weight`` is the load after the last of them.
+    (possibly truncated) problem; ``stage`` is the suffix start position in
+    the full instance. A relief move may carry ``count > 1``: it is that many
+    unit swaps through the same bin, and ``bin1_weight`` is the load after
+    the last of them.
     """
 
     kind: str
@@ -128,11 +131,16 @@ class Move:
         return " ".join(parts)
 
 
-def _apply(assignment: Assignment, move: Move) -> None:
-    """Apply ``move``'s 1-based transfers to ``assignment``."""
-    assignment.apply(
-        (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in move.transfers
-    )
+def _record(
+    assignment: Assignment, log: list, kind: str, transfers: tuple, **diag
+) -> Move:
+    """Apply the 1-based ``transfers`` to ``assignment``, append them to
+    ``log`` as one move of ``kind`` and return it; the move's
+    ``bin1_weight`` is the head-bin load after the transfers."""
+    assignment.apply((tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in transfers)
+    move = Move(kind, transfers, assignment.bin_weight(0), **diag)
+    log.append(move)
+    return move
 
 
 @dataclass
@@ -154,7 +162,9 @@ class DescentTrace:
     def replay(self, initial: Assignment) -> Assignment:
         out = initial.copy()
         for mv in self.moves:
-            _apply(out, mv)
+            out.apply(
+                (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in mv.transfers
+            )
         return out
 
     def __len__(self) -> int:
@@ -184,11 +194,14 @@ class SolverConfig:
     ``r`` is the matching richness threshold and ``N`` the target top-ball
     count in the head bin; both default to values that make the engine
     provably terminating once the multiplicity clears its threshold
-    (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working problem). Below the
-    threshold no bin may be that rich: a stage that stalls in the matching
-    or the shrinking step restarts from its start state with both values
-    halved, rounded up, down to 1. ``fallback_to_oracle`` hands a stalled
-    instance to the exact search under its default node budget.
+    (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working problem), and
+    ``max_rounds`` defaults to ``d*w1 + n + 2``. :meth:`resolved` fills the
+    unset values in for one working problem; each stage attempt resolves
+    once and hands the steps plain numbers. Below the threshold no bin may
+    be that rich: a stage that stalls in the matching or the shrinking step
+    restarts from its start state with the resolved ``r`` and ``N`` halved,
+    rounded up, down to 1. ``fallback_to_oracle`` hands a stalled instance
+    to the exact search under its default node budget.
     """
 
     r: int | None = None
@@ -196,18 +209,15 @@ class SolverConfig:
     max_rounds: int | None = None
     fallback_to_oracle: bool = False
 
-    def resolved_r(self, n: int, top_weight: int) -> int:
-        return self.r if self.r is not None else 2 * n * top_weight
-
-    def resolved_N(self, n: int, top_weight: int) -> int:
-        if self.N is not None:
-            return self.N
-        return (n - 1) * n * self.resolved_r(n, top_weight)
-
-    def resolved_max_rounds(self, d: int, top_weight: int, n: int) -> int:
-        if self.max_rounds is not None:
-            return self.max_rounds
-        return d * top_weight + n + 2
+    def resolved(self, inst: Instance) -> "SolverConfig":
+        """This config with every unset tunable at its default for ``inst``."""
+        n, top = inst.n, inst.weights[0]
+        r = self.r if self.r is not None else 2 * n * top
+        N = self.N if self.N is not None else (n - 1) * n * r
+        max_rounds = self.max_rounds
+        if max_rounds is None:
+            max_rounds = inst.d * top + n + 2
+        return SolverConfig(r, N, max_rounds, self.fallback_to_oracle)
 
 
 def position_values(assignment: Assignment) -> list[int]:
@@ -226,7 +236,7 @@ def _bin_gap(assignment: Assignment, capacities: CapacityProfile, b: int) -> int
 def relief_swap(
     assignment: Assignment,
     capacities: CapacityProfile,
-    sink: list | None = None,
+    log: list,
     *,
     limit: int = 1,
 ) -> Move | None:
@@ -265,28 +275,18 @@ def relief_swap(
                 q = min(
                     limit, tops, held, (gap - top) // step + 1, -(-excess // step)
                 )
-                move = Move(
-                    kind=KIND_RELIEF,
-                    transfers=(
-                        Transfer(top, q, 1, b),
-                        Transfer(value, q, b, 1),
-                    ),
-                    bin1_weight=assignment.bin_weight(0) - q * step,
+                return _record(
+                    assignment,
+                    log,
+                    KIND_RELIEF,
+                    (Transfer(top, q, 1, b), Transfer(value, q, b, 1)),
                     j=b,
                 )
-                _apply(assignment, move)
-                if sink is not None:
-                    sink.append(move)
-                return move
     return None
 
 
-def boost_top_count(
-    assignment: Assignment,
-    cfg: SolverConfig,
-    sink: list | None = None,
-) -> list[Move]:
-    """Raise the top-ball count of bin 1 to the configured target ``N``.
+def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
+    """Raise the top-ball count of bin 1 to the target ``N``.
 
     Repeats a three-way exchange with some bin rich in top balls that keeps
     both bin loads and cardinalities unchanged while strictly increasing the
@@ -296,10 +296,8 @@ def boost_top_count(
     values = position_values(assignment)
     n = assignment.n
     top = assignment.class_values[0]
-    target = cfg.resolved_N(n, top)
-    moves: list[Move] = []
     guard = 0
-    while assignment.counts[0][0] < target:
+    while assignment.counts[0][0] < N:
         guard += 1
         if guard > assignment.d + 1:
             raise StallError("boost", "exchange loop exceeded its iteration bound")
@@ -312,7 +310,7 @@ def boost_top_count(
             raise StallError(
                 "boost",
                 f"bin 1 holds no non-top value with at least {top} balls; "
-                f"top count stuck at {assignment.counts[0][0]} < {target}",
+                f"top count stuck at {assignment.counts[0][0]} < {N}",
             )
         rbin = max(
             range(2, n + 1), key=lambda b: (assignment.counts[0][b - 1], -b)
@@ -340,29 +338,24 @@ def boost_top_count(
         k_index = values.index(wk) + 1
         t_index = values.index(wt) + 1
         before = (assignment.bin_weight(0), assignment.bin_weight(rbin - 1))
-        move = Move(
-            kind=KIND_BOOST,
-            transfers=(
+        move = _record(
+            assignment,
+            log,
+            KIND_BOOST,
+            (
                 Transfer(wk, top - wt, 1, rbin),
                 Transfer(wt, top - wk, rbin, 1),
                 Transfer(top, wk - wt, rbin, 1),
             ),
-            bin1_weight=before[0],
             i=k_index,
             j=rbin,
             t=t_index,
         )
-        _apply(assignment, move)
-        after = (assignment.bin_weight(0), assignment.bin_weight(rbin - 1))
-        if before != after:
+        if (move.bin1_weight, assignment.bin_weight(rbin - 1)) != before:
             raise AssertionError("three-way exchange changed a bin load")
-        moves.append(move)
-        if sink is not None:
-            sink.append(move)
-    return moves
 
 
-def find_permutation(assignment: Assignment, cfg: SolverConfig) -> MatchingPermutation:
+def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
     """Pair every weight index 2..n with a distinct bin holding at least
     ``r`` balls of that weight, via augmenting-path bipartite matching.
 
@@ -371,8 +364,6 @@ def find_permutation(assignment: Assignment, cfg: SolverConfig) -> MatchingPermu
     """
     values = position_values(assignment)
     n = assignment.n
-    top = assignment.class_values[0]
-    r = cfg.resolved_r(n, top)
     adj: dict[int, list[int]] = {}
     for i in range(2, n + 1):
         c = assignment.class_index(values[i - 1])
@@ -422,8 +413,8 @@ def shrink_gaps(
     capacities: CapacityProfile,
     perm: MatchingPermutation,
     gaps: WeightGapProfile,
-    sink: list | None = None,
-) -> list[Move]:
+    log: list,
+) -> None:
     """Drive the slack of every bin beyond 1 below its weight-profile gap.
 
     Works in two sweeps over weight indices, each routed through ``perm``.
@@ -447,22 +438,12 @@ def shrink_gaps(
     n = assignment.n
     top = assignment.class_values[0]
     second = gaps.second_largest
-    moves: list[Move] = []
-
-    def record(move: Move) -> None:
-        _apply(assignment, move)
-        moves.append(move)
-        if sink is not None:
-            sink.append(move)
 
     def w(i: int) -> int:
         return values[i - 1]
 
     def gbin(b: int) -> int:
         return _bin_gap(assignment, capacities, b)
-
-    def w1() -> int:
-        return assignment.bin_weight(0)
 
     # Upward sweep over indices strictly below the second-largest weight.
     i = n
@@ -473,31 +454,26 @@ def shrink_gaps(
             bi, bj = perm.bin_for(i), perm.bin_for(j)
             _need(assignment, w(i), bi, 1, KIND_CHAIN)
             _need(assignment, pred, bj, 1, KIND_CHAIN)
-            record(
-                Move(
-                    kind=KIND_CHAIN,
-                    transfers=(Transfer(w(i), 1, bi, bj), Transfer(pred, 1, bj, bi)),
-                    bin1_weight=w1(),
-                    i=i,
-                    j=j,
-                )
+            _record(
+                assignment,
+                log,
+                KIND_CHAIN,
+                (Transfer(w(i), 1, bi, bj), Transfer(pred, 1, bj, bi)),
+                i=i,
+                j=j,
             )
             if gbin(bj) >= top:
                 _need(assignment, top, 1, 1, KIND_CHAIN_EXIT)
                 _need(assignment, w(i), bj, 1, KIND_CHAIN_EXIT)
-                record(
-                    Move(
-                        kind=KIND_CHAIN_EXIT,
-                        transfers=(
-                            Transfer(top, 1, 1, bj),
-                            Transfer(w(i), 1, bj, 1),
-                        ),
-                        bin1_weight=w1() - top + w(i),
-                        i=i,
-                        j=j,
-                    )
+                _record(
+                    assignment,
+                    log,
+                    KIND_CHAIN_EXIT,
+                    (Transfer(top, 1, 1, bj), Transfer(w(i), 1, bj, 1)),
+                    i=i,
+                    j=j,
                 )
-                return moves
+                return
         i -= 1
 
     # Downward sweep over the top block.
@@ -537,42 +513,34 @@ def shrink_gaps(
                 _need(assignment, second, bj, t + 1, KIND_BLOCK)
                 _need(assignment, top, bi, t, KIND_BLOCK)
                 _need(assignment, wl, bi, 1, KIND_BLOCK)
-                record(
-                    Move(
-                        kind=KIND_BLOCK,
-                        transfers=(
-                            Transfer(second, t + 1, bj, bi),
-                            Transfer(top, t, bi, bj),
-                            Transfer(wl, 1, bi, bj),
-                        ),
-                        bin1_weight=w1(),
-                        i=i,
-                        j=j,
-                        l=l,
-                        t=t,
-                    )
+                _record(
+                    assignment,
+                    log,
+                    KIND_BLOCK,
+                    (
+                        Transfer(second, t + 1, bj, bi),
+                        Transfer(top, t, bi, bj),
+                        Transfer(wl, 1, bi, bj),
+                    ),
+                    i=i,
+                    j=j,
+                    l=l,
+                    t=t,
                 )
             else:
                 _need(assignment, top, 1, 1, KIND_TOP_EXIT)
-                record(
-                    Move(
-                        kind=KIND_TOP_EXIT,
-                        transfers=(
-                            Transfer(top, 1, 1, bi),
-                            Transfer(second, 1, bi, 1),
-                        ),
-                        bin1_weight=w1() - top + second,
-                        i=i,
-                    )
+                _record(
+                    assignment,
+                    log,
+                    KIND_TOP_EXIT,
+                    (Transfer(top, 1, 1, bi), Transfer(second, 1, bi, 1)),
+                    i=i,
                 )
-                return moves
+                return
         i += 1
-    return moves
 
 
-def normalize_suffix(
-    inst: Instance, i: int, prev: Assignment, sink: list | None = None
-) -> Assignment:
+def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> None:
     """Make bins ``i..n`` hold exactly the suffix supply, in place.
 
     ``prev`` must be i-feasible (bins beyond ``i`` within capacity). Balls of
@@ -608,49 +576,49 @@ def normalize_suffix(
             prev.counts[c_plus][src],
             prev.counts[c_minus][dst],
         )
-        move = Move(
-            kind=KIND_NORMALIZE,
-            transfers=(
+        _record(
+            prev,
+            log,
+            KIND_NORMALIZE,
+            (
                 Transfer(prev.class_values[c_plus], q, src + 1, dst + 1),
                 Transfer(prev.class_values[c_minus], q, dst + 1, src + 1),
             ),
-            bin1_weight=prev.bin_weight(0),
             stage=i,
         )
-        _apply(prev, move)
         excess[c_plus] -= q
         excess[c_minus] += q
-        if sink is not None:
-            sink.append(move)
-    return prev
 
 
 def descend(
     inst: Instance,
     assignment: Assignment,
     cfg: SolverConfig,
-    sink: list | None = None,
+    log: list,
 ) -> int:
     """Lower the load of bin 1 until it fits; rounds count unit improvements.
 
     ``assignment`` must be 1-feasible for ``inst`` and hold exactly its
-    supply. Returns the number of rounds: a batched relief move of ``q`` unit
-    swaps counts as ``q`` rounds, any other round as one, and ``max_rounds``
-    caps that count. Raises :class:`StallError` when no exchange applies,
+    supply; its moves are appended to ``log``. ``cfg`` is resolved for
+    ``inst`` once, and the steps get its ``r`` and ``N`` as plain numbers.
+    Returns the number of rounds: a batched relief move of ``q`` unit swaps
+    counts as ``q`` rounds, any other round as one, and ``max_rounds`` caps
+    that count. Raises :class:`StallError` when no exchange applies,
     which the theory rules out once the multiplicity clears its threshold and
     the total-slack condition holds; the error's ``rounds`` holds the rounds
     made before the stall.
     """
+    cfg = cfg.resolved(inst)
     C = inst.capacities
     top = inst.weights[0]
-    max_rounds = cfg.resolved_max_rounds(inst.d, top, inst.n)
+    max_rounds = cfg.max_rounds
     gaps = None  # built on the first shrinking round; fixed for the descent
     rounds = 0
     try:
         while assignment.bin_weight(0) > C[0]:
             if rounds >= max_rounds:
                 raise StallError("descend", f"no convergence after {rounds} rounds")
-            move = relief_swap(assignment, C, sink, limit=max_rounds - rounds)
+            move = relief_swap(assignment, C, log, limit=max_rounds - rounds)
             if move is not None:
                 rounds += move.transfers[0].count
                 continue
@@ -662,7 +630,7 @@ def descend(
                     f"{inst.d * top}, bin 1 has {C[0]}",
                 )
             try:
-                boost_top_count(assignment, cfg, sink)
+                boost_top_count(assignment, cfg.N, log)
             except StallError:
                 # The exchange ran out of material before the target count. The
                 # shrinking pass only needs a top ball in bin 1 for its exit
@@ -670,13 +638,13 @@ def descend(
                 # progress) is the decisive signal.
                 if assignment.counts[0][0] == 0:
                     raise
-            if relief_swap(assignment, C, sink) is not None:
+            if relief_swap(assignment, C, log) is not None:
                 continue
-            perm = find_permutation(assignment, cfg)
+            perm = find_permutation(assignment, cfg.r)
             if gaps is None:
                 gaps = weight_gap_profile(inst.weights)
             before = assignment.bin_weight(0)
-            shrink_gaps(assignment, C, perm, gaps, sink)
+            shrink_gaps(assignment, C, perm, gaps, log)
             if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > C[0]:
                 raise StallError(
                     "descend",
@@ -690,27 +658,28 @@ def descend(
 
 
 def _descend_stage(
-    inst: Instance, assignment: Assignment, cfg: SolverConfig, sink: list
+    inst: Instance, assignment: Assignment, cfg: SolverConfig, log: list
 ) -> int:
     """:func:`descend` one stage; after a matching or shrinking stall, undo
-    the attempt's moves (latest first, emptying ``sink``) and restart it with
-    ``r`` and ``N`` halved, rounded up. The stall at ``r = N = 1`` is raised.
+    the attempt's moves (latest first, emptying ``log``) and restart it with
+    the attempt's resolved ``r`` and ``N`` halved, rounded up. The stall at
+    ``r = N = 1`` is raised.
     """
     attempt = cfg
     while True:
         try:
-            return descend(inst, assignment, attempt, sink)
+            return descend(inst, assignment, attempt, log)
         except StallError as stall:
-            r = attempt.resolved_r(inst.n, inst.weights[0])
-            N = attempt.resolved_N(inst.n, inst.weights[0])
+            attempt = attempt.resolved(inst)
+            r, N = attempt.r, attempt.N
             if stall.op not in ("matching", "shrink_gaps") or max(r, N) <= 1:
                 raise
-        for mv in reversed(sink):
+        for mv in reversed(log):
             assignment.apply(
                 (tr.value, tr.count, tr.dst - 1, tr.src - 1) for tr in mv.transfers
             )
-        sink.clear()
-        attempt = replace(cfg, r=-(-r // 2), N=-(-N // 2))
+        log.clear()
+        attempt = replace(attempt, r=-(-r // 2), N=-(-N // 2))
 
 
 @dataclass

@@ -163,8 +163,13 @@ def test_criterion_5_trace_regressions():
 
     def run_six():
         a = Assignment.from_bins(w6, 6, start6)
-        moves = shrink_gaps(
-            a, caps6, MatchingPermutation((1, 4, 2, 3, 6, 5)), weight_gap_profile(w6)
+        moves = []
+        shrink_gaps(
+            a,
+            caps6,
+            MatchingPermutation((1, 4, 2, 3, 6, 5)),
+            weight_gap_profile(w6),
+            moves,
         )
         return a, moves
 
@@ -183,8 +188,13 @@ def test_criterion_5_trace_regressions():
 
     def run_five():
         a = Assignment.from_bins(w5, 5, start5)
-        moves = shrink_gaps(
-            a, caps5, MatchingPermutation((1, 2, 3, 4, 5)), weight_gap_profile(w5)
+        moves = []
+        shrink_gaps(
+            a,
+            caps5,
+            MatchingPermutation((1, 2, 3, 4, 5)),
+            weight_gap_profile(w5),
+            moves,
         )
         return a, moves
 

@@ -87,6 +87,21 @@ class TestInstanceFormat:
         with pytest.raises(InstanceFormatError, match="line 3"):
             parse_instance("d: 1\nw: 3 1\nC: 4 x\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("d: 1\nw: 3 -1\nC: 4 4\n", "line 2: weights must be non-negative"),
+            ("C: 4 4\nd: 1\nw: 3 -1\n", "line 3: weights must be non-negative"),
+            ("d: 1\nw: 3 1\nC: 4 5\n", "line 3: C not non-increasing at position 2"),
+            ("d: 1\nw:\nC: 4\n", "line 2: weight profile must have at least one"),
+        ],
+        ids=["negative-weight", "negative-weight-last", "rising-C", "empty-w"],
+    )
+    def test_profile_errors_name_their_line(self, text, message):
+        # The profile constructors check the values; the parser adds the line.
+        with pytest.raises(InstanceFormatError, match=f"^{message}"):
+            parse_instance(text)
+
     def test_duplicate_key(self):
         with pytest.raises(InstanceFormatError, match="duplicate key 'd'"):
             parse_instance("d: 1\nd: 2\nw: 1\nC: 1\n")
@@ -358,6 +373,12 @@ class TestExitCodeContract:
             ["solve", "{file}", "--max-rounds", "0"],
             ["solve", "{file}", "--max-rounds", "-1"],
             ["witness", "--w", "3", "1"],
+            ["oracle", "{file}", "--wmin", "--k", "1"],
+            ["oracle", "{file}", "--k", "0", "--wmin"],
+            ["bench", "--w", "3", "1", "--d-min", "0", "--d-max", "2", "--mode",
+             "tight"],
+            ["bench", "--w", "3", "1", "--d-min", "1", "--d-max", "-1", "--mode",
+             "tight"],
         ],
         ids=[
             "no-command",
@@ -372,6 +393,10 @@ class TestExitCodeContract:
             "zero-max-rounds",
             "negative-max-rounds",
             "missing-d",
+            "wmin-with-k",
+            "k-zero-with-wmin",
+            "zero-d-min",
+            "negative-d-max",
         ],
     )
     def test_usage_errors_are_input_errors(self, argv, six_bin_file, capsys):
@@ -386,6 +411,21 @@ class TestExitCodeContract:
         lines = captured.err.splitlines()
         assert lines[0].startswith("usage: hmbp")
         assert lines[-1].startswith("hmbp") and ": error: " in lines[-1]
+
+    def test_bad_d_range_leaves_the_output_untouched(self, tmp_path, capsys):
+        # The range is checked while parsing, before --out is opened.
+        out_path = tmp_path / "rows.csv"
+        out_path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "bench", "--w", "3", "1", "--d-min", "0", "--d-max", "2",
+                    "--mode", "tight", "--out", str(out_path),
+                ]
+            )
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "--d-min: must be at least 1, got 0" in capsys.readouterr().err
+        assert out_path.read_text(encoding="utf-8") == "kept\n"
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -72,7 +72,8 @@ class TestShrinkGapsTraces:
         """The canonical six-bin run: two chain swaps, then a top exit."""
         a = six_bin_start()
         perm = MatchingPermutation((1, 4, 2, 3, 6, 5))
-        moves = shrink_gaps(a, SIX_C, perm, weight_gap_profile(SIX_W))
+        moves = []
+        shrink_gaps(a, SIX_C, perm, weight_gap_profile(SIX_W), moves)
         steps = [(m.kind, m.i, m.j) for m in moves]
         assert steps == [
             (KIND_CHAIN, 6, 5),
@@ -103,7 +104,8 @@ class TestShrinkGapsTraces:
             w, 5, [{5: 5}, {5: 4, 0: 1}, {5: 4, 0: 1}, {5: 2, 1: 3}, {1: 2, 0: 3}]
         )
         perm = MatchingPermutation((1, 2, 3, 4, 5))
-        moves = shrink_gaps(a, caps, perm, weight_gap_profile(w))
+        moves = []
+        shrink_gaps(a, caps, perm, weight_gap_profile(w), moves)
         steps = [(m.kind, m.i, m.j, m.l, m.t) for m in moves]
         assert steps == [
             (KIND_BLOCK, 2, 4, 5, 0),
@@ -121,7 +123,8 @@ class TestShrinkGapsTraces:
         a = Assignment.from_bins(w, 4, [{3: 3, 1: 1}, {3: 1, 1: 3}])
         caps = CapacityProfile((9, 7))  # gap of bin 2 is 1 < gap_at(2) = 2
         perm = MatchingPermutation((1, 2))
-        moves = shrink_gaps(a, caps, perm, weight_gap_profile(w))
+        moves = []
+        shrink_gaps(a, caps, perm, weight_gap_profile(w), moves)
         assert moves == []
         assert a == Assignment.from_bins(w, 4, [{3: 3, 1: 1}, {3: 1, 1: 3}])
 
@@ -149,7 +152,8 @@ class TestShrinkGapsTraces:
             perm_order = [1] + sorted(range(2, n + 1), key=lambda _: rng.random())
             perm = MatchingPermutation(tuple(perm_order))
             try:
-                moves = shrink_gaps(a, caps, perm, weight_gap_profile(wp))
+                moves = []
+                shrink_gaps(a, caps, perm, weight_gap_profile(wp), moves)
             except StallError:
                 continue
             chain_by_i = {}
@@ -180,7 +184,8 @@ class TestBoost:
             ],
         )
         weights_before = [a.bin_weight(j) for j in range(6)]
-        moves = boost_top_count(a, SolverConfig(N=2, r=2))
+        moves = []
+        boost_top_count(a, 2, moves)
         assert len(moves) == 1
         assert a.bin_notation(0) == "5^2 3^2 1^2"
         assert a.bin_notation(1) == "5^1 3^4 0^1"
@@ -189,19 +194,23 @@ class TestBoost:
 
     def test_identity_when_target_met(self):
         a = six_bin_start()
-        assert boost_top_count(a, SolverConfig(N=2)) == []
+        moves = []
+        boost_top_count(a, 2, moves)
+        assert moves == []
         assert a == six_bin_start()
 
     def test_identity_when_bin1_all_top(self):
         w = WeightProfile((4, 4, 1))
         a = Assignment.from_bins(w, 3, [{4: 3}, {4: 3}, {1: 3}])
-        assert boost_top_count(a, SolverConfig(N=3)) == []
+        moves = []
+        boost_top_count(a, 3, moves)
+        assert moves == []
 
     def test_stall_carries_detail(self):
         w = WeightProfile((3, 1))
         a = Assignment.from_bins(w, 2, [{3: 2}, {1: 2}])
         with pytest.raises(StallError, match="boost"):
-            boost_top_count(a, SolverConfig(N=3))
+            boost_top_count(a, 3, [])
 
     def test_count_rises_across_random_runs(self):
         rng = random.Random(31)
@@ -212,7 +221,8 @@ class TestBoost:
             a = Assignment.from_bins(w, d, bins)
             before = a.counts[0][0]
             try:
-                moves = boost_top_count(a, SolverConfig(N=rng.randint(1, d), r=1))
+                moves = []
+                boost_top_count(a, rng.randint(1, d), moves)
             except StallError:
                 continue
             assert a.counts[0][0] >= before + len(moves) * 0  # no decrease
@@ -224,7 +234,7 @@ class TestBoost:
 class TestMatching:
     def test_worked_example_yields_valid_permutation(self):
         a = six_bin_start()
-        perm = find_permutation(a, SolverConfig(r=2))
+        perm = find_permutation(a, 2)
         values = position_values(a)
         assert perm.order[0] == 1
         assert sorted(perm.order) == [1, 2, 3, 4, 5, 6]
@@ -234,14 +244,14 @@ class TestMatching:
     def test_rich_assignment_has_matching(self):
         w = WeightProfile((2, 1))
         a = Assignment.from_bins(w, 6, [{2: 3, 1: 3}, {2: 3, 1: 3}])
-        perm = find_permutation(a, SolverConfig(r=3))
+        perm = find_permutation(a, 3)
         assert perm.order == (1, 2)
 
     def test_hall_violation_names_deficient_set(self):
         w = WeightProfile((2, 1))
         a = Assignment.from_bins(w, 3, [{2: 2, 1: 1}, {2: 1, 1: 2}])
         with pytest.raises(StallError) as exc:
-            find_permutation(a, SolverConfig(r=3))
+            find_permutation(a, 3)
         assert exc.value.deficient == (2,)
 
     def test_permutation_validation(self):
@@ -256,7 +266,7 @@ class TestReliefSwap:
         w = WeightProfile((3, 1))
         a = Assignment.from_bins(w, 4, [{3: 4}, {1: 4}])
         caps = CapacityProfile((11, 8))
-        move = relief_swap(a, caps)
+        move = relief_swap(a, caps, [])
         assert move is not None and move.kind == KIND_RELIEF
         assert a.bin_weight(0) == 10
         assert is_k_feasible(a, caps, 1)
@@ -265,25 +275,25 @@ class TestReliefSwap:
         w = WeightProfile((3, 1, 1))
         a = Assignment.from_bins(w, 8, [{3: 8}, {1: 8}, {1: 8}])
         caps = CapacityProfile((18, 18, 18))  # excess 6 at step 2: three swaps
-        move = relief_swap(a, caps, limit=10)
+        move = relief_swap(a, caps, [], limit=10)
         assert [(tr.value, tr.count) for tr in move.transfers] == [(3, 3), (1, 3)]
         assert move.bin1_weight == a.bin_weight(0) == 18
-        assert relief_swap(a, caps, limit=10) is None
+        assert relief_swap(a, caps, [], limit=10) is None
         with pytest.raises(SolverUsageError):
-            relief_swap(a, caps, limit=0)
+            relief_swap(a, caps, [], limit=0)
 
     def test_absent_without_large_gap(self):
         w = WeightProfile((3, 1))
         a = Assignment.from_bins(w, 4, [{3: 4}, {1: 4}])
         caps = CapacityProfile((11, 6))  # gap 2 < w1
-        assert relief_swap(a, caps) is None
+        assert relief_swap(a, caps, []) is None
 
     def test_absent_without_top_ball_in_bin1(self):
         w = WeightProfile((5, 3, 3, 0))
         a = Assignment.from_bins(w, 4, [{3: 4}, {5: 4}, {3: 4}, {0: 4}])
         caps = CapacityProfile((11, 10, 9, 8))
         assert a.bin_weight(0) > caps[0]
-        assert relief_swap(a, caps) is None
+        assert relief_swap(a, caps, []) is None
 
     def test_preserves_one_feasibility_randomized(self):
         rng = random.Random(41)
@@ -316,7 +326,7 @@ class TestReliefSwap:
             caps = CapacityProfile((a.bin_weight(0) - 1,) + (crest,) * (n - 1))
             assert is_k_feasible(a, caps, 1)
             before = a.bin_weight(0)
-            move = relief_swap(a, caps)
+            move = relief_swap(a, caps, [])
             if move is None:
                 assert a.counts[0][0] == 0 or top == 0
                 continue
@@ -374,7 +384,7 @@ class TestNormalizeSuffix:
             if not is_k_feasible(a, caps, i):
                 continue
             before = [a.bin_weight(j) for j in range(n)]
-            normalize_suffix(inst, i, a)
+            normalize_suffix(inst, i, a, [])
             # bins i..n now hold exactly the suffix supply
             for c, v in enumerate(a.class_values):
                 want = d * sum(1 for x in w[i - 1 :] if x == v)
@@ -388,19 +398,19 @@ class TestNormalizeSuffix:
         a = Assignment.from_bins(w, 2, [{1: 2}, {3: 2}])
         inst = Instance(2, w, CapacityProfile((6, 2)))
         with pytest.raises(SolverUsageError, match="not 1-feasible"):
-            normalize_suffix(inst, 1, a)
+            normalize_suffix(inst, 1, a, [])
 
 
 class TestDescendAndSolve:
     def test_zero_rounds_when_feasible(self):
         inst = make_instance(2, (2, 1), (10, 10))
         a = Assignment.diagonal(inst.weights, 2)
-        assert descend(inst, a, SolverConfig()) == 0
+        assert descend(inst, a, SolverConfig(), []) == 0
 
     def test_descend_from_canonical_start(self):
         inst = make_instance(6, SIX_W.entries, SIX_C.entries)
         a = six_bin_start()
-        rounds = descend(inst, a, SolverConfig(r=2))
+        rounds = descend(inst, a, SolverConfig(r=2), [])
         assert rounds >= 1
         assert is_k_feasible(a, SIX_C, 0)
 
@@ -435,15 +445,13 @@ class TestDescendAndSolve:
         attempts, discarded = [], []
         original = hmbp.solver.descend
 
-        def recording_descend(inst, assignment, cfg, sink):
-            top = inst.weights[0]
-            attempts.append(
-                (inst.n, cfg.resolved_r(inst.n, top), cfg.resolved_N(inst.n, top))
-            )
+        def recording_descend(inst, assignment, cfg, log):
+            resolved = cfg.resolved(inst)
+            attempts.append((inst.n, resolved.r, resolved.N))
             try:
-                return original(inst, assignment, cfg, sink)
+                return original(inst, assignment, cfg, log)
             except StallError:
-                discarded.append(len(sink))
+                discarded.append(len(log))
                 raise
 
         monkeypatch.setattr(hmbp.solver, "descend", recording_descend)
@@ -645,7 +653,7 @@ class TestBatchedRelief:
         monkeypatch.setattr(
             hmbp.solver,
             "relief_swap",
-            lambda a, caps, sink=None, *, limit=1: single(a, caps, sink),
+            lambda a, caps, log, *, limit=1: single(a, caps, log),
         )
         reference = outcomes()
 
@@ -885,6 +893,46 @@ def test_solve_replays_parity_fixture():
         if got != want:
             mismatches.append(r["key"])
     assert mismatches == []
+
+
+def _head_loads(initial, moves, head):
+    """The load of bin ``head(move)`` right after each of ``moves``, replayed
+    from a copy of ``initial``."""
+    a = initial.copy()
+    loads = []
+    for mv in moves:
+        a.apply((tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in mv.transfers)
+        loads.append(a.bin_weight(head(mv) - 1))
+    return loads
+
+
+def test_each_move_logs_the_head_load_after_it():
+    # normalize_suffix works on the whole assignment, so its head bin is
+    # bin 1; a solve logs stage s with full-instance bins, so the head bin of
+    # its stage-s moves is bin s. The normalize move below takes bin 1 from
+    # 6 to 12.
+    w = WeightProfile((4, 2, 1))
+    start = Assignment.from_bins(w, 3, [{2: 3}, {4: 3}, {1: 3}])
+    a = start.copy()
+    moves = []
+    normalize_suffix(Instance(3, w, CapacityProfile((12, 12, 3))), 2, a, moves)
+    assert [mv.bin1_weight for mv in moves] == [12]
+    assert _head_loads(start, moves, lambda mv: 1) == [12]
+
+    records = json.loads(SOLVE_PARITY.read_text(encoding="utf-8"))["records"]
+    solves = moved = 0
+    for r in records:
+        if r["status"] != "feasible":
+            continue
+        inst = make_instance(r["d"], r["w"], r["C"])
+        moves = solve(inst, SolverConfig(**r["cfg"])).trace.moves
+        start = Assignment.diagonal(inst.weights, inst.d)
+        loads = _head_loads(start, moves, lambda mv: mv.stage)
+        assert [mv.bin1_weight for mv in moves] == loads, r["key"]
+        solves += 1
+        moved += len(moves)
+    assert solves == 362
+    assert moved >= 1000
 
 
 def test_family_slice_solver_feasible_is_oracle_feasible():

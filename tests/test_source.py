@@ -108,6 +108,33 @@ def test_every_parameter_is_read():
     assert found == []
 
 
+def test_solver_moves_take_one_path():
+    # One helper applies, measures and logs every solver move: Move is built
+    # only there and in Move.shifted, and no step takes an optional log.
+    path = Path(hmbp.__file__).with_name("solver.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    builders, optional_logs = set(), []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if "Move" in _called_names(fn):
+            builders.add(fn.name)
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        defaults = list(zip(positional[first:], a.defaults))
+        defaults += list(zip(a.kwonlyargs, a.kw_defaults))
+        optional_logs += [
+            f"{fn.name}({arg.arg})"
+            for arg, default in defaults
+            if arg.arg in ("log", "sink")
+            and isinstance(default, ast.Constant)
+            and default.value is None
+        ]
+    assert builders == {"_record", "shifted"}
+    assert optional_logs == []
+
+
 PUBLIC_NAMES = [
     "Assignment",
     "BudgetExceeded",
