@@ -13,7 +13,7 @@ in the tens of thousands cost nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 
@@ -224,7 +224,6 @@ class WeightGapProfile:
 
     gaps: tuple[int, ...]
     second_largest: int
-    predecessor_of: dict[int, int] = field(repr=False)
 
     def gap_at(self, i: int) -> int:
         """Gap for weight position ``i`` (1-based, 2 <= i <= n)."""
@@ -243,11 +242,7 @@ def weight_gap_profile(w: WeightProfile) -> WeightGapProfile:
     for i in range(2, w.n + 1):
         v = w.entries[i - 1]
         gaps.append(top - second if v == top else predecessor[v] - v)
-    return WeightGapProfile(
-        gaps=tuple(gaps),
-        second_largest=second,
-        predecessor_of=predecessor,
-    )
+    return WeightGapProfile(gaps=tuple(gaps), second_largest=second)
 
 
 class Assignment:
@@ -334,8 +329,12 @@ class Assignment:
         """Apply a balanced group of transfers ``(value, count, src, dst)``.
 
         The group must preserve every bin's cardinality; anything else is a
-        programming error in the caller and raises immediately.
+        programming error in the caller and raises. Transfers take effect in
+        order (a ball moved in may move on), but the whole group is checked
+        before any count changes, so a rejected group leaves the assignment
+        as it was.
         """
+        staged = []  # (class, count, src, dst) of the checked transfers
         delta = [0] * self.n
         for value, q, src, dst in transfers:
             if q < 0:
@@ -343,19 +342,25 @@ class Assignment:
             if q == 0:
                 continue
             c = self.class_index(value)
-            if self.counts[c][src] < q:
+            held = self.counts[c][src]
+            for c2, q2, src2, dst2 in staged:
+                if c2 == c:
+                    held += (q2 if dst2 == src else 0) - (q2 if src2 == src else 0)
+            if held < q:
                 raise ProfileError(
-                    f"bin {src + 1} holds {self.counts[c][src]} balls of value "
-                    f"{value}, cannot move {q}"
+                    f"bin {src + 1} holds {held} balls of value {value}, "
+                    f"cannot move {q}"
                 )
-            self.counts[c][src] -= q
-            self.counts[c][dst] += q
-            self._bin_weights[src] -= value * q
-            self._bin_weights[dst] += value * q
+            staged.append((c, q, src, dst))
             delta[src] -= q
             delta[dst] += q
         if any(delta):
             raise ProfileError(f"unbalanced transfer group: bin deltas {delta}")
+        for c, q, src, dst in staged:
+            self.counts[c][src] -= q
+            self.counts[c][dst] += q
+            self._bin_weights[src] -= self.class_values[c] * q
+            self._bin_weights[dst] += self.class_values[c] * q
 
     def prepend_bin(self, value: int) -> None:
         """Insert a new bin 0 holding ``d`` balls of ``value``; the old bins

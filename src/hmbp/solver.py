@@ -14,9 +14,15 @@ until it fits, using three kinds of ball exchanges:
 * a weight-preserving three-way exchange that raises the number of top-weight
   balls in the head bin (so the matching step below has material to work with),
 * a gap-shrinking pass routed through a permutation that pairs every weight
-  index with a bin rich in that weight (found via bipartite matching), which
-  either frees the head bin directly or drives every other bin's slack below
-  its weight-profile gap.
+  position with a bin rich in that weight (found via bipartite matching),
+  which either frees the head bin directly or drives every other bin's slack
+  below its weight-profile gap.
+
+The steps read the assignment's weight classes directly: class ``c`` holds
+the positions ``first[c] .. first[c+1] - 1``, where ``first`` is one O(m)
+table of cumulative multiplicities, and the gap of a position is the step
+from its class value up to the next larger one (the drop from the top to the
+second-largest value inside the top block).
 
 The finished assignment's row and column sums are validated from scratch
 once, with every capacity, before it is returned.
@@ -31,16 +37,10 @@ the engine got stuck, once ``r = N = 1`` stalls too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from . import oracle as _oracle
-from .core import (
-    Assignment,
-    CapacityProfile,
-    Instance,
-    WeightGapProfile,
-    is_k_feasible,
-    weight_gap_profile,
-)
+from .core import Assignment, CapacityProfile, Instance, is_k_feasible
 
 KIND_RELIEF = "relief-swap"
 KIND_BOOST = "boost-3way"
@@ -220,17 +220,11 @@ class SolverConfig:
         return SolverConfig(r, N, max_rounds, self.fallback_to_oracle)
 
 
-def position_values(assignment: Assignment) -> list[int]:
-    """Weight value at each 1-based position, reconstructed from supplies."""
-    out = []
-    for c, v in enumerate(assignment.class_values):
-        mult = assignment.class_supply[c] // assignment.d
-        out.extend([v] * mult)
-    return out
-
-
-def _bin_gap(assignment: Assignment, capacities: CapacityProfile, b: int) -> int:
-    return capacities[b - 1] - assignment.bin_weight(b - 1)
+def _first_positions(assignment: Assignment) -> list[int]:
+    """``first[c]``, the 1-based position where weight class ``c`` starts,
+    for every class, followed by ``first[m] = n + 1``."""
+    d = assignment.d
+    return list(accumulate((s // d for s in assignment.class_supply), initial=1))
 
 
 def relief_swap(
@@ -264,7 +258,7 @@ def relief_swap(
     if tops == 0:
         return None
     for b in range(2, assignment.n + 1):
-        gap = _bin_gap(assignment, capacities, b)
+        gap = capacities[b - 1] - assignment.bin_weight(b - 1)
         if gap < top:
             continue
         for c in range(assignment.m - 1, 0, -1):  # lightest value first
@@ -293,7 +287,7 @@ def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
     number of top balls in bin 1. Stalls when the exchange material runs out
     before the target, which can only happen below the multiplicity bound.
     """
-    values = position_values(assignment)
+    first = _first_positions(assignment)
     n = assignment.n
     top = assignment.class_values[0]
     guard = 0
@@ -335,8 +329,6 @@ def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
                 f"exchange against",
             )
         wt = assignment.class_values[t_class]
-        k_index = values.index(wk) + 1
-        t_index = values.index(wt) + 1
         before = (assignment.bin_weight(0), assignment.bin_weight(rbin - 1))
         move = _record(
             assignment,
@@ -347,9 +339,9 @@ def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
                 Transfer(wt, top - wk, rbin, 1),
                 Transfer(top, wk - wt, rbin, 1),
             ),
-            i=k_index,
+            i=first[k_class],
             j=rbin,
-            t=t_index,
+            t=first[t_class],
         )
         if (move.bin1_weight, assignment.bin_weight(rbin - 1)) != before:
             raise AssertionError("three-way exchange changed a bin load")
@@ -362,12 +354,13 @@ def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
     Any perfect matching is acceptable. When none exists, the stall error
     names a deficient index set whose joint neighborhood is too small.
     """
-    values = position_values(assignment)
+    first = _first_positions(assignment)
     n = assignment.n
     adj: dict[int, list[int]] = {}
-    for i in range(2, n + 1):
-        c = assignment.class_index(values[i - 1])
-        adj[i] = [j for j in range(2, n + 1) if assignment.counts[c][j - 1] >= r]
+    for c, row in enumerate(assignment.counts):
+        rich = [j for j in range(2, n + 1) if row[j - 1] >= r]
+        for i in range(max(first[c], 2), first[c + 1]):
+            adj[i] = rich
 
     match_right: dict[int, int] = {}
 
@@ -398,146 +391,105 @@ def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
     return MatchingPermutation(tuple(order))
 
 
-def _need(assignment: Assignment, value: int, b: int, count: int, step: str) -> None:
-    if assignment.count_of(value, b - 1) < count:
-        raise StallError(
-            "shrink_gaps",
-            f"bin {b} holds {assignment.count_of(value, b - 1)} balls of value "
-            f"{value}, step needs {count}",
-            step=step,
-        )
-
-
 def shrink_gaps(
     assignment: Assignment,
     capacities: CapacityProfile,
     perm: MatchingPermutation,
-    gaps: WeightGapProfile,
     log: list,
 ) -> None:
     """Drive the slack of every bin beyond 1 below its weight-profile gap.
 
-    Works in two sweeps over weight indices, each routed through ``perm``.
-    The upward sweep (indices below the second-largest weight) repeatedly
-    trades a ball for its predecessor value between the paired bins, pushing
-    slack toward heavier indices; if that ever opens a gap of at least the
-    top weight, a top ball leaves bin 1 and the pass exits early. The
-    downward sweep handles the top block: a paired bin lacking a
-    second-largest ball receives a block of them against top balls and one
-    lighter ball (sized so its slack stays non-negative); otherwise a single
-    top-for-second swap exits the pass. Either the pass exits early with a
-    strictly lower bin-1 load, or it completes with every paired slack below
-    its gap, which forces feasibility whenever the total-slack condition
-    holds.
+    Works in two sweeps over the assignment's weight classes, each position
+    ``i`` routed to bin ``perm.bin_for(i)``. The upward sweep runs over the
+    classes below the second-largest value, lightest first and each class's
+    positions last to first: while position ``i`` of class ``c`` has slack at
+    least ``values[c-1] - values[c]``, one of its balls trades for a
+    predecessor-value ball of position ``j = first[c] - 1``, pushing slack
+    toward heavier positions; if that ever opens a gap of at least the top
+    weight, a top ball leaves bin 1 and the pass exits early. The downward
+    sweep handles the top block, positions ``2 .. first[2] - 1`` with gap
+    ``top - second``: a paired bin lacking a second-largest ball receives a
+    block of them from position ``j = max(i + 1, first[1])`` against top
+    balls and one ball of its heaviest class below ``second`` (position
+    ``l``, the block sized so its slack stays non-negative); otherwise a
+    single top-for-second swap exits the pass. Either the pass exits early
+    with a strictly lower bin-1 load, or it completes with every paired slack
+    below its gap, which forces feasibility whenever the total-slack
+    condition holds.
 
-    All swaps preserve 1-feasibility. Raises a stall when a required ball is
-    missing, which cannot happen once every paired bin holds ``r >= n*w1``
-    balls of its weight.
+    All swaps preserve 1-feasibility. Each move's transfers are checked in
+    order before it is applied, and a missing ball raises a stall naming the
+    bin, value and count; that cannot happen once every paired bin holds
+    ``r >= n*w1`` balls of its weight. An assignment with a single weight
+    class has no gaps and is refused.
     """
-    values = position_values(assignment)
-    n = assignment.n
-    top = assignment.class_values[0]
-    second = gaps.second_largest
+    if assignment.m < 2:
+        raise SolverUsageError("shrink_gaps needs at least two weight classes")
+    values, counts = assignment.class_values, assignment.counts
+    first = _first_positions(assignment)
+    top, second = values[0], values[1]
 
-    def w(i: int) -> int:
-        return values[i - 1]
+    def slack(b: int) -> int:
+        return capacities[b - 1] - assignment.bin_weight(b - 1)
 
-    def gbin(b: int) -> int:
-        return _bin_gap(assignment, capacities, b)
-
-    # Upward sweep over indices strictly below the second-largest weight.
-    i = n
-    while i >= 2 and w(i) < second:
-        while gbin(perm.bin_for(i)) >= gaps.gap_at(i):
-            pred = gaps.predecessor_of[w(i)]
-            j = max(jj for jj in range(1, i) if values[jj - 1] == pred)
-            bi, bj = perm.bin_for(i), perm.bin_for(j)
-            _need(assignment, w(i), bi, 1, KIND_CHAIN)
-            _need(assignment, pred, bj, 1, KIND_CHAIN)
-            _record(
-                assignment,
-                log,
-                KIND_CHAIN,
-                (Transfer(w(i), 1, bi, bj), Transfer(pred, 1, bj, bi)),
-                i=i,
-                j=j,
-            )
-            if gbin(bj) >= top:
-                _need(assignment, top, 1, 1, KIND_CHAIN_EXIT)
-                _need(assignment, w(i), bj, 1, KIND_CHAIN_EXIT)
-                _record(
-                    assignment,
-                    log,
-                    KIND_CHAIN_EXIT,
-                    (Transfer(top, 1, 1, bj), Transfer(w(i), 1, bj, 1)),
-                    i=i,
-                    j=j,
+    def step(kind: str, transfers: tuple, **diag) -> None:
+        for tr in transfers:
+            held = assignment.count_of(tr.value, tr.src - 1)
+            if held < tr.count:
+                raise StallError(
+                    "shrink_gaps",
+                    f"bin {tr.src} holds {held} balls of value {tr.value}, "
+                    f"step needs {tr.count}",
+                    step=kind,
                 )
-                return
-        i -= 1
+        _record(assignment, log, kind, transfers, **diag)
+
+    # Upward sweep over the classes below the second-largest value.
+    for c in range(assignment.m - 1, 1, -1):
+        v, pred = values[c], values[c - 1]
+        j = first[c] - 1
+        bj = perm.bin_for(j)
+        for i in range(first[c + 1] - 1, first[c] - 1, -1):
+            bi = perm.bin_for(i)
+            while slack(bi) >= pred - v:
+                transfers = (Transfer(v, 1, bi, bj), Transfer(pred, 1, bj, bi))
+                step(KIND_CHAIN, transfers, i=i, j=j)
+                if slack(bj) >= top:
+                    transfers = (Transfer(top, 1, 1, bj), Transfer(v, 1, bj, 1))
+                    step(KIND_CHAIN_EXIT, transfers, i=i, j=j)
+                    return
 
     # Downward sweep over the top block.
-    i = 2
-    while i <= n and w(i) >= second:
-        while gbin(perm.bin_for(i)) >= gaps.gap_at(i):
-            bi = perm.bin_for(i)
-            if assignment.count_of(second, bi - 1) == 0:
-                j = next(
-                    (jj for jj in range(i + 1, n + 1) if values[jj - 1] == second),
-                    None,
-                )
-                if j is None:
-                    raise StallError(
-                        "shrink_gaps",
-                        f"no index beyond {i} carries the second-largest weight",
-                        step=KIND_BLOCK,
-                    )
-                l = next(
-                    (
-                        ll
-                        for ll in range(j + 1, n + 1)
-                        if values[ll - 1] < second
-                        and assignment.count_of(values[ll - 1], bi - 1) > 0
-                    ),
-                    None,
-                )
-                if l is None:
-                    raise StallError(
-                        "shrink_gaps",
-                        f"bin {bi} holds no ball lighter than {second}",
-                        step=KIND_BLOCK,
-                    )
-                wl = values[l - 1]
-                t = (second - wl) // gaps.gap_at(i)
-                bj = perm.bin_for(j)
-                _need(assignment, second, bj, t + 1, KIND_BLOCK)
-                _need(assignment, top, bi, t, KIND_BLOCK)
-                _need(assignment, wl, bi, 1, KIND_BLOCK)
-                _record(
-                    assignment,
-                    log,
-                    KIND_BLOCK,
-                    (
-                        Transfer(second, t + 1, bj, bi),
-                        Transfer(top, t, bi, bj),
-                        Transfer(wl, 1, bi, bj),
-                    ),
-                    i=i,
-                    j=j,
-                    l=l,
-                    t=t,
-                )
-            else:
-                _need(assignment, top, 1, 1, KIND_TOP_EXIT)
-                _record(
-                    assignment,
-                    log,
-                    KIND_TOP_EXIT,
-                    (Transfer(top, 1, 1, bi), Transfer(second, 1, bi, 1)),
-                    i=i,
-                )
+    for i in range(2, first[2]):
+        bi = perm.bin_for(i)
+        while slack(bi) >= top - second:
+            if counts[1][bi - 1] > 0:
+                transfers = (Transfer(top, 1, 1, bi), Transfer(second, 1, bi, 1))
+                step(KIND_TOP_EXIT, transfers, i=i)
                 return
-        i += 1
+            j = max(i + 1, first[1])
+            if j >= first[2]:
+                raise StallError(
+                    "shrink_gaps",
+                    f"no index beyond {i} carries the second-largest weight",
+                    step=KIND_BLOCK,
+                )
+            lighter = [c for c in range(2, assignment.m) if counts[c][bi - 1]]
+            if not lighter:
+                raise StallError(
+                    "shrink_gaps",
+                    f"bin {bi} holds no ball lighter than {second}",
+                    step=KIND_BLOCK,
+                )
+            wl = values[lighter[0]]
+            t = (second - wl) // (top - second)
+            bj = perm.bin_for(j)
+            transfers = (
+                Transfer(second, t + 1, bj, bi),
+                Transfer(top, t, bi, bj),
+                Transfer(wl, 1, bi, bj),
+            )
+            step(KIND_BLOCK, transfers, i=i, j=j, l=first[lighter[0]], t=t)
 
 
 def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> None:
@@ -612,7 +564,6 @@ def descend(
     C = inst.capacities
     top = inst.weights[0]
     max_rounds = cfg.max_rounds
-    gaps = None  # built on the first shrinking round; fixed for the descent
     rounds = 0
     try:
         while assignment.bin_weight(0) > C[0]:
@@ -641,10 +592,8 @@ def descend(
             if relief_swap(assignment, C, log) is not None:
                 continue
             perm = find_permutation(assignment, cfg.r)
-            if gaps is None:
-                gaps = weight_gap_profile(inst.weights)
             before = assignment.bin_weight(0)
-            shrink_gaps(assignment, C, perm, gaps, log)
+            shrink_gaps(assignment, C, perm, log)
             if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > C[0]:
                 raise StallError(
                     "descend",

@@ -168,7 +168,6 @@ def test_criterion_5_trace_regressions():
             a,
             caps6,
             MatchingPermutation((1, 4, 2, 3, 6, 5)),
-            weight_gap_profile(w6),
             moves,
         )
         return a, moves
@@ -193,7 +192,6 @@ def test_criterion_5_trace_regressions():
             a,
             caps5,
             MatchingPermutation((1, 2, 3, 4, 5)),
-            weight_gap_profile(w5),
             moves,
         )
         return a, moves

@@ -249,7 +249,6 @@ class TestWeightGaps:
         g = weight_gap_profile(EX_WEIGHTS)
         assert g.gaps == (2, 2, 2, 2, 1)
         assert g.second_largest == 3
-        assert g.predecessor_of == {3: 5, 1: 3, 0: 1}
 
     def test_two_values(self):
         g = weight_gap_profile(WeightProfile((3, 1)))
@@ -311,6 +310,31 @@ class TestAssignment:
         a = Assignment.diagonal(WeightProfile((3, 1)), 2)
         with pytest.raises(ProfileError, match="cannot move"):
             a.apply([(1, 1, 0, 1), (3, 1, 1, 0)])
+
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ([(3, 1, 0, 1)], "unbalanced"),
+            ([(3, 1, 0, 1), (1, 5, 1, 0)], "bin 2 holds 2 balls of value 1, cannot"),
+            ([(3, 1, 0, 1), (3, 2, 1, 0)], "bin 2 holds 1 balls of value 3, cannot"),
+            ([(3, 1, 0, 1), (1, 1, 1, 0), (7, 1, 0, 1)], "no weight class"),
+        ],
+        ids=["unbalanced", "missing-balls", "moved-in-short", "unknown-value"],
+    )
+    def test_rejected_group_leaves_assignment_unchanged(self, group, message):
+        a = Assignment.diagonal(WeightProfile((3, 1)), 2)
+        before = a.copy()
+        with pytest.raises(ProfileError, match=message):
+            a.apply(group)
+        assert a == before
+        assert [a.bin_weight(j) for j in range(a.n)] == [6, 2]
+        a.validate()
+
+    def test_apply_moves_a_ball_on_within_one_group(self):
+        # Transfers take effect in order: a ball moved into bin 2 may leave it.
+        a = Assignment.diagonal(WeightProfile((3, 1)), 2)
+        a.apply([(3, 1, 0, 1), (3, 1, 1, 0)])
+        assert a == Assignment.diagonal(WeightProfile((3, 1)), 2)
 
     def test_cached_weights_match_recomputation(self):
         a = Assignment.from_bins(EX_WEIGHTS, 6, EX_PARTITION)

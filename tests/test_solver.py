@@ -19,7 +19,6 @@ from hmbp.core import (
     d_threshold,
     is_k_feasible,
     make_instance,
-    weight_gap_profile,
 )
 from hmbp.criteria import tight_profile
 from hmbp.oracle import decide
@@ -38,7 +37,6 @@ from hmbp.solver import (
     descend,
     find_permutation,
     normalize_suffix,
-    position_values,
     relief_swap,
     shrink_gaps,
     solve,
@@ -73,7 +71,7 @@ class TestShrinkGapsTraces:
         a = six_bin_start()
         perm = MatchingPermutation((1, 4, 2, 3, 6, 5))
         moves = []
-        shrink_gaps(a, SIX_C, perm, weight_gap_profile(SIX_W), moves)
+        shrink_gaps(a, SIX_C, perm, moves)
         steps = [(m.kind, m.i, m.j) for m in moves]
         assert steps == [
             (KIND_CHAIN, 6, 5),
@@ -105,7 +103,7 @@ class TestShrinkGapsTraces:
         )
         perm = MatchingPermutation((1, 2, 3, 4, 5))
         moves = []
-        shrink_gaps(a, caps, perm, weight_gap_profile(w), moves)
+        shrink_gaps(a, caps, perm, moves)
         steps = [(m.kind, m.i, m.j, m.l, m.t) for m in moves]
         assert steps == [
             (KIND_BLOCK, 2, 4, 5, 0),
@@ -124,9 +122,18 @@ class TestShrinkGapsTraces:
         caps = CapacityProfile((9, 7))  # gap of bin 2 is 1 < gap_at(2) = 2
         perm = MatchingPermutation((1, 2))
         moves = []
-        shrink_gaps(a, caps, perm, weight_gap_profile(w), moves)
+        shrink_gaps(a, caps, perm, moves)
         assert moves == []
         assert a == Assignment.from_bins(w, 4, [{3: 3, 1: 1}, {3: 1, 1: 3}])
+
+    def test_one_class_assignment_is_refused(self):
+        a = Assignment.single_bin(3, 4)
+        a.prepend_bin(3)
+        caps, perm, moves = CapacityProfile((11, 11)), MatchingPermutation((1, 2)), []
+        with pytest.raises(SolverUsageError, match="two weight classes"):
+            shrink_gaps(a, caps, perm, moves)
+        assert moves == []
+        assert a.counts == [[4, 4]]
 
     def test_swap_counters_within_bounds(self):
         """Per fixed index the chain swap repeats fewer than w1 times, and the
@@ -153,7 +160,7 @@ class TestShrinkGapsTraces:
             perm = MatchingPermutation(tuple(perm_order))
             try:
                 moves = []
-                shrink_gaps(a, caps, perm, weight_gap_profile(wp), moves)
+                shrink_gaps(a, caps, perm, moves)
             except StallError:
                 continue
             chain_by_i = {}
@@ -235,11 +242,10 @@ class TestMatching:
     def test_worked_example_yields_valid_permutation(self):
         a = six_bin_start()
         perm = find_permutation(a, 2)
-        values = position_values(a)
         assert perm.order[0] == 1
         assert sorted(perm.order) == [1, 2, 3, 4, 5, 6]
         for i in range(2, 7):
-            assert a.count_of(values[i - 1], perm.bin_for(i) - 1) >= 2
+            assert a.count_of(SIX_W[i - 1], perm.bin_for(i) - 1) >= 2
 
     def test_rich_assignment_has_matching(self):
         w = WeightProfile((2, 1))
@@ -817,37 +823,6 @@ class TestStageNumbering:
         result = solve(inst, SolverConfig(r=1, N=3))
         assert result.feasible
         assert (len(built), len(validated)) == (0, 1)
-
-    @pytest.mark.parametrize(
-        "d, w, C, cfg, profiles",
-        [
-            # Stage 2 makes two shrinking passes (block-swap, then top-exit).
-            (
-                5,
-                (5, 4, 4, 3, 3, 2),
-                (28, 18, 18, 18, 16, 15),
-                SolverConfig(r=1, N=3),
-                1,
-            ),
-            # Relief swaps only.
-            (7, (3, 1), (15, 14), SolverConfig(), 0),
-        ],
-        ids=["two-shrink-rounds", "relief-only"],
-    )
-    def test_gap_profile_built_once_per_descent(
-        self, monkeypatch, d, w, C, cfg, profiles
-    ):
-        built = []
-        profile = hmbp.solver.weight_gap_profile
-
-        def counting_profile(weights):
-            built.append(weights)
-            return profile(weights)
-
-        monkeypatch.setattr(hmbp.solver, "weight_gap_profile", counting_profile)
-        result = solve(make_instance(d, w, C), cfg)
-        assert result.feasible
-        assert len(built) == profiles
 
 
 # Whole solves recorded from the solver that rebuilt each stage's assignment

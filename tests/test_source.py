@@ -108,6 +108,31 @@ def test_every_parameter_is_read():
     assert found == []
 
 
+def test_every_import_is_used():
+    # A name a module imports and never reads is a stale dependency; the
+    # package's __init__ imports to re-export, and __future__ sets flags.
+    found = []
+    for path in sorted(Path(hmbp.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{line}:{name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert found == []
+
+
 def test_solver_moves_take_one_path():
     # One helper applies, measures and logs every solver move: Move is built
     # only there and in Move.shifted, and no step takes an optional log.
