@@ -8,7 +8,6 @@ from .core import (
     ConjugateProfile,
     Instance,
     ProfileError,
-    WeightGapProfile,
     WeightProfile,
     b_constant,
     b_row,
@@ -67,7 +66,6 @@ __all__ = [
     "Transfer",
     "UnsupportedWeightsError",
     "Verdict",
-    "WeightGapProfile",
     "WeightProfile",
     "WitnessInstance",
     "WitnessVerification",

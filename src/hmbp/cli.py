@@ -261,10 +261,11 @@ def cmd_info(args) -> int:
     runs.extend(f"{h}^{a}" for h, a in conj.runs)
     print(f"conjugate: {' '.join(runs) if runs else '(empty)'}", file=out)
     print("b by truncation: " + " ".join(str(b) for b in b_row(w)), file=out)
-    if len(set(w.entries)) >= 2:
+    values = w.classes[0]
+    if len(values) >= 2:
         gaps = weight_gap_profile(w)
-        print("gap sequence: " + " ".join(str(g) for g in gaps.gaps), file=out)
-        print(f"second largest: {gaps.second_largest}", file=out)
+        print("gap sequence: " + " ".join(str(g) for g in gaps), file=out)
+        print(f"second largest: {values[1]}", file=out)
     else:
         print("gap sequence: (constant profile)", file=out)
     print(f"d threshold: {d_threshold(w)}", file=out)

@@ -6,15 +6,18 @@ capacity profile ``C``, and a multiplicity ``d``: the instance asks whether
 receives exactly ``d`` balls without exceeding its capacity.
 
 Everything here is plain integer arithmetic on tuples; all types except
-:class:`Assignment` are immutable and safe to share. Assignments are count
-matrices over distinct weight values, never per-ball lists, so multiplicities
-in the tens of thousands cost nothing.
+:class:`Assignment` are immutable and safe to share. A weight profile's class
+table (:attr:`WeightProfile.classes`: its distinct values and how many
+weights share each) is built once per profile, and every layer reads the
+class structure from it. Assignments are count matrices over those classes,
+never per-ball lists, so multiplicities in the tens of thousands cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import cached_property
+from operator import index, mul, sub
 
 
 class ProfileError(ValueError):
@@ -36,7 +39,12 @@ class _Profile:
     _non_negative = False
 
     def __post_init__(self) -> None:
-        entries = tuple(int(v) for v in self.entries)
+        try:
+            entries = tuple(map(index, self.entries))
+        except TypeError:
+            raise ProfileError(
+                f"{self._kind} profile entries must be integers: {self.entries!r}"
+            ) from None
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ProfileError(f"{self._kind} profile must have at least one entry")
@@ -84,13 +92,20 @@ class WeightProfile(_Profile):
     _kind, _label = "weight", "w"
     _non_negative = True
 
-    def distinct_values(self) -> tuple[int, ...]:
-        """Distinct weight values in decreasing order."""
-        seen: list[int] = []
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Class table ``(values, multiplicities)``: the distinct weight
+        values in decreasing order and how many entries equal each one.
+        Built on first use and kept with the profile."""
+        values: list[int] = []
+        mult: list[int] = []
         for v in self.entries:
-            if not seen or seen[-1] != v:
-                seen.append(v)
-        return tuple(seen)
+            if values and values[-1] == v:
+                mult[-1] += 1
+            else:
+                values.append(v)
+                mult.append(1)
+        return tuple(values), tuple(mult)
 
     def is_constant(self) -> bool:
         return self.entries[0] == self.entries[-1]
@@ -111,6 +126,10 @@ class Instance:
     capacities: CapacityProfile
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "d", index(self.d))
+        except TypeError:
+            raise ProfileError(f"d must be a positive integer: {self.d!r}") from None
         if self.d < 1:
             raise ProfileError("d must be a positive integer")
         if self.weights.n != self.capacities.n:
@@ -179,8 +198,8 @@ def conjugate(w: WeightProfile, rows: int) -> ConjugateProfile:
 def b_constant(w: WeightProfile) -> int:
     """Correction constant of a weight profile.
 
-    Zero when all entries are equal; otherwise ``sum(g - 1)`` over the
-    weight-gap profile (:func:`weight_gap_profile`), which equals the
+    Zero when all entries are equal; otherwise ``sum(g - 1)`` over the gaps
+    of positions 2..n (:func:`weight_gap_profile`), which equals the
     weighted sum of run overshoots of the conjugate diagram and costs O(n).
     This is the exact amount by which suffix-capacity bounds must exceed
     suffix demand to become sufficient for large multiplicities.
@@ -213,36 +232,18 @@ def b_row(w: WeightProfile) -> tuple[int, ...]:
     return tuple(row)
 
 
-@dataclass(frozen=True)
-class WeightGapProfile:
-    """Jump structure of a weight profile with at least two distinct values.
+def weight_gap_profile(w: WeightProfile) -> tuple[int, ...]:
+    """Gap of every position 2..n, read per class from ``w.classes``.
 
-    ``gaps[i]`` (stored for positions 2..n, 0-indexed from position 2) is the
-    distance from ``w_i`` to the next strictly larger value; entries of the
-    top block measure the drop to the second-largest value instead.
+    The gap of ``w_i`` is the distance to the next strictly larger value;
+    entries of the top block measure the drop to the second-largest value
+    instead. Rejects constant profiles.
     """
-
-    gaps: tuple[int, ...]
-    second_largest: int
-
-    def gap_at(self, i: int) -> int:
-        """Gap for weight position ``i`` (1-based, 2 <= i <= n)."""
-        return self.gaps[i - 2]
-
-
-def weight_gap_profile(w: WeightProfile) -> WeightGapProfile:
-    """Build the gap sequence of ``w``; rejects constant profiles."""
-    values = w.distinct_values()
+    values, mult = w.classes
     if len(values) < 2:
         raise ProfileError("gap sequence undefined for constant weight profiles")
-    predecessor = {values[t]: values[t - 1] for t in range(1, len(values))}
-    top = values[0]
-    second = values[1]
-    gaps = []
-    for i in range(2, w.n + 1):
-        v = w.entries[i - 1]
-        gaps.append(top - second if v == top else predecessor[v] - v)
-    return WeightGapProfile(gaps=tuple(gaps), second_largest=second)
+    drops = (values[0] - values[1],) + tuple(map(sub, values, values[1:]))
+    return tuple(g for g, m in zip(drops, mult) for _ in range(m))[1:]
 
 
 class Assignment:
@@ -272,19 +273,15 @@ class Assignment:
     @classmethod
     def from_bins(cls, weights: WeightProfile, d: int, bins) -> "Assignment":
         """Build from per-bin ``{value: count}`` mappings (one per bin)."""
-        values = weights.distinct_values()
-        index = {v: c for c, v in enumerate(values)}
-        mult = [0] * len(values)
-        for v in weights.entries:
-            mult[index[v]] += 1
+        values, mult = weights.classes
+        row_of = {v: c for c, v in enumerate(values)}
         counts = [[0] * len(bins) for _ in values]
         for j, content in enumerate(bins):
             for v, q in content.items():
-                if v not in index:
+                if v not in row_of:
                     raise ProfileError(f"bin {j + 1} holds unknown weight value {v}")
-                counts[index[v]][j] += q
-        supply = tuple(d * m for m in mult)
-        return cls(d, values, supply, counts)
+                counts[row_of[v]][j] += q
+        return cls(d, values, (d * m for m in mult), counts)
 
     @classmethod
     def diagonal(cls, weights: WeightProfile, d: int) -> "Assignment":
@@ -328,15 +325,22 @@ class Assignment:
     def apply(self, transfers) -> None:
         """Apply a balanced group of transfers ``(value, count, src, dst)``.
 
-        The group must preserve every bin's cardinality; anything else is a
+        Bins are 0-based here. The group must name bins of this assignment
+        and preserve every bin's cardinality; anything else is a
         programming error in the caller and raises. Transfers take effect in
         order (a ball moved in may move on), but the whole group is checked
         before any count changes, so a rejected group leaves the assignment
         as it was.
         """
         staged = []  # (class, count, src, dst) of the checked transfers
-        delta = [0] * self.n
+        n = self.n
+        delta = [0] * n
         for value, q, src, dst in transfers:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ProfileError(
+                    f"transfer from bin {src + 1} to bin {dst + 1} "
+                    f"outside bins 1..{n}"
+                )
             if q < 0:
                 raise ProfileError("transfer count must be non-negative")
             if q == 0:

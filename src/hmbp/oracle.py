@@ -47,12 +47,8 @@ class OracleResult:
 
 
 def _class_data(inst: Instance):
-    values = inst.weights.distinct_values()
-    index = {v: c for c, v in enumerate(values)}
-    supply = [0] * len(values)
-    for v in inst.weights.entries:
-        supply[index[v]] += inst.d
-    return values, supply
+    values, mult = inst.weights.classes
+    return values, [inst.d * m for m in mult]
 
 
 def _build_witness(inst: Instance, values, supply, chosen, k) -> Assignment:

@@ -66,13 +66,13 @@ def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
     """
     if d < w.n:
         raise ProfileError(f"need d >= n ({w.n}), got {d}")
-    values = w.distinct_values()
+    values, mult = w.classes
     if len(values) < 2:
         raise ProfileError("extremal construction needs two distinct weights")
     top, second = values[0], values[1]
     # The last run of the conjugate diagram has height h_k, the number of
     # top-weight entries, and length a_k = top - second.
-    h_k, a_k = w.entries.count(top), top - second
+    h_k, a_k = mult[0], top - second
     gaps = weight_gap_profile(w)
     caps = []
     for j in range(1, w.n + 1):
@@ -81,15 +81,15 @@ def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
         elif j == h_k + 1:
             caps.append((h_k - 1) * top + (d - h_k + 1) * second + (a_k - 1))
         else:
-            caps.append(d * w[j - 1] + gaps.gap_at(j) - 1)
+            caps.append(d * w[j - 1] + gaps[j - 2] - 1)
     return tuple(caps)
 
 
 def extremal_companion(w: WeightProfile, d: int) -> Assignment:
     """The companion assignment: overfills bin 1 by one unit, nothing else."""
-    values = w.distinct_values()
+    values, mult = w.classes
     top, second = values[0], values[1]
-    h_k = w.entries.count(top)
+    h_k = mult[0]
     bins: list[dict[int, int]] = [{top: d}]
     for _ in range(2, h_k + 1):
         bins.append({top: d - 1, second: 1})
@@ -129,7 +129,7 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
     if d < w.n:
         raise ProfileError(f"need d >= n ({w.n}), got {d}")
     wt = w.truncate(i0)
-    distinct = len(set(wt.entries)) == wt.n
+    distinct = max(wt.classes[1]) == 1
     constant = wt.is_constant()
     if not distinct and not constant:
         raise UnsupportedWeightsError(
@@ -224,7 +224,6 @@ def verify_witness(
     analytic-only. ``node_budget=0`` asks for the analytic checks only.
     """
     inst = wit.instance
-    w = inst.weights
     i0 = wit.relax_index
     checks: list[WitnessCheck] = []
 
@@ -241,8 +240,8 @@ def verify_witness(
         ) and not is_k_feasible(wit.companion, inst.capacities, i0 - 1)
         checks.append(WitnessCheck("companion-level", "analytic", comp_ok))
         if wit.construction == "extremal":
-            gaps = weight_gap_profile(w)
-            expected = (-1,) + tuple(gaps.gap_at(j) - 1 for j in range(2, w.n + 1))
+            gaps = weight_gap_profile(inst.weights)
+            expected = (-1,) + tuple(g - 1 for g in gaps)
             gv = gap_vector(wit.companion, inst.capacities)
             checks.append(
                 WitnessCheck("companion-gaps", "analytic", gv == expected)

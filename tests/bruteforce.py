@@ -8,12 +8,11 @@ from hmbp.core import Instance
 
 
 def _class_data(inst: Instance):
-    values = inst.weights.distinct_values()
-    index = {v: c for c, v in enumerate(values)}
-    supply = [0] * len(values)
-    for v in inst.weights.entries:
-        supply[index[v]] += inst.d
-    return values, supply
+    # Derived here, not read from the library's class table, so the
+    # reference stays independent of the code it checks.
+    entries = inst.weights.entries
+    values = sorted(set(entries), reverse=True)
+    return values, [inst.d * entries.count(v) for v in values]
 
 
 def _vectors(residual, d):

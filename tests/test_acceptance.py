@@ -77,7 +77,7 @@ def test_criterion_2_gap_identity_sweeps():
                 break
         w = WeightProfile(tuple(vals))
         gaps = weight_gap_profile(w)
-        assert b_constant(w) == sum(g - 1 for g in gaps.gaps)
+        assert b_constant(w) == sum(g - 1 for g in gaps)
     for _ in range(1000):
         n = rng.randint(2, 8)
         vals = sorted(rng.sample(range(0, 11), n), reverse=True)
@@ -127,7 +127,7 @@ def test_criterion_4_witness_soundness_sweep():
             )
             # companion slack: exactly -1 in bin 1, one below each weight gap
             # beyond (the gap-vector form forced by the capacity-sum identity)
-            expected = (-1,) + tuple(gaps.gap_at(j) - 1 for j in range(2, n + 1))
+            expected = (-1,) + tuple(gaps[j - 2] - 1 for j in range(2, n + 1))
             assert gap_vector(wit.companion, inst.capacities) == expected
             assert decide(inst, 1).feasible
             assert not decide(inst, 0).feasible

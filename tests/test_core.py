@@ -61,6 +61,18 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             WeightProfile((3, -1))
 
+    @pytest.mark.parametrize("entries", [(2.7, 1), ("3", "1"), (3, None)])
+    def test_rejects_non_integer_entries(self, entries):
+        with pytest.raises(ProfileError, match="entries must be integers"):
+            WeightProfile(entries)
+        with pytest.raises(ProfileError, match="entries must be integers"):
+            CapacityProfile(entries)
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, "2"])
+    def test_rejects_non_integer_d(self, d):
+        with pytest.raises(ProfileError, match="d must be a positive integer"):
+            make_instance(d, (3, 1), (8, 3))
+
     def test_capacities_may_be_negative(self):
         assert CapacityProfile((3, -1)).entries == (3, -1)
 
@@ -153,7 +165,7 @@ class TestBConstant:
     @settings(max_examples=500)
     def test_gap_sum_identity(self, w):
         gaps = weight_gap_profile(w)
-        assert b_constant(w) == sum(g - 1 for g in gaps.gaps)
+        assert b_constant(w) == sum(g - 1 for g in gaps)
 
     @given(st.lists(st.integers(0, 12), min_size=2, max_size=8, unique=True))
     @settings(max_examples=300)
@@ -241,30 +253,53 @@ class TestBRow:
             if wt.is_constant():
                 assert row[i - 1] == 0
             else:
-                assert row[i - 1] == sum(g - 1 for g in weight_gap_profile(wt).gaps)
+                assert row[i - 1] == sum(g - 1 for g in weight_gap_profile(wt))
 
 
 class TestWeightGaps:
     def test_mixed_profile(self):
         g = weight_gap_profile(EX_WEIGHTS)
-        assert g.gaps == (2, 2, 2, 2, 1)
-        assert g.second_largest == 3
+        assert g == (2, 2, 2, 2, 1)
+        assert EX_WEIGHTS.classes[0][1] == 3
 
     def test_two_values(self):
         g = weight_gap_profile(WeightProfile((3, 1)))
-        assert g.gaps == (2,)
-        assert g.second_largest == 1
+        assert g == (2,)
+        assert WeightProfile((3, 1)).classes[0][1] == 1
         # cross-check against the correction constant
-        assert sum(x - 1 for x in g.gaps) == b_constant(WeightProfile((3, 1)))
+        assert sum(x - 1 for x in g) == b_constant(WeightProfile((3, 1)))
 
     def test_top_block(self):
         g = weight_gap_profile(WeightProfile((5, 5, 5, 1, 0)))
-        assert g.gaps == (4, 4, 4, 1)
-        assert g.second_largest == 1
+        assert g == (4, 4, 4, 1)
+        assert WeightProfile((5, 5, 5, 1, 0)).classes[0][1] == 1
 
     def test_rejects_constant(self):
         with pytest.raises(ProfileError):
             weight_gap_profile(WeightProfile((4, 4, 4)))
+
+    @given(profiles(max_n=10, max_w=12))
+    def test_class_table_matches_definitions(self, w):
+        # On the profile and on every suffix truncate builds without running
+        # the constructor, against definitions written out per position.
+        for i in range(1, w.n + 1):
+            wt = w.truncate(i)
+            values, mult = wt.classes
+            assert wt.classes is wt.classes
+            assert all(a > b for a, b in zip(values, values[1:]))
+            assert sum(mult) == wt.n
+            expanded = tuple(v for v, m in zip(values, mult) for _ in range(m))
+            assert expanded == wt.entries
+            assert wt == WeightProfile(wt.entries)
+            e = wt.entries
+            if e[0] == e[-1]:
+                continue
+            second = max(v for v in e if v < e[0])
+            expected = tuple(
+                e[0] - second if v == e[0] else min(u for u in e if u > v) - v
+                for v in e[1:]
+            )
+            assert weight_gap_profile(wt) == expected
 
 
 class TestAssignment:
@@ -318,8 +353,17 @@ class TestAssignment:
             ([(3, 1, 0, 1), (1, 5, 1, 0)], "bin 2 holds 2 balls of value 1, cannot"),
             ([(3, 1, 0, 1), (3, 2, 1, 0)], "bin 2 holds 1 balls of value 3, cannot"),
             ([(3, 1, 0, 1), (1, 1, 1, 0), (7, 1, 0, 1)], "no weight class"),
+            ([(3, 1, 0, -1), (1, 1, -1, 0)], "to bin 0 outside bins 1..2"),
+            ([(3, 1, 0, 1), (1, 1, 2, 0)], "from bin 3 to bin 1 outside bins 1..2"),
         ],
-        ids=["unbalanced", "missing-balls", "moved-in-short", "unknown-value"],
+        ids=[
+            "unbalanced",
+            "missing-balls",
+            "moved-in-short",
+            "unknown-value",
+            "bin-before-first",
+            "bin-past-last",
+        ],
     )
     def test_rejected_group_leaves_assignment_unchanged(self, group, message):
         a = Assignment.diagonal(WeightProfile((3, 1)), 2)

@@ -14,6 +14,7 @@ from hmbp.core import (
     Assignment,
     CapacityProfile,
     Instance,
+    ProfileError,
     WeightProfile,
     b_constant,
     d_threshold,
@@ -29,10 +30,13 @@ from hmbp.solver import (
     KIND_CHAIN_EXIT,
     KIND_RELIEF,
     KIND_TOP_EXIT,
+    DescentTrace,
     MatchingPermutation,
+    Move,
     SolverConfig,
     SolverUsageError,
     StallError,
+    Transfer,
     boost_top_count,
     descend,
     find_permutation,
@@ -119,7 +123,7 @@ class TestShrinkGapsTraces:
     def test_no_op_when_gaps_already_small(self):
         w = WeightProfile((3, 1))
         a = Assignment.from_bins(w, 4, [{3: 3, 1: 1}, {3: 1, 1: 3}])
-        caps = CapacityProfile((9, 7))  # gap of bin 2 is 1 < gap_at(2) = 2
+        caps = CapacityProfile((9, 7))  # gap of bin 2 is 1 < its weight gap 3 - 1 = 2
         perm = MatchingPermutation((1, 2))
         moves = []
         shrink_gaps(a, caps, perm, moves)
@@ -548,6 +552,15 @@ class TestDescendAndSolve:
                 continue
             replayed = result.trace.replay(Assignment.diagonal(w, d))
             assert replayed == result.assignment
+
+    @pytest.mark.parametrize("far", [0, 3])
+    def test_replay_refuses_a_bin_outside_the_assignment(self, far):
+        # Trace bins are 1-based: bin 0 must not reach the last bin through
+        # index -1, and a bin past the end is refused the same way.
+        transfers = (Transfer(3, 1, 1, far), Transfer(1, 1, far, 1))
+        trace = DescentTrace([Move("chain-swap", transfers, 0)])
+        with pytest.raises(ProfileError, match=f"bin {far} outside bins 1..2"):
+            trace.replay(Assignment.diagonal(WeightProfile((3, 1)), 2))
 
     def test_descent_bin1_weight_strictly_decreases(self):
         inst = make_instance(9, (4, 2, 1), tight_profile(WeightProfile((4, 2, 1)), 9).entries)

@@ -93,7 +93,7 @@ class TestExtremal:
             inst = wit.instance
             assert inst.capacities.total == d * w.total + b_constant(w) - 1
             gaps = weight_gap_profile(w)
-            expected = (-1,) + tuple(gaps.gap_at(j) - 1 for j in range(2, w.n + 1))
+            expected = (-1,) + tuple(gaps[j - 2] - 1 for j in range(2, w.n + 1))
             assert gap_vector(wit.companion, inst.capacities) == expected
             assert decide(inst, 1).feasible
             assert not decide(inst, 0).feasible
@@ -112,7 +112,7 @@ class TestExtremal:
             gaps = weight_gap_profile(w)
             assert delta[0] == -1
             for j in range(2, n + 1):
-                assert delta[j - 1] == gaps.gap_at(j) - 1
+                assert delta[j - 1] == gaps[j - 2] - 1
             for i in range(1, n + 1):
                 assert sum(delta[i:]) == b_constant(w.truncate(i))
 
