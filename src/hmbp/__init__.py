@@ -16,7 +16,6 @@ from .core import (
     gap_vector,
     is_k_feasible,
     make_instance,
-    normalize,
     weight_gap_profile,
 )
 from .criteria import (
@@ -80,7 +79,6 @@ __all__ = [
     "is_k_feasible",
     "make_instance",
     "min_bin1_weight",
-    "normalize",
     "relaxed_witness",
     "solve",
     "suffix_report",

@@ -31,9 +31,23 @@ bin ``j`` chooses at class ``c``, the classes ``c+1..m-1`` still hold their
 bin-entry residual, so the table serves every choice of the bin. Inside one
 segment of the table the slack is linear in ``x``, so ``top`` is solved in
 closed form (``_top_count``): one test of the largest count, then a
-bisection over segments, not counts, and one ceiling division. The window
-check at bin entry asks for ``d*L`` balls with ``L`` growing, so it walks
-the table forward once.
+bisection over segments, not counts, and one ceiling division.
+
+Bin entry skips the lightest classes that hold no balls. The last bins,
+usually the smallest, are filled first, so the lightest classes tend to
+empty first. Along a search path the residual only shrinks, so the count
+``low`` of empty lightest classes is kept per bin, and bin ``j`` resumes
+its scan from bin ``j+1``'s. The table's ``low + 1`` leading zero
+entries are written at once, and only the classes above them are summed.
+The window check then walks the capacities from bin ``j`` down to bin ``k``
+once, with running sums of the window's room and of the ``q = d*L`` balls
+it must hold; ``q`` grows with ``L``, so the table index of the ``q``-th
+lightest ball walks forward from ``low``.
+
+The supply must fill every bin: ``sum(supply) == d*len(caps)``, checked once
+at entry. So bin ``j`` is entered with ``d*(j+1)`` balls left, at least the
+``d*(j-k+1)`` that its widest window asks for, and at least one class holds
+balls.
 
 Most choices of a deep search set a count to 0. When ``lo`` is 0, one ball
 of class ``c`` fits exactly when ``v <= t = cap_left - lightest(d_left - 1)``,
@@ -58,13 +72,21 @@ STATUS_FEASIBLE = 1
 STATUS_BUDGET = 2
 
 
-def _light_table(values, residual):
-    """Ball counts and weights of the ``i`` lightest classes, ``i = 0..m``."""
-    counts = [0]
-    weights = [0]
-    for c in range(len(values) - 1, -1, -1):
-        counts.append(counts[-1] + residual[c])
-        weights.append(weights[-1] + residual[c] * values[c])
+def _light_table(values, residual, low):
+    """Ball counts and weights of the ``i`` lightest classes, ``i = 0..m``.
+
+    The ``low`` lightest classes must hold no balls: their ``low + 1``
+    leading zero entries are written at once, and only the classes above
+    them are summed.
+    """
+    counts = [0] * (low + 1)
+    weights = counts[:]
+    count = weight = 0
+    for c in range(len(values) - 1 - low, -1, -1):
+        count += residual[c]
+        weight += residual[c] * values[c]
+        counts.append(count)
+        weights.append(weight)
     return counts, weights
 
 
@@ -109,7 +131,8 @@ def search_feasible(values, supply, caps, d, k, budget):
     """Fill bins ``k..n-1`` (0-based) within capacity, ``d`` balls each.
 
     Bins ``0..k-1`` are unconstrained and absorb whatever supply remains;
-    ``d`` is at least 1.
+    ``d`` is at least 1, and the supply holds exactly ``d`` balls per bin,
+    else :class:`ValueError` is raised.
     Returns ``(status, bins, nodes)`` where ``bins`` maps each constrained
     bin index to its per-class count tuple on success, else ``None``.
     """
@@ -119,14 +142,16 @@ def search_feasible(values, supply, caps, d, k, budget):
     caps = tuple(caps)
     n = len(caps)
     m = len(values)
+    if sum(residual) != d * n:
+        raise ValueError(
+            f"supply of {sum(residual)} balls does not fill {n} bins of {d}"
+        )
     if k >= n:
         return STATUS_FEASIBLE, {}, 0
 
-    cap_prefix = [0] * (n + 1)
-    for t in range(n):
-        cap_prefix[t + 1] = cap_prefix[t] + caps[t]
-
     tables = [None] * n
+    # lows[j]: how many lightest classes are empty at bin j's entry.
+    lows = [0] * (n + 1)
     chosen: dict[int, tuple[int, ...]] = {}
     memo: set = set()
     stack: list = []
@@ -147,22 +172,24 @@ def search_feasible(values, supply, caps, d, k, budget):
             key = (j, tuple(residual))
             if key not in memo:
                 if caps[j] >= 0:
-                    counts, weights = tables[j] = _light_table(values, residual)
-                    # Every suffix of the remaining constrained bins must be
-                    # able to hold the lightest possible d*L balls of the
-                    # residual; q = d*L grows with L, so the table index
+                    # Classes empty at bin j + 1's entry are still empty.
+                    low = lows[j + 1]
+                    while not residual[m - 1 - low]:
+                        low += 1
+                    lows[j] = low
+                    counts, weights = tables[j] = _light_table(values, residual, low)
+                    # Every window j, j-1, ..., j-L+1 of the remaining
+                    # constrained bins must hold the lightest q = d*L balls
+                    # of the residual; q grows with L, so the table index
                     # holding the q-th lightest ball only walks forward.
-                    i = 0
-                    for length in range(1, j - k + 2):
-                        q = d * length
-                        if q > counts[m]:
-                            break
+                    q = room = 0
+                    i = low
+                    for cap in caps[j : k - 1 : -1] if k else caps[j::-1]:
+                        q += d
+                        room += cap
                         while counts[i] < q:
                             i += 1
-                        if (
-                            cap_prefix[j + 1] - cap_prefix[j - length + 1]
-                            < weights[i - 1] + (q - counts[i - 1]) * values[-i]
-                        ):
+                        if room < weights[i - 1] + (q - counts[i - 1]) * values[-i]:
                             break
                     else:
                         stack.append(key)

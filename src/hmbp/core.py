@@ -452,18 +452,3 @@ def d_threshold(w: WeightProfile) -> int:
     n = w.n
     w1 = w.entries[0]
     return n**3 * w1 * (2 * n + w1)
-
-
-def normalize(inst: Instance) -> Instance:
-    """Shift the smallest weight to zero; feasibility is unchanged.
-
-    Replaces ``w_i`` by ``w_i - w_n`` and ``C_i`` by ``C_i - d*w_n``.
-    """
-    wn = inst.weights.entries[-1]
-    if wn == 0:
-        return inst
-    return Instance(
-        inst.d,
-        WeightProfile(tuple(v - wn for v in inst.weights.entries)),
-        CapacityProfile(tuple(c - inst.d * wn for c in inst.capacities.entries)),
-    )

@@ -16,6 +16,21 @@ def bins_as_dicts(assignment: Assignment) -> list[dict[int, int]]:
     ]
 
 
+def normalize(inst: Instance) -> Instance:
+    """Shift the smallest weight to zero; feasibility is unchanged.
+
+    Replaces ``w_i`` by ``w_i - w_n`` and ``C_i`` by ``C_i - d*w_n``.
+    """
+    wn = inst.weights.entries[-1]
+    if wn == 0:
+        return inst
+    return Instance(
+        inst.d,
+        WeightProfile(tuple(v - wn for v in inst.weights.entries)),
+        CapacityProfile(tuple(c - inst.d * wn for c in inst.capacities.entries)),
+    )
+
+
 # Hand-built capacity deltas (relative to d*w) for weight profiles where the
 # extremal construction fails more than one corrected condition; each of
 # these misses only the full-profile condition, by one, yet stays infeasible.

@@ -20,14 +20,13 @@ from hmbp.core import (
     gap_vector,
     is_k_feasible,
     make_instance,
-    normalize,
     weight_gap_profile,
 )
 from hmbp.criteria import classify, tight_profile
 from hmbp.witness import extremal_witness, relaxed_witness
 
 from conjugate_reference import b_by_run_overshoot, conjugate_by_columns, expand
-from helpers import bins_as_dicts
+from helpers import bins_as_dicts, normalize
 
 EX_WEIGHTS = WeightProfile((5, 5, 3, 1, 1, 0))
 EX_CAPS = CapacityProfile((17, 17, 17, 17, 17, 8))

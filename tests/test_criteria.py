@@ -11,7 +11,6 @@ from hmbp.core import (
     WeightProfile,
     d_threshold,
     make_instance,
-    normalize,
 )
 from hmbp.criteria import (
     Feasibility,
@@ -20,6 +19,8 @@ from hmbp.criteria import (
     tight_profile,
 )
 from hmbp.oracle import decide
+
+from helpers import normalize
 
 
 def test_two_bin_example_slacks():

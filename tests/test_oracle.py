@@ -13,13 +13,13 @@ import pytest
 
 import hmbp
 from bruteforce import decide_naive, min_bin1_naive
+from helpers import normalize
 from hmbp import _search
 from hmbp.core import (
     ProfileError,
     WeightProfile,
     is_k_feasible,
     make_instance,
-    normalize,
 )
 from hmbp.criteria import classify
 from hmbp.oracle import BudgetExceeded, OracleError, decide, min_bin1_weight
@@ -221,6 +221,25 @@ class TestSearchCost:
         assert res.feasible and res.nodes_explored == 2011
         assert len(calls) < res.nodes_explored // 4
 
+    def test_table_skips_empty_light_classes(self, monkeypatch):
+        # Bin entry builds its table from the lightest class that still
+        # holds balls. Each of the 60 builds here loops over m - low classes
+        # and returns the table a full build gives; a full build loops over
+        # all 60 classes every time, 3,600 in total.
+        looped = []
+        light_table = _search._light_table
+
+        def counted(values, residual, low):
+            table = light_table(values, residual, low)
+            assert table == light_table(values, residual, 0)
+            looped.append(len(values) - low)
+            return table
+
+        monkeypatch.setattr(_search, "_light_table", counted)
+        res = decide(SIXTY, 0)
+        assert res.feasible and res.nodes_explored == 2011
+        assert len(looped) == 60 and sum(looped) == 1890
+
 
 def test_budget_cut_off_on_every_budget():
     # A budget that runs out inside a run of zero counts must stop the search
@@ -264,7 +283,7 @@ def test_top_count_matches_naive_scan():
         residual = [
             rng.choice([0, rng.randint(1, 4), rng.randint(1, 150)]) for _ in range(m)
         ]
-        counts, weights = _search._light_table(values, residual)
+        counts, weights = _search._light_table(values, residual, 0)
         c = rng.randrange(m if rng.random() < 0.2 else max(m - 1, 1))
         v = values[c]
         d_left = rng.randint(1, rng.choice([6, 300]))
@@ -292,6 +311,69 @@ def test_top_count_matches_naive_scan():
             tally["hundreds"] += 1
     # Every case above, including all counts failing and an inner top.
     assert len(tally) == 8 and min(tally.values()) >= 30
+
+
+def test_trimmed_light_table_matches_full_build():
+    rng = random.Random(23)
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        values = sorted(rng.sample(range(rng.choice([m, 50])), m), reverse=True)
+        live = rng.randint(1, m)
+        residual = [rng.choice([0, rng.randint(1, 9)]) for _ in range(live)]
+        residual[rng.randrange(live)] = rng.randint(1, 9)
+        residual += [0] * (m - live)
+        low = m - max(c for c in range(m) if residual[c]) - 1
+        full = ([0], [0])
+        for c in range(m - 1, -1, -1):
+            full[0].append(full[0][-1] + residual[c])
+            full[1].append(full[1][-1] + residual[c] * values[c])
+        for trim in range(low + 1):
+            assert _search._light_table(values, residual, trim) == full, (
+                values, residual, trim
+            )
+
+
+def windows_fit(values, supply, caps, d, k):
+    """Every window of the last ``L`` bins, ``L = 1..n-k``, holds the lightest
+    ``d*L`` balls of the supply."""
+    balls = sorted(v for v, count in zip(values, supply) for _ in range(count))
+    n = len(caps)
+    return all(
+        sum(caps[n - length :]) >= sum(balls[: d * length])
+        for length in range(1, n - k + 1)
+    )
+
+
+def test_window_walk_matches_naive_check():
+    # With a budget of one node the search expands only the last bin's entry:
+    # it refuses when the window walk passes and answers infeasible when it
+    # fails, or feasible at once when no bin is constrained.
+    rng = random.Random(29)
+    tally = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        m = rng.randint(1, 6)
+        values = sorted(rng.sample(range(rng.choice([m, 12])), m), reverse=True)
+        d = rng.randint(1, 4)
+        cuts = sorted(rng.randint(0, d * n) for _ in range(m - 1))
+        supply = [b - a for a, b in zip([0] + cuts, cuts + [d * n])]
+        if rng.random() < 0.3:  # empty lightest classes
+            tail = rng.randint(1, m)
+            supply[-tail:] = [0] * tail
+            supply[rng.randrange(m - tail + 1)] += d * n - sum(supply)
+        mean = sum(v * count for v, count in zip(values, supply)) // n
+        caps = [mean + rng.randint(-d * 3, d * 3) for _ in range(n)]
+        k = rng.randint(0, n)
+        status, _, nodes = _search.search_feasible(values, supply, caps, d, k, 1)
+        if k == n:
+            assert (status, nodes) == (_search.STATUS_FEASIBLE, 0)
+            continue
+        fits = windows_fit(values, supply, caps, d, k)
+        expected = _search.STATUS_BUDGET if fits else _search.STATUS_INFEASIBLE
+        assert status == expected, (values, supply, caps, d, k)
+        tally[fits] += 1
+        tally["k=0" if k == 0 else "k>0"] += 1
+    assert min(tally.values()) >= 100
 
 
 def test_layers_agree_at_wide_n():
@@ -422,6 +504,14 @@ class TestErrorPaths:
     def test_min_bin1_needs_one_feasibility(self):
         with pytest.raises(OracleError, match="not 1-feasible"):
             min_bin1_weight(make_instance(3, (2, 2), (5, 1)))
+
+    def test_search_needs_d_balls_per_bin(self):
+        # The kernel's window walk relies on the supply filling every bin.
+        for caps, k in [((5,), 0), ((5, 5, 5), 1), ((5,), 1)]:
+            with pytest.raises(ValueError, match="does not fill"):
+                _search.search_feasible((3, 1), (2, 2), caps, 2, k, 100)
+        status, chosen, _ = _search.search_feasible((3, 1), (2, 2), (5, 4), 2, 0, 100)
+        assert status == _search.STATUS_FEASIBLE and chosen == {1: (1, 1), 0: (1, 1)}
 
     def test_k_out_of_range(self):
         with pytest.raises(ProfileError):

@@ -234,7 +234,6 @@ PUBLIC_NAMES = [
     "is_k_feasible",
     "make_instance",
     "min_bin1_weight",
-    "normalize",
     "relaxed_witness",
     "solve",
     "suffix_report",
