@@ -15,46 +15,76 @@ never per-ball lists, so multiplicities in the tens of thousands cost nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index, mul, sub
+from typing import NamedTuple
 
 
 class ProfileError(ValueError):
     """Raised for malformed weight/capacity profiles or invalid queries."""
 
 
-@dataclass(frozen=True)
-class _Profile:
+class _Record:
+    """Equality and ``repr`` over the attributes named in ``_fields``: a
+    record equals only a record of its exact class with equal fields.
+    Mutable and unhashable, unless it is a :class:`_Frozen` record."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class _Frozen(_Record):
+    """A record whose constructor checks its fields and writes them into
+    ``__dict__`` once; it hashes by its fields, and setting or deleting an
+    attribute afterwards raises :class:`AttributeError`."""
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name}={value!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: del {name}")
+
+
+class _Profile(_Frozen):
     """Non-empty, non-increasing tuple of integers: the body shared by
-    :class:`WeightProfile` and :class:`CapacityProfile`.
+    :class:`WeightProfile` and :class:`CapacityProfile`, which compare and
+    print as their own class."""
 
-    The subclasses are not decorated again: equality, ``repr`` and hashing
-    come from this dataclass and compare and print the concrete class.
-    """
-
-    entries: tuple[int, ...]
-
+    _fields = ("entries",)
     _kind = _label = ""  # "weight"/"w" or "capacity"/"C", for messages
     _non_negative = False
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[int, ...]) -> None:
         try:
-            entries = tuple(map(index, self.entries))
+            checked = tuple(map(index, entries))
         except TypeError:
             raise ProfileError(
-                f"{self._kind} profile entries must be integers: {self.entries!r}"
+                f"{self._kind} profile entries must be integers: {entries!r}"
             ) from None
-        object.__setattr__(self, "entries", entries)
-        if not entries:
+        if not checked:
             raise ProfileError(f"{self._kind} profile must have at least one entry")
-        if self._non_negative and min(entries) < 0:
+        if self._non_negative and min(checked) < 0:
             raise ProfileError("weights must be non-negative")
-        for pos in range(1, len(entries)):
-            if entries[pos] > entries[pos - 1]:
+        for pos in range(1, len(checked)):
+            if checked[pos] > checked[pos - 1]:
                 raise ProfileError(
                     f"{self._label} not non-increasing at position {pos + 1}"
                 )
+        self.__dict__["entries"] = checked
 
     @property
     def n(self) -> int:
@@ -73,7 +103,7 @@ class _Profile:
         if not 1 <= i <= self.n:
             raise ProfileError(f"truncation index {i} out of range 1..{self.n}")
         out = object.__new__(type(self))
-        object.__setattr__(out, "entries", self.entries[i - 1 :])
+        out.__dict__["entries"] = self.entries[i - 1 :]
         return out
 
     def __iter__(self):
@@ -117,26 +147,26 @@ class CapacityProfile(_Profile):
     _kind, _label = "capacity", "C"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """A packing instance: multiplicity ``d`` plus paired weight/capacity profiles."""
 
-    d: int
-    weights: WeightProfile
-    capacities: CapacityProfile
+    _fields = ("d", "weights", "capacities")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, d: int, weights: WeightProfile, capacities: CapacityProfile
+    ) -> None:
         try:
-            object.__setattr__(self, "d", index(self.d))
+            checked = index(d)
         except TypeError:
-            raise ProfileError(f"d must be a positive integer: {self.d!r}") from None
-        if self.d < 1:
+            raise ProfileError(f"d must be a positive integer: {d!r}") from None
+        if checked < 1:
             raise ProfileError("d must be a positive integer")
-        if self.weights.n != self.capacities.n:
+        if weights.n != capacities.n:
             raise ProfileError(
-                f"profile lengths differ: {self.weights.n} weights vs "
-                f"{self.capacities.n} capacities"
+                f"profile lengths differ: {weights.n} weights vs "
+                f"{capacities.n} capacities"
             )
+        self.__dict__.update(d=checked, weights=weights, capacities=capacities)
 
     @property
     def n(self) -> int:
@@ -151,8 +181,7 @@ def make_instance(d: int, w, C) -> Instance:
     return Instance(d, WeightProfile(tuple(w)), CapacityProfile(tuple(C)))
 
 
-@dataclass(frozen=True)
-class ConjugateProfile:
+class ConjugateProfile(NamedTuple):
     """Run-length form of a conjugate (transposed) partition.
 
     ``rows`` is the declared number of parts (trailing zeros included), ``a0``
@@ -436,7 +465,7 @@ def gap_vector(assignment: Assignment, capacities: CapacityProfile) -> tuple[int
         raise ProfileError(
             f"assignment has {assignment.n} bins, capacities have {capacities.n}"
         )
-    return tuple(capacities[j] - assignment.bin_weight(j) for j in range(assignment.n))
+    return tuple(map(sub, capacities.entries, assignment._bin_weights))
 
 
 def is_k_feasible(assignment: Assignment, capacities: CapacityProfile, k: int) -> bool:

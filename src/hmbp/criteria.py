@@ -13,7 +13,9 @@ costs O(n) whatever the size of the weights.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
+from typing import NamedTuple
 
 from .core import CapacityProfile, Instance, WeightProfile, b_row, d_threshold
 
@@ -24,8 +26,7 @@ class Feasibility(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(NamedTuple):
     """Per-index slack data for one instance.
 
     All tuples are indexed by suffix start position minus one, i.e. entry 0
@@ -58,8 +59,7 @@ def _first_negative(slacks: tuple[int, ...]) -> int | None:
     return next((i for i, s in enumerate(slacks, start=1) if s < 0), None)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: Feasibility
     index: int | None = None
 
@@ -80,26 +80,15 @@ def suffix_report(inst: Instance) -> CriteriaReport:
     guarantees feasibility.
     """
     w = inst.weights
-    C = inst.capacities
-    n = w.n
-    suffix_cap = []
-    suffix_dem = []
-    cap_acc = 0
-    dem_acc = 0
-    for i in range(n, 0, -1):
-        cap_acc += C[i - 1]
-        dem_acc += inst.d * w[i - 1]
-        suffix_cap.append(cap_acc)
-        suffix_dem.append(dem_acc)
-    suffix_cap.reverse()
-    suffix_dem.reverse()
+    suffix_cap = tuple(accumulate(reversed(inst.capacities.entries)))[::-1]
+    suffix_dem = tuple(inst.d * s for s in accumulate(reversed(w.entries)))[::-1]
     b_vals = b_row(w)
-    necessary = tuple(c - dm for c, dm in zip(suffix_cap, suffix_dem))
-    sufficient = tuple(s - b for s, b in zip(necessary, b_vals))
+    necessary = tuple(map(sub, suffix_cap, suffix_dem))
+    sufficient = tuple(map(sub, necessary, b_vals))
     thr = d_threshold(w)
     return CriteriaReport(
-        suffix_capacity=tuple(suffix_cap),
-        suffix_demand=tuple(suffix_dem),
+        suffix_capacity=suffix_cap,
+        suffix_demand=suffix_dem,
         b_values=b_vals,
         necessary_slack=necessary,
         sufficient_slack=sufficient,

@@ -16,8 +16,8 @@ answers take one or two probes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from operator import mul, sub
+from typing import NamedTuple
 
 from . import _search
 from .core import Assignment, Instance, ProfileError, is_k_feasible
@@ -38,8 +38,7 @@ def kernel_name() -> str:
     return "pure"
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     feasible: bool
     witness: Assignment | None
     nodes_explored: int

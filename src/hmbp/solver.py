@@ -36,11 +36,18 @@ the engine got stuck, once ``r = N = 1`` stalls too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import oracle as _oracle
-from .core import Assignment, CapacityProfile, Instance, is_k_feasible
+from .core import (
+    Assignment,
+    CapacityProfile,
+    Instance,
+    _Frozen,
+    _Record,
+    is_k_feasible,
+)
 
 KIND_RELIEF = "relief-swap"
 KIND_BOOST = "boost-3way"
@@ -75,8 +82,7 @@ class StallError(RuntimeError):
         self.rounds = 0
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """Move ``count`` balls of ``value`` from bin ``src`` to bin ``dst`` (1-based)."""
 
     value: int
@@ -85,8 +91,7 @@ class Transfer:
     dst: int
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One trace entry: a balanced group of transfers plus diagnostics.
 
     Every step builds its moves through one private helper, which applies
@@ -110,8 +115,8 @@ class Move:
 
     def shifted(self, offset: int, stage: int) -> "Move":
         moved = tuple(
-            Transfer(tr.value, tr.count, tr.src + offset, tr.dst + offset)
-            for tr in self.transfers
+            Transfer(value, q, src + offset, dst + offset)
+            for value, q, src, dst in self.transfers
         )
         return Move(
             self.kind, moved, self.bin1_weight, stage, self.i, self.j, self.l, self.t
@@ -124,7 +129,7 @@ class Move:
             if val is not None:
                 parts.append(f"{name}={val}")
         moved = ",".join(
-            f"{tr.value}x{tr.count}:{tr.src}>{tr.dst}" for tr in self.transfers
+            f"{value}x{q}:{src}>{dst}" for value, q, src, dst in self.transfers
         )
         parts.append(f"moves={moved}")
         parts.append(f"w1={self.bin1_weight}")
@@ -137,14 +142,13 @@ def _record(
     """Apply the 1-based ``transfers`` to ``assignment``, append them to
     ``log`` as one move of ``kind`` and return it; the move's
     ``bin1_weight`` is the head-bin load after the transfers."""
-    assignment.apply((tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in transfers)
+    assignment.apply((value, q, src - 1, dst - 1) for value, q, src, dst in transfers)
     move = Move(kind, transfers, assignment.bin_weight(0), **diag)
     log.append(move)
     return move
 
 
-@dataclass
-class DescentTrace:
+class DescentTrace(_Record):
     """Ordered move log; replaying it from the initial assignment reproduces
     the final one exactly.
 
@@ -152,7 +156,10 @@ class DescentTrace:
     transfers, so the text format does not change with batching.
     """
 
-    moves: list[Move] = field(default_factory=list)
+    _fields = ("moves",)
+
+    def __init__(self, moves: list[Move] | None = None) -> None:
+        self.moves = [] if moves is None else moves
 
     def serialize(self) -> str:
         return "\n".join(mv.serialize() for mv in self.moves) + (
@@ -163,7 +170,7 @@ class DescentTrace:
         out = initial.copy()
         for mv in self.moves:
             out.apply(
-                (tr.value, tr.count, tr.src - 1, tr.dst - 1) for tr in mv.transfers
+                (value, q, src - 1, dst - 1) for value, q, src, dst in mv.transfers
             )
         return out
 
@@ -171,24 +178,22 @@ class DescentTrace:
         return len(self.moves)
 
 
-@dataclass(frozen=True)
-class MatchingPermutation:
+class MatchingPermutation(_Frozen):
     """Permutation of 1..n fixing 1; position ``i`` names the bin paired with
     weight index ``i``."""
 
-    order: tuple[int, ...]
+    _fields = ("order",)
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)) or self.order[0] != 1:
-            raise SolverUsageError(f"not a permutation fixing 1: {self.order}")
+    def __init__(self, order: tuple[int, ...]) -> None:
+        if sorted(order) != list(range(1, len(order) + 1)) or order[0] != 1:
+            raise SolverUsageError(f"not a permutation fixing 1: {order}")
+        self.__dict__["order"] = order
 
     def bin_for(self, i: int) -> int:
         return self.order[i - 1]
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(NamedTuple):
     """Tunables for the descent engine.
 
     ``r`` is the matching richness threshold and ``N`` the target top-ball
@@ -433,13 +438,12 @@ def shrink_gaps(
         return capacities[b - 1] - assignment.bin_weight(b - 1)
 
     def step(kind: str, transfers: tuple, **diag) -> None:
-        for tr in transfers:
-            held = assignment.count_of(tr.value, tr.src - 1)
-            if held < tr.count:
+        for value, q, src, _ in transfers:
+            held = assignment.count_of(value, src - 1)
+            if held < q:
                 raise StallError(
                     "shrink_gaps",
-                    f"bin {tr.src} holds {held} balls of value {tr.value}, "
-                    f"step needs {tr.count}",
+                    f"bin {src} holds {held} balls of value {value}, step needs {q}",
                     step=kind,
                 )
         _record(assignment, log, kind, transfers, **diag)
@@ -625,20 +629,30 @@ def _descend_stage(
                 raise
         for mv in reversed(log):
             assignment.apply(
-                (tr.value, tr.count, tr.dst - 1, tr.src - 1) for tr in mv.transfers
+                (value, q, dst - 1, src - 1) for value, q, src, dst in mv.transfers
             )
         log.clear()
-        attempt = replace(attempt, r=-(-r // 2), N=-(-N // 2))
+        attempt = attempt._replace(r=-(-r // 2), N=-(-N // 2))
 
 
-@dataclass
-class SolveResult:
-    status: str  # "feasible" | "infeasible" | "indeterminate"
-    assignment: Assignment | None
-    trace: DescentTrace
-    rounds: int = 0
-    stall: str | None = None
-    oracle_used: bool = False
+class SolveResult(_Record):
+    """What :func:`solve` found: ``status`` is "feasible", "infeasible" or
+    "indeterminate"; ``stall`` is the text of the stall that ended the
+    descent, if one did."""
+
+    _fields = ("status", "assignment", "trace", "rounds", "stall", "oracle_used")
+
+    def __init__(
+        self,
+        status: str,
+        assignment: Assignment | None,
+        trace: DescentTrace,
+        rounds: int = 0,
+        stall: str | None = None,
+        oracle_used: bool = False,
+    ) -> None:
+        self.status, self.assignment, self.trace = status, assignment, trace
+        self.rounds, self.stall, self.oracle_used = rounds, stall, oracle_used
 
     @property
     def feasible(self) -> bool:

@@ -16,7 +16,7 @@ repeated suffixes are out of reach of the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle as _oracle
 from .core import (
@@ -37,8 +37,7 @@ class UnsupportedWeightsError(ValueError):
     """The requested witness family is not known for these weights."""
 
 
-@dataclass(frozen=True)
-class WitnessInstance:
+class WitnessInstance(NamedTuple):
     """An instance claimed infeasible beyond a stated relaxation level.
 
     The claim is: not ``(relax_index - 1)``-feasible. ``companion``, when
@@ -195,15 +194,13 @@ def _assert_relaxed_shape(wit: WitnessInstance) -> None:
             raise AssertionError(f"corrected condition violated at {i} != {i0}")
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(NamedTuple):
     name: str
     method: str  # "analytic" | "oracle"
     passed: bool
 
 
-@dataclass(frozen=True)
-class WitnessVerification:
+class WitnessVerification(NamedTuple):
     ok: bool
     checks: tuple[WitnessCheck, ...]
     oracle_backed: bool

@@ -3,7 +3,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -632,11 +631,11 @@ def _unit_swaps(moves):
             out.append(mv)
             continue
         give, take = mv.transfers
-        unit = (replace(give, count=1), replace(take, count=1))
+        unit = (give._replace(count=1), take._replace(count=1))
         step = give.value - take.value
         for left in range(give.count - 1, -1, -1):
             out.append(
-                replace(mv, transfers=unit, bin1_weight=mv.bin1_weight + left * step)
+                mv._replace(transfers=unit, bin1_weight=mv.bin1_weight + left * step)
             )
     return out
 

@@ -134,6 +134,43 @@ def test_every_import_is_used():
     assert found == []
 
 
+def test_no_dataclasses_import():
+    # Importing dataclasses (and the inspect, ast and dis modules it pulls
+    # in) costs every CLI process more than the commands compute; records
+    # are NamedTuples or plain classes.
+    found = []
+    for path in sorted(Path(hmbp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for module in modules
+                if module.split(".")[0] == "dataclasses"
+            ]
+    assert found == []
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    # `-S` skips `site`, so nothing preloaded by a .pth file can hide an
+    # import; `src` goes on the path by hand. The package stays eager: the
+    # bench's tracer looks every layer up in sys.modules once `hmbp` is in.
+    src = str(Path(hmbp.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import hmbp.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"dataclasses", "inspect"} & loaded == set()
+    layers = ("core", "criteria", "oracle", "solver", "witness")
+    assert {f"hmbp.{name}" for name in layers} <= loaded
+
+
 def _resolves(dotted):
     """True when ``dotted`` names a module or a chain of attributes on one."""
     parts = dotted.split(".")
