@@ -37,12 +37,26 @@ Bin entry skips the lightest classes that hold no balls. The last bins,
 usually the smallest, are filled first, so the lightest classes tend to
 empty first. Along a search path the residual only shrinks, so the count
 ``low`` of empty lightest classes is kept per bin, and bin ``j`` resumes
-its scan from bin ``j+1``'s. The table's ``low + 1`` leading zero
-entries are written at once, and only the classes above them are summed.
-The window check then walks the capacities from bin ``j`` down to bin ``k``
-once, with running sums of the window's room and of the ``q = d*L`` balls
-it must hold; ``q`` grows with ``L``, so the table index of the ``q``-th
-lightest ball walks forward from ``low``.
+its scan from bin ``j+1``'s. The table's ``low + 1`` leading zero entries
+are written at once, and the classes above them are summed only until the
+table holds ``d`` balls: no choice asks for more, and a class whose lighter
+classes pass the table's end gets ``lo = 0`` without a lookup.
+
+Let ``f_j(L)`` be the room of window ``j, ..., j-L+1`` less the lightest
+``d*L`` balls of the residual at bin ``j``'s entry. Whatever ``d`` balls
+bin ``j`` takes, ``f_{j-1}(L) >= f_j(L+1) - f_j(1)``, in any capacity
+order: window ``j-1`` of length ``L`` plus bin ``j`` is window ``j`` of
+length ``L+1``; and bin ``j`` takes at most ``d`` of the ``d*(L+1)``
+lightest balls, any ``d*L`` of the rest weigh at most their heaviest
+``d*L``, so ``lightest_j(d*(L+1)) >= lightest_{j-1}(d*L) + lightest_j(d)``.
+So bin ``j`` keeps ``beta_j <= min over L >= 2 of f_j(L) - f_j(1)``, and
+the first bin starts from ``beta = -1``. Bin ``j`` dies at once when
+``f_j(1) < 0``. When ``beta_{j+1} >= 0`` every window fits, and
+``beta_j = beta_{j+1} - f_j(1)``; otherwise ``_least_slack`` walks the
+windows once, with running sums of room and balls carried on from the
+table's end, and ``beta_j`` is its least slack less ``f_j(1)``. At
+``w = (60, ..., 1)``, ``d = 60``, ``C = d*w + 1``, 30 of the 60 bin entries
+walk, and the tables sum 120 classes, not 1,890.
 
 The supply must fill every bin: ``sum(supply) == d*len(caps)``, checked once
 at entry. So bin ``j`` is entered with ``d*(j+1)`` balls left, at least the
@@ -66,14 +80,16 @@ class's top took 3,716.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import inf
 
 STATUS_INFEASIBLE = 0
 STATUS_FEASIBLE = 1
 STATUS_BUDGET = 2
 
 
-def _light_table(values, residual, low):
-    """Ball counts and weights of the ``i`` lightest classes, ``i = 0..m``.
+def _light_table(values, residual, low, q):
+    """Ball counts and weights of the ``i`` lightest classes, from ``i = 0``
+    up to the first ``i`` that holds at least ``q >= 1`` balls, or ``m``.
 
     The ``low`` lightest classes must hold no balls: their ``low + 1``
     leading zero entries are written at once, and only the classes above
@@ -87,7 +103,33 @@ def _light_table(values, residual, low):
         weight += residual[c] * values[c]
         counts.append(count)
         weights.append(weight)
+        if count >= q:
+            break
     return counts, weights
+
+
+def _least_slack(values, residual, counts, weights, caps, d, j, k):
+    """Least slack of the windows ``j, ..., j-L+1``, ``L >= 2``, of bins
+    ``k..j``, or the first negative one; ``inf`` when ``j == k``. The sums of
+    the ``q = d*L`` lightest balls go on from the end of bin ``j``'s light
+    table, which holds at least ``d`` balls, and are not stored."""
+    least = inf
+    c = len(values) - len(counts)  # the lightest class not in the table
+    count, weight, room, q = counts[-1], weights[-1], caps[j], d
+    for cap in reversed(caps[k:j]):
+        q += d
+        room += cap
+        while count < q:
+            count += residual[c]
+            weight += residual[c] * values[c]
+            c -= 1
+        # The q-th lightest ball is in class c + 1, the last one summed.
+        slack = room - weight + (count - q) * values[c + 1]
+        if slack < least:
+            least = slack
+            if slack < 0:
+                break
+    return least
 
 
 def _top_count(values, counts, weights, v, d_left, cap_left, lo, hi):
@@ -152,6 +194,8 @@ def search_feasible(values, supply, caps, d, k, budget):
     tables = [None] * n
     # lows[j]: how many lightest classes are empty at bin j's entry.
     lows = [0] * (n + 1)
+    # slacks[j]: beta_j, a floor under every window slack at bin j-1's entry.
+    slacks = [-1] * (n + 1)
     chosen: dict[int, tuple[int, ...]] = {}
     memo: set = set()
     stack: list = []
@@ -171,27 +215,25 @@ def search_feasible(values, supply, caps, d, k, budget):
                 return STATUS_FEASIBLE, chosen, nodes
             key = (j, tuple(residual))
             if key not in memo:
-                if caps[j] >= 0:
-                    # Classes empty at bin j + 1's entry are still empty.
-                    low = lows[j + 1]
-                    while not residual[m - 1 - low]:
-                        low += 1
-                    lows[j] = low
-                    counts, weights = tables[j] = _light_table(values, residual, low)
-                    # Every window j, j-1, ..., j-L+1 of the remaining
-                    # constrained bins must hold the lightest q = d*L balls
-                    # of the residual; q grows with L, so the table index
-                    # holding the q-th lightest ball only walks forward.
-                    q = room = 0
-                    i = low
-                    for cap in caps[j : k - 1 : -1] if k else caps[j::-1]:
-                        q += d
-                        room += cap
-                        while counts[i] < q:
-                            i += 1
-                        if room < weights[i - 1] + (q - counts[i - 1]) * values[-i]:
-                            break
-                    else:
+                # Classes empty at bin j + 1's entry are still empty.
+                low = lows[j + 1]
+                while not residual[m - 1 - low]:
+                    low += 1
+                lows[j] = low
+                counts, weights = _light_table(values, residual, low, d)
+                # Window j alone: its room less its d lightest balls, the
+                # last of which is in the table's last class.
+                i = len(counts) - 1
+                slack = caps[j] - weights[i - 1] - (d - counts[i - 1]) * values[-i]
+                if slack >= 0:
+                    least = slacks[j + 1]
+                    if least < 0:
+                        least = _least_slack(
+                            values, residual, counts, weights, caps, d, j, k
+                        )
+                    if least >= 0:
+                        slacks[j] = least - slack
+                        tables[j] = counts, weights, m - len(counts)
                         stack.append(key)
                         at_bin = False
                         c, d_left, cap_left = 0, d, caps[j]
@@ -209,12 +251,13 @@ def search_feasible(values, supply, caps, d, k, budget):
             j -= 1
             continue
         elif c < m:
-            counts, weights = tables[j]
+            counts, weights, covered = tables[j]
             v = values[c]
             hi = residual[c] if residual[c] <= d_left else d_left
             if v > 0 and cap_left // v < hi:
                 hi = cap_left // v
-            lo = d_left - counts[m - c - 1]
+            # Past the table, lighter classes hold more than d_left balls.
+            lo = d_left - counts[m - c - 1] if c >= covered else 0
             if lo <= 0:
                 # The d_left lightest balls are all lighter than v, and one
                 # ball of weight u fits beside the d_left - 1 lightest when

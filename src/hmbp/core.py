@@ -294,10 +294,9 @@ class Assignment:
         self.class_values = tuple(class_values)
         self.class_supply = tuple(class_supply)
         self.counts = [list(row) for row in counts]
-        self._bin_weights = [
-            sum(map(mul, self.class_values, col)) for col in zip(*self.counts)
-        ]
-        self.validate()
+        bins = list(zip(*self.counts))
+        self._bin_weights = [sum(map(mul, self.class_values, col)) for col in bins]
+        self._check(bins)
 
     @classmethod
     def from_bins(cls, weights: WeightProfile, d: int, bins) -> "Assignment":
@@ -423,18 +422,25 @@ class Assignment:
 
     def validate(self) -> None:
         """Check row/column sum invariants from scratch."""
-        for c, row in enumerate(self.counts):
-            if min(row, default=0) < 0:
-                raise ProfileError(f"negative count in class {c}")
-            held = sum(row)
-            if held != self.class_supply[c]:
-                raise ProfileError(
-                    f"class {self.class_values[c]} holds {held} balls, "
-                    f"supply is {self.class_supply[c]}"
-                )
-        for j, col in enumerate(map(sum, zip(*self.counts))):
-            if col != self.d:
-                raise ProfileError(f"bin {j + 1} holds {col} balls, expected {self.d}")
+        self._check(list(zip(*self.counts)))
+
+    def _check(self, bins) -> None:
+        """:meth:`validate` given the count matrix's columns ``bins``."""
+        rows = self.counts
+        held = tuple(map(sum, rows))
+        if (bins and min(map(min, rows)) < 0) or held != self.class_supply:
+            for c, row in enumerate(rows):
+                if min(row, default=0) < 0:
+                    raise ProfileError(f"negative count in class {c}")
+                if held[c] != self.class_supply[c]:
+                    raise ProfileError(
+                        f"class {self.class_values[c]} holds {held[c]} balls, "
+                        f"supply is {self.class_supply[c]}"
+                    )
+        loads = list(map(sum, bins))
+        if loads.count(self.d) != len(loads):
+            j = next(j for j, load in enumerate(loads) if load != self.d)
+            raise ProfileError(f"bin {j + 1} holds {loads[j]} balls, expected {self.d}")
 
     def bin_notation(self, j: int) -> str:
         """Render bin ``j`` in ``value^count`` notation, e.g. ``5^2 3^1``."""

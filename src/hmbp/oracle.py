@@ -52,8 +52,9 @@ def _class_data(inst: Instance):
 
 def _build_witness(inst: Instance, values, supply, chosen, k) -> Assignment:
     residual = list(supply)
-    for vec in chosen.values():
-        residual = list(map(sub, residual, vec))
+    if k:  # else every bin is constrained and nothing is left over
+        for vec in chosen.values():
+            residual = list(map(sub, residual, vec))
     # Free bins absorb the leftovers, heaviest classes first.
     bins = []
     c = 0

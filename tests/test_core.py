@@ -324,6 +324,33 @@ class TestAssignment:
         with pytest.raises(ProfileError, match="bin 1 holds 3 balls, expected 2"):
             Assignment(2, values, supply, [[1, 1], [2, 0]])
 
+    # Each malformed matrix (values (2, 1), supply (3, 3), d = 2, three
+    # bins) with the one error reported: the first offending class, a
+    # negative count before its class sum, classes before bins, then the
+    # first offending bin.
+    BAD_MATRICES = [
+        ([[4, 0, -1], [-1, 3, 1]], "negative count in class 0"),
+        ([[5, -1, 0], [1, 1, 1]], "negative count in class 0"),
+        ([[1, 1, 1], [4, -1, 1]], "negative count in class 1"),
+        ([[1, 1, 0], [2, 2, -1]], "class 2 holds 2 balls, supply is 3"),
+        ([[2, 1, 1], [1, 1, 1]], "class 2 holds 4 balls, supply is 3"),
+        ([[1, 2, 0], [1, 1, 1]], "bin 2 holds 3 balls, expected 2"),
+    ]
+
+    @pytest.mark.parametrize("counts, message", BAD_MATRICES)
+    def test_validate_reports_the_first_error(self, counts, message):
+        values, supply = (2, 1), (3, 3)
+        with pytest.raises(ProfileError) as built:
+            Assignment(2, values, supply, counts)
+        assert str(built.value) == message
+        a = Assignment(2, values, supply, [[1, 1, 1], [1, 1, 1]])
+        a.apply([(2, 1, 0, 2), (1, 1, 2, 0)])
+        a.validate()
+        a.counts[:] = [list(row) for row in counts]
+        with pytest.raises(ProfileError) as checked:
+            a.validate()
+        assert str(checked.value) == message
+
     def test_unknown_value_rejected(self):
         with pytest.raises(ProfileError):
             Assignment.from_bins(WeightProfile((2, 1)), 1, [{2: 1}, {7: 1}])

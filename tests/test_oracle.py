@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -223,22 +224,40 @@ class TestSearchCost:
 
     def test_table_skips_empty_light_classes(self, monkeypatch):
         # Bin entry builds its table from the lightest class that still
-        # holds balls. Each of the 60 builds here loops over m - low classes
-        # and returns the table a full build gives; a full build loops over
-        # all 60 classes every time, 3,600 in total.
+        # holds balls, and only until it holds the bin's d balls: each table
+        # is a prefix of the full one. A full build loops over all 60
+        # classes at each of the 60 entries, 3,600 in total; building from
+        # the lightest live class to the top looped over 1,890.
         looped = []
         light_table = _search._light_table
 
-        def counted(values, residual, low):
-            table = light_table(values, residual, low)
-            assert table == light_table(values, residual, 0)
-            looped.append(len(values) - low)
+        def counted(values, residual, low, q):
+            table = light_table(values, residual, low, q)
+            full = light_table(values, residual, 0, sum(residual) + 1)
+            assert table == (full[0][: len(table[0])], full[1][: len(table[0])])
+            assert table[0][-1] >= q > table[0][-2]
+            looped.append(len(table[0]) - low - 1)
             return table
 
         monkeypatch.setattr(_search, "_light_table", counted)
         res = decide(SIXTY, 0)
         assert res.feasible and res.nodes_explored == 2011
-        assert len(looped) == 60 and sum(looped) == 1890
+        assert len(looped) == 60 and sum(looped) == 120
+
+    def test_slack_bound_skips_half_the_window_walks(self, monkeypatch):
+        # The slack bound carried down the search path proves every window of
+        # 30 of the 60 bin entries; only the other 30 walk them.
+        walks = []
+        least_slack = _search._least_slack
+
+        def counted(*args):
+            walks.append(1)
+            return least_slack(*args)
+
+        monkeypatch.setattr(_search, "_least_slack", counted)
+        res = decide(SIXTY, 0)
+        assert res.feasible and res.nodes_explored == 2011
+        assert len(walks) == 30
 
 
 def test_budget_cut_off_on_every_budget():
@@ -283,7 +302,8 @@ def test_top_count_matches_naive_scan():
         residual = [
             rng.choice([0, rng.randint(1, 4), rng.randint(1, 150)]) for _ in range(m)
         ]
-        counts, weights = _search._light_table(values, residual, 0)
+        # Asked for one ball more than the residual holds: every class.
+        counts, weights = _search._light_table(values, residual, 0, sum(residual) + 1)
         c = rng.randrange(m if rng.random() < 0.2 else max(m - 1, 1))
         v = values[c]
         d_left = rng.randint(1, rng.choice([6, 300]))
@@ -328,9 +348,8 @@ def test_trimmed_light_table_matches_full_build():
             full[0].append(full[0][-1] + residual[c])
             full[1].append(full[1][-1] + residual[c] * values[c])
         for trim in range(low + 1):
-            assert _search._light_table(values, residual, trim) == full, (
-                values, residual, trim
-            )
+            table = _search._light_table(values, residual, trim, sum(residual) + 1)
+            assert table == full, (values, residual, trim)
 
 
 def windows_fit(values, supply, caps, d, k):
@@ -342,6 +361,51 @@ def windows_fit(values, supply, caps, d, k):
         sum(caps[n - length :]) >= sum(balls[: d * length])
         for length in range(1, n - k + 1)
     )
+
+
+def window_slack(values, residual, caps, d, j, length):
+    """Slack of the window of bins ``j, j-1, ..., j-length+1``: their room
+    less the weight of the ``d*length`` lightest balls of ``residual``."""
+    room = sum(caps[j - length + 1 : j + 1])
+    return room - sum(lightest_balls(values, residual, -1)[: d * length])
+
+
+def test_slack_bound_holds_for_every_fill():
+    # Whatever d balls bin j takes, each window of the bins below it keeps
+    # f_{j-1}(L) >= f_j(L+1) - f_j(1), the bound the kernel carries down
+    # the search path in place of walking the windows.
+    rng = random.Random(19)
+    tally = Counter()
+    for _ in range(2000):
+        m = rng.randint(1, 6)
+        values = sorted(rng.sample(range(rng.choice([m, 12])), m), reverse=True)
+        d = rng.randint(1, 4)
+        n = rng.randint(2, 8)
+        k = rng.randint(0, n - 2)
+        j = rng.randint(k + 1, n - 1)
+        # Bin j's entry residual holds d balls for each of bins 0..j.
+        cuts = sorted(rng.randint(0, d * (j + 1)) for _ in range(m - 1))
+        residual = [b - a for a, b in zip([0] + cuts, cuts + [d * (j + 1)])]
+        mean = sum(map(mul, values, residual)) // (j + 1)
+        caps = [mean + rng.randint(-d * 3, d * 3) for _ in range(n)]
+        if rng.random() < 0.5:
+            caps.sort(reverse=True)
+        tally["sorted" if caps == sorted(caps, reverse=True) else "unsorted"] += 1
+        balls = [c for c in range(m) for _ in range(residual[c])]
+        fill = rng.choice(
+            [rng.sample(balls, d), balls[-d:], balls[:d]]  # any, lightest, heaviest
+        )
+        after = residual[:]
+        for c in fill:
+            after[c] -= 1
+        base = window_slack(values, residual, caps, d, j, 1)
+        for length in range(1, j - k + 1):
+            bound = window_slack(values, residual, caps, d, j, length + 1) - base
+            slack = window_slack(values, after, caps, d, j - 1, length)
+            assert slack >= bound, (values, residual, caps, d, j, length, fill)
+            tally["equal" if slack == bound else "strict"] += 1
+        tally["k>0" if k else "k=0"] += 1
+    assert min(tally.values()) >= 500, tally
 
 
 def test_window_walk_matches_naive_check():
