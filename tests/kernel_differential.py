@@ -1,0 +1,83 @@
+"""Differential check of the search kernel against another copy of it.
+
+Calls ``search_feasible`` of this tree and of another ``_search.py`` (for
+instance the one of the commit before a kernel change, taken with
+``git show REV:src/hmbp/_search.py > old_search.py``) on the same seeded
+random calls, and exits non-zero when any ``(status, bins, nodes)`` differs.
+The calls mix sorted and unsorted capacities (as the W^min probes pass),
+empty lightest classes, ``k = 0`` and random ``k``, and small and large node
+budgets. ``--wide`` draws wider instances (n = 13..40, up to 30 classes).
+Run it as
+``PYTHONPATH=src python tests/kernel_differential.py old_search.py --calls 30000``.
+"""
+
+import argparse
+import importlib.util
+import random
+import sys
+from collections import Counter
+
+from hmbp import _search
+
+
+def load_kernel(path):
+    spec = importlib.util.spec_from_file_location("other_search", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def random_call(rng, wide):
+    """One ``search_feasible`` argument tuple."""
+    n = rng.randint(13, 40) if wide else rng.randint(1, 12)
+    m = rng.randint(1, 30) if wide else rng.randint(1, 8)
+    top = rng.choice([m, 40, 90] if wide else [m, 15, 60])
+    values = sorted(rng.sample(range(top), m), reverse=True)
+    d = rng.randint(1, 6)
+    cuts = sorted(rng.randint(0, d * n) for _ in range(m - 1))
+    supply = [b - a for a, b in zip([0] + cuts, cuts + [d * n])]
+    if rng.random() < 0.3:  # empty lightest classes
+        tail = rng.randint(1, m)
+        supply[-tail:] = [0] * tail
+        supply[rng.randrange(m - tail + 1)] += d * n - sum(supply)
+    mean = sum(v * count for v, count in zip(values, supply)) // n
+    spread = rng.choice([0, 1, d, 3 * d])
+    caps = [
+        mean + rng.randint(-spread, spread) + rng.choice([0, 0, 1])
+        for _ in range(n)
+    ]
+    if rng.random() < 0.5:
+        caps.sort(reverse=True)
+    k = rng.choice([0, 0, rng.randint(0, n)])
+    if wide:
+        budget = rng.choice([rng.randint(1, 3000), 20_000])
+    else:
+        budget = rng.choice([rng.randint(1, 300), 10**6])
+    return values, supply, caps, d, k, budget
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("other", help="path of the other _search.py")
+    p.add_argument("--calls", type=int, default=30_000)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--wide", action="store_true")
+    args = p.parse_args(argv)
+    other = load_kernel(args.other)
+    rng = random.Random(args.seed)
+    tally = Counter()
+    mismatches = 0
+    for _ in range(args.calls):
+        call = random_call(rng, args.wide)
+        got = _search.search_feasible(*call)
+        if got != other.search_feasible(*call):
+            mismatches += 1
+            if mismatches <= 5:
+                print("mismatch:", call, file=sys.stderr)
+        tally[("infeasible", "feasible", "budget")[got[0]]] += 1
+    print(f"{args.calls} calls, {mismatches} mismatches;", dict(sorted(tally.items())))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
