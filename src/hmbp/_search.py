@@ -16,7 +16,9 @@ frame ``[c, d_left, cap_left, v, x, lo, j]`` is the count ``x >= 1`` of
 class ``c`` currently tried in bin ``j``; on failure it steps ``x`` down to
 ``lo``, and it leaves the stack when ``x`` reaches 0, since a count of 0
 changes nothing to undo. Every bin entry and every count tried is one node of
-the budget.
+the budget. So a full bin is read off the choose frames above its key as
+its ``(class, count)`` pairs, classes ascending, counts ``> 0``: an answer
+costs the bins' nonzero counts, not ``n*m``.
 
 A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
 balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
@@ -176,7 +178,8 @@ def search_feasible(values, supply, caps, d, k, budget):
     ``d`` is at least 1, and the supply holds exactly ``d`` balls per bin,
     else :class:`ValueError` is raised.
     Returns ``(status, bins, nodes)`` where ``bins`` maps each constrained
-    bin index to its per-class count tuple on success, else ``None``.
+    bin index to its ``(class, count)`` pairs on success, else ``None``: the
+    classes the bin holds, ascending, each with its count ``> 0``.
     """
     values = tuple(values)
     neg_values = [-u for u in values]  # ascending, for bisection
@@ -196,7 +199,7 @@ def search_feasible(values, supply, caps, d, k, budget):
     lows = [0] * (n + 1)
     # slacks[j]: beta_j, a floor under every window slack at bin j-1's entry.
     slacks = [-1] * (n + 1)
-    chosen: dict[int, tuple[int, ...]] = {}
+    chosen: dict[int, tuple[tuple[int, int], ...]] = {}
     memo: set = set()
     stack: list = []
     nodes = 0
@@ -240,13 +243,12 @@ def search_feasible(values, supply, caps, d, k, budget):
                         continue
                 memo.add(key)
         elif d_left == 0:
-            # The choose frames above bin j's key hold its nonzero counts.
-            row = [0] * m
-            for frame in reversed(stack):
-                if type(frame) is tuple:
-                    break
-                row[frame[0]] = frame[4]
-            chosen[j] = tuple(row)
+            # The choose frames above bin j's key hold its nonzero counts,
+            # in ascending class order.
+            i = len(stack)
+            while type(stack[i - 1]) is not tuple:
+                i -= 1
+            chosen[j] = tuple([(frame[0], frame[4]) for frame in stack[i:]])
             at_bin = True
             j -= 1
             continue

@@ -281,6 +281,9 @@ class Assignment:
     ``counts[c][j]`` is the number of balls of value ``class_values[c]``
     placed in bin ``j`` (bins 0-indexed here; reports print them 1-based).
     Every column sums to ``d`` and row ``c`` sums to ``class_supply[c]``.
+    The matrix is dense, but a bin holds only a few classes: :meth:`from_bins`
+    and the oracle fill and check it from the nonzero ``(class, count)``
+    pairs (:meth:`from_pairs`); the constructor takes a whole dense matrix.
     Mutation happens only through :meth:`apply`, which moves balanced groups
     of ball transfers, and :meth:`prepend_bin`, which adds a full bin in
     front together with its supply, so the sums are preserved at every
@@ -299,17 +302,47 @@ class Assignment:
         self._check(bins)
 
     @classmethod
+    def from_pairs(cls, d: int, class_values, class_supply, bins) -> "Assignment":
+        """Build from per-bin ``(class, count)`` pairs, ``class`` indexing
+        ``class_values``; a class may repeat within a bin. The matrix is
+        filled, checked and weighed over the pairs only; when a check fails
+        the dense constructor re-checks it, so the message is its own."""
+        values, supply = tuple(class_values), tuple(class_supply)
+        counts = [[0] * len(bins) for _ in values]
+        held = [0] * len(values)
+        loads = []
+        valid = True
+        for j, pairs in enumerate(bins):
+            balls = load = 0
+            for c, q in pairs:
+                counts[c][j] += q
+                held[c] += q
+                balls += q
+                load += values[c] * q
+                if q < 0:
+                    valid = False
+            loads.append(load)
+            if balls != d:
+                valid = False
+        if not valid or tuple(held) != supply:
+            return cls(d, values, supply, counts)
+        out = cls.__new__(cls)
+        out.d, out.class_values, out.class_supply = d, values, supply
+        out.counts, out._bin_weights = counts, loads
+        return out
+
+    @classmethod
     def from_bins(cls, weights: WeightProfile, d: int, bins) -> "Assignment":
         """Build from per-bin ``{value: count}`` mappings (one per bin)."""
         values, mult = weights.classes
         row_of = {v: c for c, v in enumerate(values)}
-        counts = [[0] * len(bins) for _ in values]
+        pairs = []
         for j, content in enumerate(bins):
-            for v, q in content.items():
+            for v in content:
                 if v not in row_of:
                     raise ProfileError(f"bin {j + 1} holds unknown weight value {v}")
-                counts[row_of[v]][j] += q
-        return cls(d, values, (d * m for m in mult), counts)
+            pairs.append([(row_of[v], q) for v, q in content.items()])
+        return cls.from_pairs(d, values, [d * m for m in mult], pairs)
 
     @classmethod
     def diagonal(cls, weights: WeightProfile, d: int) -> "Assignment":
@@ -319,15 +352,8 @@ class Assignment:
     @classmethod
     def single_bin(cls, value: int, d: int) -> "Assignment":
         """One bin holding ``d`` balls of ``value``: the last stage of a
-        suffix induction, grown towards the front with :meth:`prepend_bin`.
-        Valid by construction, so it skips :meth:`validate`."""
-        out = cls.__new__(cls)
-        out.d = d
-        out.class_values = (value,)
-        out.class_supply = (d,)
-        out.counts = [[d]]
-        out._bin_weights = [value * d]
-        return out
+        suffix induction, grown towards the front with :meth:`prepend_bin`."""
+        return cls.from_pairs(d, (value,), (d,), [((0, d),)])
 
     @property
     def m(self) -> int:

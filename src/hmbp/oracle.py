@@ -16,7 +16,6 @@ answers take one or two probes.
 from __future__ import annotations
 
 import time
-from operator import mul, sub
 from typing import NamedTuple
 
 from . import _search
@@ -53,25 +52,25 @@ def _class_data(inst: Instance):
 def _build_witness(inst: Instance, values, supply, chosen, k) -> Assignment:
     residual = list(supply)
     if k:  # else every bin is constrained and nothing is left over
-        for vec in chosen.values():
-            residual = list(map(sub, residual, vec))
+        for pairs in chosen.values():
+            for c, x in pairs:
+                residual[c] -= x
     # Free bins absorb the leftovers, heaviest classes first.
     bins = []
     c = 0
     for _ in range(k):
-        vec = [0] * len(values)
+        pairs = []
         need = inst.d
         while need > 0:
             while residual[c] == 0:
                 c += 1
             take = min(residual[c], need)
-            vec[c] += take
+            pairs.append((c, take))
             residual[c] -= take
             need -= take
-        bins.append(vec)
+        bins.append(pairs)
     bins.extend(chosen[j] for j in range(k, inst.n))
-    # The count matrix is the transpose of the per-bin count vectors.
-    return Assignment(inst.d, values, tuple(supply), zip(*bins))
+    return Assignment.from_pairs(inst.d, values, supply, bins)
 
 
 def _undecided(node_budget: int, nodes: int) -> BudgetExceeded:
@@ -140,7 +139,7 @@ def min_bin1_weight(
         if status == _search.STATUS_BUDGET:
             raise _undecided(node_budget, used)
         if status == _search.STATUS_FEASIBLE:
-            return sum(map(mul, chosen[0], values))
+            return sum(values[c] * x for c, x in chosen[0])
         return None
 
     d, w = inst.d, inst.weights.entries

@@ -16,6 +16,7 @@ repeated suffixes are out of reach of the construction.
 
 from __future__ import annotations
 
+from operator import ge
 from typing import NamedTuple
 
 from . import oracle as _oracle
@@ -73,19 +74,15 @@ def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
     # top-weight entries, and length a_k = top - second.
     h_k, a_k = mult[0], top - second
     gaps = weight_gap_profile(w)
-    caps = []
-    for j in range(1, w.n + 1):
-        if j <= h_k:
-            caps.append(d * top - 1)
-        elif j == h_k + 1:
-            caps.append((h_k - 1) * top + (d - h_k + 1) * second + (a_k - 1))
-        else:
-            caps.append(d * w[j - 1] + gaps[j - 2] - 1)
+    caps = [d * top - 1] * h_k
+    caps.append((h_k - 1) * top + (d - h_k + 1) * second + (a_k - 1))
+    # Bin j >= h_k + 2 (1-based) gets d * w_j plus the gap of w_j, minus one.
+    caps.extend(d * v + g - 1 for v, g in zip(w.entries[h_k + 1 :], gaps[h_k:]))
     return tuple(caps)
 
 
-def extremal_companion(w: WeightProfile, d: int) -> Assignment:
-    """The companion assignment: overfills bin 1 by one unit, nothing else."""
+def _extremal_bins(w: WeightProfile, d: int) -> list[dict[int, int]]:
+    """The companion's bins as ``{value: count}`` mappings."""
     values, mult = w.classes
     top, second = values[0], values[1]
     h_k = mult[0]
@@ -96,9 +93,13 @@ def extremal_companion(w: WeightProfile, d: int) -> Assignment:
     if h_k > 1:
         mixed[top] = h_k - 1
     bins.append(mixed)
-    for j in range(h_k + 2, w.n + 1):
-        bins.append({w[j - 1]: d})
-    return Assignment.from_bins(w, d, bins)
+    bins.extend({v: d} for v in w.entries[h_k + 1 :])
+    return bins
+
+
+def extremal_companion(w: WeightProfile, d: int) -> Assignment:
+    """The companion assignment: overfills bin 1 by one unit, nothing else."""
+    return Assignment.from_bins(w, d, _extremal_bins(w, d))
 
 
 def extremal_witness(w: WeightProfile, d: int) -> WitnessInstance:
@@ -138,7 +139,7 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
     # Prefix capacities large enough that every suffix condition before i0
     # holds with room to spare, yet still non-increasing into the suffix.
     pad = b_constant(w) + w.n * w[0]
-    prefix = [d * w[j - 1] + pad for j in range(1, i0)]
+    prefix = [d * v + pad for v in w.entries[: i0 - 1]]
     if constant:
         v = wt[0]
         tail = [d * v] * (wt.n - 1) + [d * v - 1]
@@ -156,9 +157,9 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
         tail = extremal_capacities(wt, d)
         caps = CapacityProfile(tuple(prefix) + tail)
         inst = Instance(d, w, caps)
-        companion = extremal_companion(wt, d)
-        for j in range(i0 - 1, 0, -1):
-            companion.prepend_bin(w[j - 1])
+        # The prefix bins hold their diagonal, the suffix its companion.
+        bins = [{v: d} for v in w.entries[: i0 - 1]] + _extremal_bins(wt, d)
+        companion = Assignment.from_bins(w, d, bins)
         wit = WitnessInstance(
             instance=inst,
             construction="relaxed-extremal",
@@ -226,9 +227,8 @@ def verify_witness(
 
     slack_ok = suffix_report(inst).sufficient_slack[i0 - 1] == -1
     checks.append(WitnessCheck("suffix-slack-minus-one", "analytic", slack_ok))
-    mono_ok = all(
-        inst.capacities[j] >= inst.capacities[j + 1] for j in range(inst.n - 1)
-    )
+    caps = inst.capacities.entries
+    mono_ok = all(map(ge, caps, caps[1:]))
     checks.append(WitnessCheck("capacities-non-increasing", "analytic", mono_ok))
 
     if wit.companion is not None:

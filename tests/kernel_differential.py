@@ -4,6 +4,9 @@ Calls ``search_feasible`` of this tree and of another ``_search.py`` (for
 instance the one of the commit before a kernel change, taken with
 ``git show REV:src/hmbp/_search.py > old_search.py``) on the same seeded
 random calls, and exits non-zero when any ``(status, bins, nodes)`` differs.
+Each bin is compared as its ascending ``(class, count)`` pairs with
+``count > 0``, so a kernel that reports a bin as a dense per-class row
+compares equal to one that reports its pairs.
 The calls mix sorted and unsorted capacities (as the W^min probes pass),
 empty lightest classes, ``k = 0`` and random ``k``, and small and large node
 budgets. ``--wide`` draws wider instances (n = 13..40, up to 30 classes).
@@ -25,6 +28,20 @@ def load_kernel(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def normalised(answer):
+    """``(status, bins, nodes)`` with every bin as its nonzero pairs; a bin
+    is never empty, so its first entry tells pairs from a dense row."""
+    status, bins, nodes = answer
+    if bins is not None:
+        bins = {
+            j: tuple(row)
+            if type(row[0]) is tuple
+            else tuple((c, x) for c, x in enumerate(row) if x)
+            for j, row in bins.items()
+        }
+    return status, bins, nodes
 
 
 def random_call(rng, wide):
@@ -69,8 +86,8 @@ def main(argv=None) -> int:
     mismatches = 0
     for _ in range(args.calls):
         call = random_call(rng, args.wide)
-        got = _search.search_feasible(*call)
-        if got != other.search_feasible(*call):
+        got = normalised(_search.search_feasible(*call))
+        if got != normalised(other.search_feasible(*call)):
             mismatches += 1
             if mismatches <= 5:
                 print("mismatch:", call, file=sys.stderr)

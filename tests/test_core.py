@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +351,69 @@ class TestAssignment:
         with pytest.raises(ProfileError) as checked:
             a.validate()
         assert str(checked.value) == message
+
+    def test_from_pairs_matches_dense_constructor(self):
+        # Seeded bins as (class, count) pairs, valid or broken by repeating a
+        # class in a bin, zero and negative counts, a ball moved between
+        # bins or added to one (wrong bin sizes), or a changed supply (wrong
+        # class totals). The sparse build raises exactly when the dense one
+        # does, with the same message, and otherwise gives the same
+        # assignment.
+        rng = random.Random(20)
+        tally = Counter()
+        for _ in range(3000):
+            m, n, d = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+            values = tuple(sorted(rng.sample(range(9), m), reverse=True))
+            bins = [Counter(rng.choices(range(m), k=d)) for _ in range(n)]
+            supply = [sum(b[c] for b in bins) for c in range(m)]
+            pairs = [list(b.items()) for b in bins]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                j, c = rng.randrange(n), rng.randrange(m)
+                kind = rng.choice(
+                    ["repeat", "zero", "negative", "move", "add", "supply"]
+                )
+                if kind == "repeat":
+                    q = rng.randint(-1, 2)
+                    pairs[j] += [(c, q), (c, -q)]
+                elif kind == "zero":
+                    pairs[j].append((c, 0))
+                elif kind == "negative":
+                    pairs[j] += [(c, -1), (rng.randrange(m), 1)]
+                elif kind == "move":
+                    pairs[j].append((c, -1))
+                    pairs[rng.randrange(n)].append((c, 1))
+                elif kind == "add":
+                    pairs[j].append((c, 1))
+                    supply[c] += 1
+                else:
+                    supply[c] += rng.choice([-1, 1])
+            for bin_pairs in pairs:
+                rng.shuffle(bin_pairs)
+            dense = [[0] * n for _ in range(m)]
+            for j, bin_pairs in enumerate(pairs):
+                for c, q in bin_pairs:
+                    dense[c][j] += q
+            try:
+                want = Assignment(d, values, supply, dense)
+            except ProfileError as exc:
+                with pytest.raises(ProfileError) as got:
+                    Assignment.from_pairs(d, values, supply, pairs)
+                assert str(got.value) == str(exc)
+                tally[str(exc).split()[0]] += 1
+                continue
+            a = Assignment.from_pairs(d, values, supply, pairs)
+            assert (a.d, a.class_values, a.counts) == (d, values, want.counts)
+            assert a.class_supply == want.class_supply
+            assert [a.bin_weight(j) for j in range(n)] == [
+                want.bin_weight(j) for j in range(n)
+            ]
+            tally["built"] += 1
+            tally["built-with-negative-pair"] += any(
+                q < 0 for bin_pairs in pairs for _, q in bin_pairs
+            )
+        for outcome in ("built", "negative", "class", "bin"):
+            assert tally[outcome] >= 50, tally
+        assert tally["built-with-negative-pair"] >= 50, tally
 
     def test_unknown_value_rejected(self):
         with pytest.raises(ProfileError):

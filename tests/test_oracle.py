@@ -152,12 +152,9 @@ def test_kernel_replays_parity_fixture():
     for r in records:
         expected = None
         if r["chosen"] is not None:
-            expected = {}
-            for j, pairs in r["chosen"]:
-                vec = [0] * len(r["values"])
-                for c, x in pairs:
-                    vec[c] = x
-                expected[j] = tuple(vec)
+            expected = {
+                j: tuple((c, x) for c, x in pairs) for j, pairs in r["chosen"]
+            }
         got = _search.search_feasible(
             r["values"], r["supply"], r["caps"], r["d"], r["k"], r["budget"]
         )
@@ -503,6 +500,20 @@ class TestSearchProperties:
                 res.witness.validate()
                 assert is_k_feasible(res.witness, inst.capacities, k)
 
+    def test_witnesses_with_free_bins_validate(self):
+        # The free bins are filled from the leftover supply as pairs: the
+        # finished count matrix passes the dense check.
+        rng = random.Random(13)
+        feasible = 0
+        for inst in small_instances(rng, 500, max_n=7, max_w=6, max_d=4):
+            k = rng.randint(1, inst.n)
+            res = decide(inst, k)
+            if res.feasible:
+                res.witness.validate()
+                assert is_k_feasible(res.witness, inst.capacities, k)
+                feasible += k < inst.n
+        assert feasible >= 100
+
     def test_min_bin1_vs_decision_levels(self):
         rng = random.Random(12)
         for inst in small_instances(rng, 200):
@@ -575,7 +586,8 @@ class TestErrorPaths:
             with pytest.raises(ValueError, match="does not fill"):
                 _search.search_feasible((3, 1), (2, 2), caps, 2, k, 100)
         status, chosen, _ = _search.search_feasible((3, 1), (2, 2), (5, 4), 2, 0, 100)
-        assert status == _search.STATUS_FEASIBLE and chosen == {1: (1, 1), 0: (1, 1)}
+        assert status == _search.STATUS_FEASIBLE
+        assert chosen == {1: ((0, 1), (1, 1)), 0: ((0, 1), (1, 1))}
 
     def test_k_out_of_range(self):
         with pytest.raises(ProfileError):
