@@ -16,9 +16,11 @@ frame ``[c, d_left, cap_left, v, x, lo, j]`` is the count ``x >= 1`` of
 class ``c`` currently tried in bin ``j``; on failure it steps ``x`` down to
 ``lo``, and it leaves the stack when ``x`` reaches 0, since a count of 0
 changes nothing to undo. Every bin entry and every count tried is one node of
-the budget. So a full bin is read off the choose frames above its key as
-its ``(class, count)`` pairs, classes ascending, counts ``> 0``: an answer
-costs the bins' nonzero counts, not ``n*m``.
+the budget. The stack is the only record of the search path: at the feasible
+return it is read once, bottom to top, each bin key starting its bin and the
+choose frames above it adding their ``(class, count)`` pairs, classes
+ascending, counts ``> 0``. An answer costs the bins' nonzero counts, not
+``n*m``, and no bin the search backtracks through is read.
 
 A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
 balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
@@ -175,8 +177,8 @@ def search_feasible(values, supply, caps, d, k, budget):
     """Fill bins ``k..n-1`` (0-based) within capacity, ``d`` balls each.
 
     Bins ``0..k-1`` are unconstrained and absorb whatever supply remains;
-    ``d`` is at least 1, and the supply holds exactly ``d`` balls per bin,
-    else :class:`ValueError` is raised.
+    ``d`` is at least 1, ``k`` at least 0, and the supply holds exactly
+    ``d`` balls per bin, else :class:`ValueError` is raised.
     Returns ``(status, bins, nodes)`` where ``bins`` maps each constrained
     bin index to its ``(class, count)`` pairs on success, else ``None``: the
     classes the bin holds, ascending, each with its count ``> 0``.
@@ -187,6 +189,10 @@ def search_feasible(values, supply, caps, d, k, budget):
     caps = tuple(caps)
     n = len(caps)
     m = len(values)
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     if sum(residual) != d * n:
         raise ValueError(
             f"supply of {sum(residual)} balls does not fill {n} bins of {d}"
@@ -199,7 +205,6 @@ def search_feasible(values, supply, caps, d, k, budget):
     lows = [0] * (n + 1)
     # slacks[j]: beta_j, a floor under every window slack at bin j-1's entry.
     slacks = [-1] * (n + 1)
-    chosen: dict[int, tuple[tuple[int, int], ...]] = {}
     memo: set = set()
     stack: list = []
     nodes = 0
@@ -215,7 +220,13 @@ def search_feasible(values, supply, caps, d, k, budget):
             return STATUS_BUDGET, None, nodes
         if at_bin:
             if j < k:
-                return STATUS_FEASIBLE, chosen, nodes
+                bins = {}
+                for frame in stack:
+                    if type(frame) is tuple:  # a bin's key, then its choices
+                        pairs = bins[frame[0]] = []
+                    else:
+                        pairs.append((frame[0], frame[4]))
+                return STATUS_FEASIBLE, {b: tuple(p) for b, p in bins.items()}, nodes
             key = (j, tuple(residual))
             if key not in memo:
                 # Classes empty at bin j + 1's entry are still empty.
@@ -243,12 +254,6 @@ def search_feasible(values, supply, caps, d, k, budget):
                         continue
                 memo.add(key)
         elif d_left == 0:
-            # The choose frames above bin j's key hold its nonzero counts,
-            # in ascending class order.
-            i = len(stack)
-            while type(stack[i - 1]) is not tuple:
-                i -= 1
-            chosen[j] = tuple([(frame[0], frame[4]) for frame in stack[i:]])
             at_bin = True
             j -= 1
             continue

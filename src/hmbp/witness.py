@@ -143,30 +143,21 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
     if constant:
         v = wt[0]
         tail = [d * v] * (wt.n - 1) + [d * v - 1]
-        caps = CapacityProfile(tuple(prefix) + tuple(tail))
-        inst = Instance(d, w, caps)
-        companion = Assignment.diagonal(w, d)
-        wit = WitnessInstance(
-            instance=inst,
-            construction="relaxed-constant-tail",
-            relax_index=i0,
-            companion=companion,
-            companion_level=w.n,
-        )
+        tail_bins = [{v: d}] * wt.n
+        construction, level = "relaxed-constant-tail", w.n
     else:
         tail = extremal_capacities(wt, d)
-        caps = CapacityProfile(tuple(prefix) + tail)
-        inst = Instance(d, w, caps)
-        # The prefix bins hold their diagonal, the suffix its companion.
-        bins = [{v: d} for v in w.entries[: i0 - 1]] + _extremal_bins(wt, d)
-        companion = Assignment.from_bins(w, d, bins)
-        wit = WitnessInstance(
-            instance=inst,
-            construction="relaxed-extremal",
-            relax_index=i0,
-            companion=companion,
-            companion_level=i0,
-        )
+        tail_bins = _extremal_bins(wt, d)
+        construction, level = "relaxed-extremal", i0
+    # The prefix bins hold their diagonal, the suffix its companion.
+    bins = [{v: d} for v in w.entries[: i0 - 1]] + tail_bins
+    wit = WitnessInstance(
+        instance=Instance(d, w, CapacityProfile(tuple(prefix) + tuple(tail))),
+        construction=construction,
+        relax_index=i0,
+        companion=Assignment.from_bins(w, d, bins),
+        companion_level=level,
+    )
     _assert_relaxed_shape(wit)
     return wit
 

@@ -14,6 +14,7 @@ import pytest
 
 import hmbp
 from bruteforce import decide_naive, min_bin1_naive
+import kernel_differential
 from helpers import normalize
 from hmbp import _search
 from hmbp.core import (
@@ -161,6 +162,22 @@ def test_kernel_replays_parity_fixture():
         if got != (r["status"], expected, r["nodes"]):
             mismatches.append(r["key"])
     assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--calls", "200"], ["--calls", "40", "--wide"]],
+    ids=["narrow", "wide"],
+)
+def test_kernel_differential_runs_against_this_kernel(argv, capsys):
+    # Keeps the differential script working: this tree's kernel against its
+    # own source file must agree on every call and meet all three statuses.
+    code = kernel_differential.main([_search.__file__, *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert " 0 mismatches;" in out
+    for status in ("infeasible", "feasible", "budget"):
+        assert f"'{status}':" in out
 
 
 SIXTY_W = tuple(range(60, 0, -1))
@@ -588,6 +605,21 @@ class TestErrorPaths:
         status, chosen, _ = _search.search_feasible((3, 1), (2, 2), (5, 4), 2, 0, 100)
         assert status == _search.STATUS_FEASIBLE
         assert chosen == {1: ((0, 1), (1, 1)), 0: ((0, 1), (1, 1))}
+
+    @pytest.mark.parametrize(
+        "supply, caps, d, k, message",
+        [
+            ((0, 0), (5, 5), 0, 0, "d must be at least 1, got 0"),
+            ((2, 2), (6, 6), 2, -1, "k must be at least 0, got -1"),
+        ],
+        ids=["d-zero", "k-negative"],
+    )
+    def test_search_refuses_d_below_one_and_negative_k(
+        self, supply, caps, d, k, message
+    ):
+        # A negative index would wrap around to the last bin or class.
+        with pytest.raises(ValueError, match=message):
+            _search.search_feasible((3, 1), supply, caps, d, k, 100)
 
     def test_k_out_of_range(self):
         with pytest.raises(ProfileError):

@@ -416,6 +416,23 @@ class TestDescendAndSolve:
         a = Assignment.diagonal(inst.weights, 2)
         assert descend(inst, a, SolverConfig(), []) == 0
 
+    def test_descend_stalls_when_all_weights_are_equal(self):
+        # One weight class leaves nothing to exchange: bin 1 can only fit.
+        log = []
+        with pytest.raises(StallError) as info:
+            descend(
+                make_instance(2, (3,), (5,)),
+                Assignment.diagonal(WeightProfile((3,)), 2),
+                SolverConfig(),
+                log,
+            )
+        assert info.value.op == "descend"
+        assert str(info.value) == (
+            "descend: all weights equal 3: every bin needs capacity 6, bin 1 has 5"
+        )
+        assert info.value.rounds == 1
+        assert log == []
+
     def test_descend_from_canonical_start(self):
         inst = make_instance(6, SIX_W.entries, SIX_C.entries)
         a = six_bin_start()
