@@ -10,17 +10,25 @@ the capacities to be sorted, so ``oracle.min_bin1_weight`` can probe a
 lowered bin-1 capacity with this same search.
 
 The search is one loop over an explicit stack, so its Python stack depth
-does not grow with the instance. A bin frame is the memo key of a bin being
-filled; it is added to the memo when the bin's last choice fails. A choose
-frame ``[c, d_left, cap_left, v, x, lo, j]`` is the count ``x >= 1`` of
-class ``c`` currently tried in bin ``j``; on failure it steps ``x`` down to
-``lo``, and it leaves the stack when ``x`` reaches 0, since a count of 0
-changes nothing to undo. Every bin entry and every count tried is one node of
-the budget. The stack is the only record of the search path: at the feasible
-return it is read once, bottom to top, each bin key starting its bin and the
-choose frames above it adding their ``(class, count)`` pairs, classes
-ascending, counts ``> 0``. An answer costs the bins' nonzero counts, not
-``n*m``, and no bin the search backtracks through is read.
+does not grow with the instance. A bin frame is the index ``j`` of a bin
+being filled. A choose frame ``[c, d_left, cap_left, v, x, lo, j]`` is the
+count ``x >= 1`` of class ``c`` currently tried in bin ``j``; on failure it
+steps ``x`` down to ``lo``, and it leaves the stack when ``x`` reaches 0,
+since a count of 0 changes nothing to undo. Every bin entry and every count
+tried is one node of the budget, and so is the fill of a bin: a count that
+fills bin ``j`` counts that node, checks the budget and goes straight to bin
+``j-1``'s entry. The stack is the only record of the search path: at the
+feasible return it is read once, bottom to top, each bin frame starting its
+bin and the choose frames above it adding their ``(class, count)`` pairs,
+classes ascending, counts ``> 0``. An answer costs the bins' nonzero counts,
+not ``n*m``, and no bin the search backtracks through is read.
+
+The memo holds one set per bin, made at the bin's first failure: the
+residuals at which bin ``j`` failed, at its entry or once its last choice
+failed, when its choices are undone and the residual is back at its entry
+value. The residual's tuple is built only to look it up in a set that
+exists, or to add it when the bin fails: a scale pass of
+``perfbench`` builds 1,700 keys over 5,531 bin entries, not one per entry.
 
 A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
 balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
@@ -53,17 +61,25 @@ order: window ``j-1`` of length ``L`` plus bin ``j`` is window ``j`` of
 length ``L+1``; and bin ``j`` takes at most ``d`` of the ``d*(L+1)``
 lightest balls, any ``d*L`` of the rest weigh at most their heaviest
 ``d*L``, so ``lightest_j(d*(L+1)) >= lightest_{j-1}(d*L) + lightest_j(d)``.
-So bin ``j`` keeps ``beta_j <= min over L >= 2 of f_j(L) - f_j(1)``, and
-the first bin starts from ``beta = -1``. Bin ``j`` dies at once when
-``f_j(1) < 0``. When ``beta_{j+1} >= 0`` every window fits, and
-``beta_j = beta_{j+1} - f_j(1)``; otherwise ``_least_slack`` walks the
-windows once, with running sums of room and balls carried on from the
-table's end, and ``beta_j`` is its least slack less ``f_j(1)``. At
-``w = (60, ..., 1)``, ``d = 60``, ``C = d*w + 1``, 30 of the 60 bin entries
-walk, and the tables sum 120 classes, not 1,890.
+Chained down from the last bin ``w`` that walked its windows, every window
+of a bin ``j`` below it keeps
+``f_j(L) >= f_w(L + w - j) - (f_{j+1}(1) + ... + f_w(1))``. So a walk
+keeps the suffix minima ``SM_w(t) = min over L >= t of f_w(L)``, and bin
+``j`` needs no walk of its own when ``SM_w(w - j + 2)`` is at least the sum
+of the one-bin slacks ``f_s(1)``, ``s = j+1..w``: then every window of
+length ``L >= 2`` fits, and bin ``j`` checks only ``f_j(1) >= 0``. Bin
+``j`` keeps the list of its walk, or else the one it inherited, and that
+sum from ``w`` down to ``j``; the first bin walks. ``_least_slack`` walks
+the windows once, with running sums of room and balls carried on from the
+table's end, and returns the suffix minima as a list indexed by the lowest
+bin they reach below, or ``None`` at the first negative window. At
+``w = (60, ..., 1)``, ``d = 60``, ``C = d*w + 1``, 14 of the 60 bin entries
+walk, where ``SM_w(2)`` at every offset leaves 30, and the tables sum 120
+classes, not 1,890.
 
-The supply must fill every bin: ``sum(supply) == d*len(caps)``, checked once
-at entry. So bin ``j`` is entered with ``d*(j+1)`` balls left, at least the
+``values`` must be strictly descending, with one supply count ``>= 0`` per
+class, and the supply must fill every bin: ``sum(supply) == d*len(caps)``.
+All of this is checked once at entry, in ``O(m)``. So bin ``j`` is entered with ``d*(j+1)`` balls left, at least the
 ``d*(j-k+1)`` that its widest window asks for, and at least one class holds
 balls.
 
@@ -78,13 +94,13 @@ same node as a class-by-class walk would. With the runs crossed this way the
 search makes fewer bisections than nodes: 696 over 2,011 nodes at
 ``w = (60, ..., 1)``, ``d = 60``, ``C = d*w + 1``, where solving every
 class's top took 3,716.
-``values`` must be distinct and descending.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import inf
+from operator import gt
 
 STATUS_INFEASIBLE = 0
 STATUS_FEASIBLE = 1
@@ -113,11 +129,16 @@ def _light_table(values, residual, low, q):
 
 
 def _least_slack(values, residual, counts, weights, caps, d, j, k):
-    """Least slack of the windows ``j, ..., j-L+1``, ``L >= 2``, of bins
-    ``k..j``, or the first negative one; ``inf`` when ``j == k``. The sums of
-    the ``q = d*L`` lightest balls go on from the end of bin ``j``'s light
-    table, which holds at least ``d`` balls, and are not stored."""
-    least = inf
+    """Suffix minima of the slacks of the windows ``j, ..., j-L+1``,
+    ``L >= 2``, of bins ``k..j``, or ``None`` when one of them is negative.
+
+    Entry ``i`` of the list, ``i = 0..j-k``, is the least slack of the
+    windows whose lowest bin is below ``k + i``: ``inf`` at ``i = 0``, and
+    ``SM_j(j-b+2)`` at ``i = b - k``, the floor a lower bin ``b`` chains down
+    from. The sums of the ``q = d*L`` lightest balls go on from the end of
+    bin ``j``'s light table, which holds at least ``d`` balls, and are not
+    stored."""
+    slacks = []
     c = len(values) - len(counts)  # the lightest class not in the table
     count, weight, room, q = counts[-1], weights[-1], caps[j], d
     for cap in reversed(caps[k:j]):
@@ -129,11 +150,16 @@ def _least_slack(values, residual, counts, weights, caps, d, j, k):
             c -= 1
         # The q-th lightest ball is in class c + 1, the last one summed.
         slack = room - weight + (count - q) * values[c + 1]
+        if slack < 0:
+            return None
+        slacks.append(slack)
+    floors = [inf]
+    least = inf
+    for slack in reversed(slacks):
         if slack < least:
             least = slack
-            if slack < 0:
-                break
-    return least
+        floors.append(least)
+    return floors
 
 
 def _top_count(values, counts, weights, v, d_left, cap_left, lo, hi):
@@ -176,9 +202,10 @@ def _top_count(values, counts, weights, v, d_left, cap_left, lo, hi):
 def search_feasible(values, supply, caps, d, k, budget):
     """Fill bins ``k..n-1`` (0-based) within capacity, ``d`` balls each.
 
-    Bins ``0..k-1`` are unconstrained and absorb whatever supply remains;
-    ``d`` is at least 1, ``k`` at least 0, and the supply holds exactly
-    ``d`` balls per bin, else :class:`ValueError` is raised.
+    Bins ``0..k-1`` are unconstrained and absorb whatever supply remains.
+    ``values`` must be strictly descending with one supply count ``>= 0`` per
+    class, ``d`` at least 1, ``k`` at least 0, and the supply must hold
+    exactly ``d`` balls per bin, else :class:`ValueError` is raised.
     Returns ``(status, bins, nodes)`` where ``bins`` maps each constrained
     bin index to its ``(class, count)`` pairs on success, else ``None``: the
     classes the bin holds, ascending, each with its count ``> 0``.
@@ -193,6 +220,12 @@ def search_feasible(values, supply, caps, d, k, budget):
         raise ValueError(f"d must be at least 1, got {d}")
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
+    if len(residual) != m:
+        raise ValueError(f"{len(residual)} supply counts for {m} classes")
+    if not all(map(gt, values, values[1:])):
+        raise ValueError(f"values {values} are not strictly descending")
+    if min(residual, default=0) < 0:
+        raise ValueError(f"supply {tuple(residual)} has a negative count")
     if sum(residual) != d * n:
         raise ValueError(
             f"supply of {sum(residual)} balls does not fill {n} bins of {d}"
@@ -203,9 +236,13 @@ def search_feasible(values, supply, caps, d, k, budget):
     tables = [None] * n
     # lows[j]: how many lightest classes are empty at bin j's entry.
     lows = [0] * (n + 1)
-    # slacks[j]: beta_j, a floor under every window slack at bin j-1's entry.
-    slacks = [-1] * (n + 1)
-    memo: set = set()
+    # floors[j], spent[j]: the suffix minima of the last walk at or above
+    # bin j, and the one-bin slacks summed from that walk's bin down to j.
+    # Bin n - 1 finds nothing proven and walks.
+    floors = [None] * n + [[-1] * (n - k)]
+    spent = [0] * (n + 1)
+    # memo[j]: the residuals at which bin j failed; None until its first.
+    memo = [None] * n
     stack: list = []
     nodes = 0
 
@@ -222,13 +259,14 @@ def search_feasible(values, supply, caps, d, k, budget):
             if j < k:
                 bins = {}
                 for frame in stack:
-                    if type(frame) is tuple:  # a bin's key, then its choices
-                        pairs = bins[frame[0]] = []
+                    if type(frame) is int:  # a bin, then its choices
+                        pairs = bins[frame] = []
                     else:
                         pairs.append((frame[0], frame[4]))
                 return STATUS_FEASIBLE, {b: tuple(p) for b, p in bins.items()}, nodes
-            key = (j, tuple(residual))
-            if key not in memo:
+            seen = memo[j]
+            key = None if seen is None else tuple(residual)
+            if key is None or key not in seen:
                 # Classes empty at bin j + 1's entry are still empty.
                 low = lows[j + 1]
                 while not residual[m - 1 - low]:
@@ -240,23 +278,26 @@ def search_feasible(values, supply, caps, d, k, budget):
                 i = len(counts) - 1
                 slack = caps[j] - weights[i - 1] - (d - counts[i - 1]) * values[-i]
                 if slack >= 0:
-                    least = slacks[j + 1]
-                    if least < 0:
-                        least = _least_slack(
+                    below = floors[j + 1]
+                    total = spent[j + 1]
+                    if below[j - k] < total:
+                        below = _least_slack(
                             values, residual, counts, weights, caps, d, j, k
                         )
-                    if least >= 0:
-                        slacks[j] = least - slack
+                        total = 0
+                    if below is not None:
+                        floors[j] = below
+                        spent[j] = total + slack
                         tables[j] = counts, weights, m - len(counts)
-                        stack.append(key)
+                        stack.append(j)
                         at_bin = False
                         c, d_left, cap_left = 0, d, caps[j]
                         continue
-                memo.add(key)
-        elif d_left == 0:
-            at_bin = True
-            j -= 1
-            continue
+                # Bin j fails at its entry.
+                if key is None:
+                    memo[j] = {tuple(residual)}
+                else:
+                    seen.add(key)
         elif c < m:
             counts, weights, covered = tables[j]
             v = values[c]
@@ -281,6 +322,15 @@ def search_feasible(values, supply, caps, d, k, budget):
                     if top:
                         stack.append([c, d_left, cap_left, v, top, lo, j])
                         residual[c] -= top
+                        if top == d_left:
+                            # The bin is full: its fill is one node, and the
+                            # next node is bin j - 1's entry.
+                            nodes += 1
+                            if nodes > budget:
+                                return STATUS_BUDGET, None, nodes
+                            at_bin = True
+                            j -= 1
+                            continue
                     c, d_left, cap_left = c + 1, d_left - top, cap_left - top * v
                     continue
             else:
@@ -300,9 +350,14 @@ def search_feasible(values, supply, caps, d, k, budget):
         # The node just expanded failed: resume the nearest open choice.
         while stack:
             frame = stack[-1]
-            if type(frame) is tuple:  # a bin whose every choice failed
+            if type(frame) is int:  # a bin whose every choice failed
                 stack.pop()
-                memo.add(frame)
+                # Its choices are undone: residual is back at its entry.
+                seen = memo[frame]
+                if seen is None:
+                    memo[frame] = {tuple(residual)}
+                else:
+                    seen.add(tuple(residual))
                 continue
             c, d_left, cap_left, v, x, lo, j = frame
             residual[c] += x
@@ -315,6 +370,7 @@ def search_feasible(values, supply, caps, d, k, budget):
                 residual[c] -= x
             else:
                 stack.pop()
+            # A lowered count leaves at least one ball to place.
             c, d_left, cap_left = c + 1, d_left - x, cap_left - x * v
             at_bin = False
             break

@@ -4,6 +4,8 @@ Calls ``search_feasible`` of this tree and of another ``_search.py`` (for
 instance the one of the commit before a kernel change, taken with
 ``git show REV:src/hmbp/_search.py > old_search.py``) on the same seeded
 random calls, and exits non-zero when any ``(status, bins, nodes)`` differs.
+Both kernels are timed on every call, alternating which of the two runs
+first, and the summary line ends with each side's total seconds.
 Each bin is compared as its ascending ``(class, count)`` pairs with
 ``count > 0``, so a kernel that reports a bin as a dense per-class row
 compares equal to one that reports its pairs.
@@ -18,6 +20,7 @@ import argparse
 import importlib.util
 import random
 import sys
+import time
 from collections import Counter
 
 from hmbp import _search
@@ -82,17 +85,28 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     other = load_kernel(args.other)
     rng = random.Random(args.seed)
+    kernels = (_search.search_feasible, other.search_feasible)
+    seconds = [0.0, 0.0]
     tally = Counter()
     mismatches = 0
-    for _ in range(args.calls):
+    for i in range(args.calls):
         call = random_call(rng, args.wide)
-        got = normalised(_search.search_feasible(*call))
-        if got != normalised(other.search_feasible(*call)):
+        answers = [None, None]
+        for side in (i % 2, 1 - i % 2):
+            start = time.perf_counter()
+            answers[side] = kernels[side](*call)
+            seconds[side] += time.perf_counter() - start
+        got = normalised(answers[0])
+        if got != normalised(answers[1]):
             mismatches += 1
             if mismatches <= 5:
                 print("mismatch:", call, file=sys.stderr)
         tally[("infeasible", "feasible", "budget")[got[0]]] += 1
-    print(f"{args.calls} calls, {mismatches} mismatches;", dict(sorted(tally.items())))
+    print(
+        f"{args.calls} calls, {mismatches} mismatches;",
+        f"{dict(sorted(tally.items()))};",
+        f"this kernel {seconds[0]:.3f} s, other {seconds[1]:.3f} s",
+    )
     return 1 if mismatches else 0
 
 

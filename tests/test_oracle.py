@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from math import inf
 from operator import mul
 from pathlib import Path
 
@@ -258,9 +259,10 @@ class TestSearchCost:
         assert res.feasible and res.nodes_explored == 2011
         assert len(looped) == 60 and sum(looped) == 120
 
-    def test_slack_bound_skips_half_the_window_walks(self, monkeypatch):
-        # The slack bound carried down the search path proves every window of
-        # 30 of the 60 bin entries; only the other 30 walk them.
+    def test_chained_floors_skip_most_window_walks(self, monkeypatch):
+        # The floors chained down the search path from the suffix minima of
+        # the last walk prove every window of 46 of the 60 bin entries; only
+        # the other 14 walk them.
         walks = []
         least_slack = _search._least_slack
 
@@ -271,7 +273,7 @@ class TestSearchCost:
         monkeypatch.setattr(_search, "_least_slack", counted)
         res = decide(SIXTY, 0)
         assert res.feasible and res.nodes_explored == 2011
-        assert len(walks) == 30
+        assert len(walks) == 14
 
 
 def test_budget_cut_off_on_every_budget():
@@ -420,6 +422,76 @@ def test_slack_bound_holds_for_every_fill():
             tally["equal" if slack == bound else "strict"] += 1
         tally["k>0" if k else "k=0"] += 1
     assert min(tally.values()) >= 500, tally
+
+
+def test_chained_floor_holds_along_every_path():
+    # Below the last walked bin w, every window of bin j keeps
+    # f_j(L) >= f_w(L + w - j) - (f_{j+1}(1) + ... + f_w(1)), whatever d
+    # balls bins w..j+1 took and in any capacity order. _least_slack returns
+    # the suffix minima of f_w, and bin j skips its walk when the entry for
+    # windows reaching below it, less that sum, is not negative.
+    rng = random.Random(37)
+    tally = Counter()
+    for _ in range(2000):
+        m = rng.randint(1, 6)
+        values = sorted(rng.sample(range(rng.choice([m, 12])), m), reverse=True)
+        d = rng.randint(1, 4)
+        fills = rng.randint(1, 4)
+        n = rng.randint(fills + 1, fills + 6)
+        k = rng.randint(0, n - fills - 1)
+        w = rng.randint(k + fills, n - 1)
+        # Bin w's entry residual holds d balls for each of bins 0..w.
+        cuts = sorted(rng.randint(0, d * (w + 1)) for _ in range(m - 1))
+        residual = [b - a for a, b in zip([0] + cuts, cuts + [d * (w + 1)])]
+        mean = sum(map(mul, values, residual)) // (w + 1)
+        caps = [mean + rng.randint(-d * 3, d * 3) for _ in range(n)]
+        if rng.random() < 0.5:
+            caps.sort(reverse=True)
+        tally["sorted" if caps == sorted(caps, reverse=True) else "unsorted"] += 1
+        tally["k>0" if k else "k=0"] += 1
+        tally[f"fills={fills}"] += 1
+        top = [None] + [
+            window_slack(values, residual, caps, d, w, length)
+            for length in range(1, w - k + 2)
+        ]
+        # Entry i: the least f_w(L) over the windows whose lowest bin is
+        # below k + i.
+        counts, weights = _search._light_table(values, residual, 0, d)
+        floors = _search._least_slack(values, residual, counts, weights, caps, d, w, k)
+        if min(top[2:], default=0) < 0:
+            assert floors is None, (values, residual, caps, d, w, k)
+            tally["walk fails"] += 1
+        else:
+            assert floors == [
+                min(top[w - b + 2 :], default=inf) for b in range(k, w + 1)
+            ], (values, residual, caps, d, w, k)
+            tally["walk passes"] += 1
+        spent = 0
+        after = residual
+        for j in range(w - 1, w - 1 - fills, -1):
+            spent += window_slack(values, after, caps, d, j + 1, 1)
+            balls = [c for c in range(m) for _ in range(after[c])]
+            kind = rng.choice(["any", "lightest", "heaviest"])
+            fill = {
+                "any": rng.sample(balls, d),
+                "lightest": balls[-d:],
+                "heaviest": balls[:d],
+            }[kind]
+            tally[kind] += 1
+            after = after[:]
+            for c in fill:
+                after[c] -= 1
+            slacks = [None] + [
+                window_slack(values, after, caps, d, j, length)
+                for length in range(1, j - k + 2)
+            ]
+            for length in range(1, j - k + 2):
+                bound = top[length + w - j] - spent
+                assert slacks[length] >= bound, (values, residual, caps, d, w, k)
+                tally["equal" if slacks[length] == bound else "strict"] += 1
+            if floors is not None:
+                assert min(slacks[2:], default=inf) >= floors[j - k] - spent
+    assert len(tally) == 15 and min(tally.values()) >= 400, tally
 
 
 def test_window_walk_matches_naive_check():
@@ -605,6 +677,23 @@ class TestErrorPaths:
         status, chosen, _ = _search.search_feasible((3, 1), (2, 2), (5, 4), 2, 0, 100)
         assert status == _search.STATUS_FEASIBLE
         assert chosen == {1: ((0, 1), (1, 1)), 0: ((0, 1), (1, 1))}
+
+    @pytest.mark.parametrize(
+        "values, supply, message",
+        [
+            ((4, 8, 11), (2, 0, 2), r"values \(4, 8, 11\) are not strictly"),
+            ((3, 3, 1), (2, 0, 2), r"values \(3, 3, 1\) are not strictly"),
+            ((3,), (2, 2), "2 supply counts for 1 classes"),
+            ((3, 1), (2,), "1 supply counts for 2 classes"),
+            ((3, 1), (5, -1), r"supply \(5, -1\) has a negative count"),
+        ],
+        ids=["ascending", "repeated", "long-supply", "short-supply", "negative"],
+    )
+    def test_search_refuses_malformed_classes(self, values, supply, message):
+        # Each of these once answered without complaint: the ascending
+        # values say infeasible although {4, 11} fits both bins.
+        with pytest.raises(ValueError, match=message):
+            _search.search_feasible(values, supply, (15, 18), 2, 0, 100)
 
     @pytest.mark.parametrize(
         "supply, caps, d, k, message",
