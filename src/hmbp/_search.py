@@ -17,11 +17,12 @@ steps ``x`` down to ``lo``, and it leaves the stack when ``x`` reaches 0,
 since a count of 0 changes nothing to undo. Every bin entry and every count
 tried is one node of the budget, and so is the fill of a bin: a count that
 fills bin ``j`` counts that node, checks the budget and goes straight to bin
-``j-1``'s entry. The stack is the only record of the search path: at the
-feasible return it is read once, bottom to top, each bin frame starting its
-bin and the choose frames above it adding their ``(class, count)`` pairs,
-classes ascending, counts ``> 0``. An answer costs the bins' nonzero counts,
-not ``n*m``, and no bin the search backtracks through is read.
+``j-1``'s entry. The stack is the only record of the search path, and
+``_answer`` reads it once, at the feasible return: the choose frames above
+each bin frame give that bin's ``(class, count)`` pairs, classes ascending,
+counts ``> 0``. The free bins ``0..k-1`` take the residual left at that
+return, ``d`` balls each, heaviest class first. So the answer covers every
+bin and costs its nonzero counts, not ``n*m``.
 
 The memo holds one set per bin, made at the bin's first failure: the
 residuals at which bin ``j`` failed, at its entry or once its last choice
@@ -77,11 +78,9 @@ bin they reach below, or ``None`` at the first negative window. At
 walk, where ``SM_w(2)`` at every offset leaves 30, and the tables sum 120
 classes, not 1,890.
 
-``values`` must be strictly descending, with one supply count ``>= 0`` per
-class, and the supply must fill every bin: ``sum(supply) == d*len(caps)``.
-All of this is checked once at entry, in ``O(m)``. So bin ``j`` is entered with ``d*(j+1)`` balls left, at least the
-``d*(j-k+1)`` that its widest window asks for, and at least one class holds
-balls.
+The inputs are checked once at entry, in ``O(m)``. The supply fills every
+bin, so bin ``j`` is entered with ``d*(j+1)`` balls left, at least the
+``d*(j-k+1)`` that its widest window asks for, and some class holds balls.
 
 Most choices of a deep search set a count to 0. When ``lo`` is 0, one ball
 of class ``c`` fits exactly when ``v <= t = cap_left - lightest(d_left - 1)``,
@@ -199,15 +198,40 @@ def _top_count(values, counts, weights, v, d_left, cap_left, lo, hi):
     return d_left - q if q <= q_max else lo - 1
 
 
+def _answer(residual, d, stack):
+    """Every bin's ``(class, count)`` pairs, bin 0 first: the free bins
+    share ``residual``, ``d`` balls each, and bins ``k..n-1`` are read off
+    ``stack`` from the top, where each bin's choices lie above its frame."""
+    bins = []
+    pairs, need = [], d
+    for c, left in enumerate(residual):
+        while left:
+            take = left if left < need else need
+            pairs.append((c, take))
+            left -= take
+            need -= take
+            if not need:
+                bins.append(tuple(pairs))
+                pairs, need = [], d
+    for frame in reversed(stack):
+        if type(frame) is int:
+            bins.append(tuple(reversed(pairs)))
+            pairs = []
+        else:
+            pairs.append((frame[0], frame[4]))
+    return bins
+
+
 def search_feasible(values, supply, caps, d, k, budget):
     """Fill bins ``k..n-1`` (0-based) within capacity, ``d`` balls each.
 
-    Bins ``0..k-1`` are unconstrained and absorb whatever supply remains.
+    Bins ``0..k-1`` are unconstrained and take whatever supply remains,
+    ``d`` balls each, heaviest class first from bin 0.
     ``values`` must be strictly descending with one supply count ``>= 0`` per
     class, ``d`` at least 1, ``k`` at least 0, and the supply must hold
     exactly ``d`` balls per bin, else :class:`ValueError` is raised.
-    Returns ``(status, bins, nodes)`` where ``bins`` maps each constrained
-    bin index to its ``(class, count)`` pairs on success, else ``None``: the
+    Returns ``(status, bins, nodes)`` where ``bins`` is, on success, a list
+    of every bin's ``(class, count)`` pairs, bin 0 first, else ``None``: the
     classes the bin holds, ascending, each with its count ``> 0``.
     """
     values = tuple(values)
@@ -231,7 +255,7 @@ def search_feasible(values, supply, caps, d, k, budget):
             f"supply of {sum(residual)} balls does not fill {n} bins of {d}"
         )
     if k >= n:
-        return STATUS_FEASIBLE, {}, 0
+        return STATUS_FEASIBLE, _answer(residual, d, []), 0
 
     tables = [None] * n
     # lows[j]: how many lightest classes are empty at bin j's entry.
@@ -257,13 +281,7 @@ def search_feasible(values, supply, caps, d, k, budget):
             return STATUS_BUDGET, None, nodes
         if at_bin:
             if j < k:
-                bins = {}
-                for frame in stack:
-                    if type(frame) is int:  # a bin, then its choices
-                        pairs = bins[frame] = []
-                    else:
-                        pairs.append((frame[0], frame[4]))
-                return STATUS_FEASIBLE, {b: tuple(p) for b, p in bins.items()}, nodes
+                return STATUS_FEASIBLE, _answer(residual, d, stack), nodes
             seen = memo[j]
             key = None if seen is None else tuple(residual)
             if key is None or key not in seen:

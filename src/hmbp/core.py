@@ -304,9 +304,9 @@ class Assignment:
     @classmethod
     def from_pairs(cls, d: int, class_values, class_supply, bins) -> "Assignment":
         """Build from per-bin ``(class, count)`` pairs, ``class`` indexing
-        ``class_values``; a class may repeat within a bin. The matrix is
-        filled, checked and weighed over the pairs only; when a check fails
-        the dense constructor re-checks it, so the message is its own."""
+        ``class_values`` (any other raises); a class may repeat within a bin.
+        The matrix is filled, checked and weighed over the pairs only; when a
+        check fails the dense constructor re-checks it, with its message."""
         values, supply = tuple(class_values), tuple(class_supply)
         counts = [[0] * len(bins) for _ in values]
         held = [0] * len(values)
@@ -315,6 +315,8 @@ class Assignment:
         for j, pairs in enumerate(bins):
             balls = load = 0
             for c, q in pairs:
+                if not 0 <= c < len(held):
+                    raise ProfileError(f"bin {j + 1} holds unknown class {c}")
                 counts[c][j] += q
                 held[c] += q
                 balls += q

@@ -49,30 +49,6 @@ def _class_data(inst: Instance):
     return values, [inst.d * m for m in mult]
 
 
-def _build_witness(inst: Instance, values, supply, chosen, k) -> Assignment:
-    residual = list(supply)
-    if k:  # else every bin is constrained and nothing is left over
-        for pairs in chosen.values():
-            for c, x in pairs:
-                residual[c] -= x
-    # Free bins absorb the leftovers, heaviest classes first.
-    bins = []
-    c = 0
-    for _ in range(k):
-        pairs = []
-        need = inst.d
-        while need > 0:
-            while residual[c] == 0:
-                c += 1
-            take = min(residual[c], need)
-            pairs.append((c, take))
-            residual[c] -= take
-            need -= take
-        bins.append(pairs)
-    bins.extend(chosen[j] for j in range(k, inst.n))
-    return Assignment.from_pairs(inst.d, values, supply, bins)
-
-
 def _undecided(node_budget: int, nodes: int) -> BudgetExceeded:
     return BudgetExceeded(
         f"undecided: node budget {node_budget} exhausted after {nodes} nodes"
@@ -93,14 +69,14 @@ def decide(
         raise ProfileError(f"k={k} out of range 0..{inst.n}")
     values, supply = _class_data(inst)
     start = time.perf_counter()
-    status, chosen, nodes = _search.search_feasible(
+    status, bins, nodes = _search.search_feasible(
         values, supply, inst.capacities.entries, inst.d, k, node_budget
     )
     elapsed = time.perf_counter() - start
     if status == _search.STATUS_BUDGET:
         raise _undecided(node_budget, nodes)
     if status == _search.STATUS_FEASIBLE:
-        witness = _build_witness(inst, values, supply, chosen, k)
+        witness = Assignment.from_pairs(inst.d, values, supply, bins)
         if not is_k_feasible(witness, inst.capacities, k):
             raise AssertionError(f"oracle witness is not {k}-feasible")
         return OracleResult(True, witness, nodes, elapsed)
@@ -132,14 +108,14 @@ def min_bin1_weight(
     def bin1_load(cap1: int) -> int | None:
         """The bin-1 load of a 0-feasible assignment under ``cap1``, or None."""
         nonlocal used
-        status, chosen, nodes = _search.search_feasible(
+        status, bins, nodes = _search.search_feasible(
             values, supply, (cap1,) + rest, inst.d, 0, node_budget - used
         )
         used += nodes
         if status == _search.STATUS_BUDGET:
             raise _undecided(node_budget, used)
         if status == _search.STATUS_FEASIBLE:
-            return sum(values[c] * x for c, x in chosen[0])
+            return sum(values[c] * x for c, x in bins[0])
         return None
 
     d, w = inst.d, inst.weights.entries

@@ -212,8 +212,11 @@ def verify_witness(
     unless the node budget runs out, in which case the result is flagged as
     analytic-only. ``node_budget=0`` asks for the analytic checks only.
     """
-    inst = wit.instance
-    i0 = wit.relax_index
+    inst, i0, level = wit.instance, wit.relax_index, wit.companion_level
+    if not 1 <= i0 <= inst.n:
+        raise ProfileError(f"relax_index={i0} out of range 1..{inst.n}")
+    if not 0 <= level <= inst.n:
+        raise ProfileError(f"companion_level={level} out of range 0..{inst.n}")
     checks: list[WitnessCheck] = []
 
     slack_ok = suffix_report(inst).sufficient_slack[i0 - 1] == -1
@@ -224,7 +227,7 @@ def verify_witness(
 
     if wit.companion is not None:
         comp_ok = is_k_feasible(
-            wit.companion, inst.capacities, wit.companion_level
+            wit.companion, inst.capacities, level
         ) and not is_k_feasible(wit.companion, inst.capacities, i0 - 1)
         checks.append(WitnessCheck("companion-level", "analytic", comp_ok))
         if wit.construction == "extremal":
@@ -239,8 +242,8 @@ def verify_witness(
     try:
         infeas = not _oracle.decide(inst, i0 - 1, node_budget).feasible
         checks.append(WitnessCheck("infeasible-at-claim", "oracle", infeas))
-        if wit.companion_level < inst.n:
-            feas = _oracle.decide(inst, wit.companion_level, node_budget).feasible
+        if level < inst.n:
+            feas = _oracle.decide(inst, level, node_budget).feasible
             checks.append(WitnessCheck("feasible-above-claim", "oracle", feas))
         oracle_backed = True
     except _oracle.BudgetExceeded:

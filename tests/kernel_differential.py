@@ -3,9 +3,12 @@
 Calls ``search_feasible`` of this tree and of another ``_search.py`` (for
 instance the one of the commit before a kernel change, taken with
 ``git show REV:src/hmbp/_search.py > old_search.py``) on the same seeded
-random calls, and exits non-zero when any ``(status, bins, nodes)`` differs.
+random calls, and exits non-zero when any ``(status, bins, nodes)`` differs
+or a feasible answer of this tree's kernel is not a valid assignment.
 Both kernels are timed on every call, alternating which of the two runs
 first, and the summary line ends with each side's total seconds.
+Only the constrained bins ``k..n-1`` are compared, so a kernel that returns
+just those bins, by index, compares equal to one that returns every bin.
 Each bin is compared as its ascending ``(class, count)`` pairs with
 ``count > 0``, so a kernel that reports a bin as a dense per-class row
 compares equal to one that reports its pairs.
@@ -33,18 +36,42 @@ def load_kernel(path):
     return module
 
 
-def normalised(answer):
-    """``(status, bins, nodes)`` with every bin as its nonzero pairs; a bin
-    is never empty, so its first entry tells pairs from a dense row."""
+def normalised(answer, k, n):
+    """``(status, bins, nodes)`` with bins ``k..n-1`` as their nonzero
+    pairs; a bin is never empty, so its first entry tells pairs from a
+    dense row."""
     status, bins, nodes = answer
     if bins is not None:
-        bins = {
-            j: tuple(row)
+        bins = tuple(
+            tuple(row)
             if type(row[0]) is tuple
             else tuple((c, x) for c, x in enumerate(row) if x)
-            for j, row in bins.items()
-        }
+            for row in (bins[j] for j in range(k, n))
+        )
     return status, bins, nodes
+
+
+def is_valid(answer, call):
+    """Whether a feasible answer to ``call`` is an assignment: one entry per
+    bin, each of ``d`` balls in positive counts of known classes, class
+    totals equal to the supply, and bins ``k..n-1`` within capacity."""
+    values, supply, caps, d, k, _ = call
+    status, bins, _ = answer
+    if status != _search.STATUS_FEASIBLE:
+        return True
+    if len(bins) != len(caps):
+        return False
+    held = [0] * len(values)
+    for j, pairs in enumerate(bins):
+        if not all(0 <= c < len(values) and x > 0 for c, x in pairs):
+            return False
+        if sum(x for _, x in pairs) != d:
+            return False
+        if j >= k and sum(values[c] * x for c, x in pairs) > caps[j]:
+            return False
+        for c, x in pairs:
+            held[c] += x
+    return held == list(supply)
 
 
 def random_call(rng, wide):
@@ -96,12 +123,13 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             answers[side] = kernels[side](*call)
             seconds[side] += time.perf_counter() - start
-        got = normalised(answers[0])
-        if got != normalised(answers[1]):
+        k, n = call[4], len(call[2])
+        got = normalised(answers[0], k, n) if is_valid(answers[0], call) else None
+        if got is None or got != normalised(answers[1], k, n):
             mismatches += 1
             if mismatches <= 5:
                 print("mismatch:", call, file=sys.stderr)
-        tally[("infeasible", "feasible", "budget")[got[0]]] += 1
+        tally[("infeasible", "feasible", "budget")[answers[0][0]]] += 1
     print(
         f"{args.calls} calls, {mismatches} mismatches;",
         f"{dict(sorted(tally.items()))};",

@@ -415,6 +415,14 @@ class TestAssignment:
             assert tally[outcome] >= 50, tally
         assert tally["built-with-negative-pair"] >= 50, tally
 
+    @pytest.mark.parametrize("c", [-1, 2])
+    def test_from_pairs_rejects_unknown_classes(self, c):
+        # Class -1 once wrapped round to the last class and built
+        # [1^1 | 2^1]; class 2 raised IndexError.
+        with pytest.raises(ProfileError) as exc:
+            Assignment.from_pairs(1, (2, 1), (1, 1), [[(c, 1)], [(0, 1)]])
+        assert str(exc.value) == f"bin 1 holds unknown class {c}"
+
     def test_unknown_value_rejected(self):
         with pytest.raises(ProfileError):
             Assignment.from_bins(WeightProfile((2, 1)), 1, [{2: 1}, {7: 1}])

@@ -157,12 +157,58 @@ def test_kernel_replays_parity_fixture():
             expected = {
                 j: tuple((c, x) for c, x in pairs) for j, pairs in r["chosen"]
             }
-        got = _search.search_feasible(
+        status, bins, nodes = _search.search_feasible(
             r["values"], r["supply"], r["caps"], r["d"], r["k"], r["budget"]
         )
-        if got != (r["status"], expected, r["nodes"]):
+        if bins is not None:  # the recorded bins are the constrained ones
+            bins = {j: bins[j] for j in range(r["k"], len(r["caps"]))}
+        if (status, bins, nodes) != (r["status"], expected, r["nodes"]):
             mismatches.append(r["key"])
     assert mismatches == []
+
+
+def test_free_bins_take_the_leftover_supply():
+    # Bins 0..k-1 of a feasible answer hold exactly the supply that bins
+    # k..n-1 leave, d balls each, classes ascending.
+    records = json.loads(PARITY_FIXTURE.read_text(encoding="utf-8"))["records"]
+    checked = 0
+    for r in records:
+        if r["status"] != _search.STATUS_FEASIBLE or r["k"] == 0:
+            continue
+        _, bins, _ = _search.search_feasible(
+            r["values"], r["supply"], r["caps"], r["d"], r["k"], r["budget"]
+        )
+        left = Counter(dict(enumerate(r["supply"])))
+        for pairs in bins[r["k"]:]:
+            left.subtract(dict(pairs))
+        free = Counter()
+        for pairs in bins[: r["k"]]:
+            assert [c for c, _ in pairs] == sorted({c for c, _ in pairs})
+            assert sum(x for _, x in pairs) == r["d"]
+            free.update(dict(pairs))
+        assert left == free, r["key"]
+        checked += 1
+    assert checked >= 300
+
+
+@pytest.mark.parametrize(
+    "d, w, caps, k, witness, nodes",
+    [
+        (
+            6, (5, 5, 3, 1, 1, 0), (17, 17, 17, 17, 17, 8), 1,
+            "[5^1 3^3 1^2 | 5^2 3^1 1^3 | 5^2 3^1 1^3 | 5^3 1^2 0^1"
+            " | 5^3 1^2 0^1 | 5^1 3^1 0^4]",
+            29,
+        ),
+        (2, (3, 1), (6, 2), 2, "[3^2 | 1^2]", 0),
+    ],
+    ids=["six-bin-k1", "all-free"],
+)
+def test_free_bins_are_filled_heaviest_first(d, w, caps, k, witness, nodes):
+    # The free bins take the leftover balls heaviest class first, from bin 1.
+    res = decide(make_instance(d, w, caps), k)
+    assert repr(res.witness) == f"Assignment(d={d}, {witness})"
+    assert res.nodes_explored == nodes
 
 
 @pytest.mark.parametrize(
@@ -676,7 +722,7 @@ class TestErrorPaths:
                 _search.search_feasible((3, 1), (2, 2), caps, 2, k, 100)
         status, chosen, _ = _search.search_feasible((3, 1), (2, 2), (5, 4), 2, 0, 100)
         assert status == _search.STATUS_FEASIBLE
-        assert chosen == {1: ((0, 1), (1, 1)), 0: ((0, 1), (1, 1))}
+        assert chosen == [((0, 1), (1, 1)), ((0, 1), (1, 1))]
 
     @pytest.mark.parametrize(
         "values, supply, message",
@@ -719,13 +765,14 @@ class TestErrorPaths:
         # bare asserts.
         code = """
 import sys
-from hmbp import oracle
-from hmbp.core import Assignment, make_instance
+from hmbp import _search, oracle
+from hmbp.core import make_instance
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-oracle._build_witness = lambda inst, values, supply, chosen, k: Assignment(
-    inst.d, values, supply, [[1, 1], [1, 1]]
+# A kernel whose answer puts a 3 and a 1 in each bin overfills bin 2.
+_search.search_feasible = lambda *args: (
+    _search.STATUS_FEASIBLE, [((0, 1), (1, 1)), ((0, 1), (1, 1))], 0
 )
 try:
     oracle.decide(make_instance(2, (3, 1), (6, 2)), 0)

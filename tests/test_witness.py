@@ -217,6 +217,24 @@ class TestVerification:
         assert not ver.oracle_backed
         assert all(c.method == "analytic" for c in ver.checks)
 
+    @pytest.mark.parametrize(
+        "field, value, bounds",
+        [
+            ("relax_index", 0, "1..4"),
+            ("relax_index", 5, "1..4"),
+            ("companion_level", -1, "0..4"),
+            ("companion_level", 5, "0..4"),
+        ],
+    )
+    def test_indices_checked_at_entry(self, field, value, bounds):
+        # relax_index 5 once raised IndexError from the slack row, and 0 read
+        # the last suffix's slack before decide refused k = -1.
+        wit = extremal_witness(WeightProfile((5, 3, 1, 0)), 6)
+        with pytest.raises(ProfileError) as exc:
+            verify_witness(wit._replace(**{field: value}))
+        assert str(exc.value) == f"{field}={value} out of range {bounds}"
+        verify_witness(wit._replace(relax_index=4, companion_level=4))
+
     def test_oracle_can_be_disabled(self):
         wit = extremal_witness(WeightProfile((3, 1)), 4)
         ver = verify_witness(wit, node_budget=0)
