@@ -49,6 +49,13 @@ def _class_data(inst: Instance):
     return values, [inst.d * m for m in mult]
 
 
+def _check_budget(node_budget: int) -> None:
+    # A negative budget is a caller error; reported as BudgetExceeded it
+    # would read as an honest refusal.
+    if node_budget < 0:
+        raise OracleError(f"node_budget={node_budget} is negative")
+
+
 def _undecided(node_budget: int, nodes: int) -> BudgetExceeded:
     return BudgetExceeded(
         f"undecided: node budget {node_budget} exhausted after {nodes} nodes"
@@ -63,10 +70,12 @@ def decide(
     """Exact k-feasibility decision with a feasible witness when one exists.
 
     Intended for desk scale; the search refuses with :class:`BudgetExceeded`
-    once ``node_budget`` states have been expanded.
+    once ``node_budget`` states have been expanded. A negative budget raises
+    :class:`OracleError`.
     """
     if not 0 <= k <= inst.n:
         raise ProfileError(f"k={k} out of range 0..{inst.n}")
+    _check_budget(node_budget)
     values, supply = _class_data(inst)
     start = time.perf_counter()
     status, bins, nodes = _search.search_feasible(
@@ -99,8 +108,10 @@ def min_bin1_weight(
     bin 1 holds ``d`` balls of weight at least ``w_n``, and bins 2..n hold no
     more than their capacities. Both ends bound W^min at every step, so the
     answer is exact. ``node_budget`` caps the nodes summed over all probes;
-    when it runs out, :class:`BudgetExceeded` is raised.
+    when it runs out, :class:`BudgetExceeded` is raised; a negative one
+    raises :class:`OracleError`.
     """
+    _check_budget(node_budget)
     values, supply = _class_data(inst)
     rest = inst.capacities.entries[1:]
     used = 0

@@ -193,6 +193,14 @@ class WitnessCheck(NamedTuple):
 
 
 class WitnessVerification(NamedTuple):
+    """The checks :func:`verify_witness` ran, in order.
+
+    ``ok`` is true when every check passed. ``oracle_backed`` is true when
+    the oracle decided every claim the companion did not settle: always the
+    infeasibility claim, and the feasibility claim when no companion holding
+    this instance's balls shows it.
+    """
+
     ok: bool
     checks: tuple[WitnessCheck, ...]
     oracle_backed: bool
@@ -207,8 +215,12 @@ def verify_witness(
 ) -> WitnessVerification:
     """Check every claim the witness makes, by oracle where affordable.
 
-    Analytic checks (capacity sum, monotonicity, companion gap structure)
-    always run; the exact search confirms the infeasibility claim itself
+    Analytic checks (capacity sum, monotonicity, companion level and gap
+    structure) always run. A companion that holds this instance's balls and
+    is ``companion_level``-feasible but not ``(relax_index - 1)``-feasible
+    proves the feasibility claim, recorded as an analytic
+    ``"feasible-above-claim"``. The exact search confirms the infeasibility
+    claim, and the feasibility claim too when no companion settled it,
     unless the node budget runs out, in which case the result is flagged as
     analytic-only. ``node_budget=0`` asks for the analytic checks only.
     """
@@ -225,24 +237,37 @@ def verify_witness(
     mono_ok = all(map(ge, caps, caps[1:]))
     checks.append(WitnessCheck("capacities-non-increasing", "analytic", mono_ok))
 
-    if wit.companion is not None:
-        comp_ok = is_k_feasible(
-            wit.companion, inst.capacities, level
-        ) and not is_k_feasible(wit.companion, inst.capacities, i0 - 1)
+    settled = False
+    comp = wit.companion
+    if comp is not None:
+        # The same d, classes and supplies fix the bin count too: every bin
+        # holds d balls, so there are as many bins as weight entries.
+        values, mult = inst.weights.classes
+        holds = (
+            comp.d == inst.d
+            and comp.class_values == values
+            and comp.class_supply == tuple(inst.d * m for m in mult)
+        )
+        comp_ok = (
+            holds
+            and is_k_feasible(comp, inst.capacities, level)
+            and not is_k_feasible(comp, inst.capacities, i0 - 1)
+        )
         checks.append(WitnessCheck("companion-level", "analytic", comp_ok))
+        settled = comp_ok and level < inst.n
+        if settled:
+            checks.append(WitnessCheck("feasible-above-claim", "analytic", True))
         if wit.construction == "extremal":
             gaps = weight_gap_profile(inst.weights)
             expected = (-1,) + tuple(g - 1 for g in gaps)
-            gv = gap_vector(wit.companion, inst.capacities)
-            checks.append(
-                WitnessCheck("companion-gaps", "analytic", gv == expected)
-            )
+            gaps_ok = holds and gap_vector(comp, inst.capacities) == expected
+            checks.append(WitnessCheck("companion-gaps", "analytic", gaps_ok))
 
     oracle_backed = False
     try:
         infeas = not _oracle.decide(inst, i0 - 1, node_budget).feasible
         checks.append(WitnessCheck("infeasible-at-claim", "oracle", infeas))
-        if level < inst.n:
+        if level < inst.n and not settled:
             feas = _oracle.decide(inst, level, node_budget).feasible
             checks.append(WitnessCheck("feasible-above-claim", "oracle", feas))
         oracle_backed = True
@@ -251,4 +276,3 @@ def verify_witness(
 
     ok = all(c.passed for c in checks)
     return WitnessVerification(ok=ok, checks=tuple(checks), oracle_backed=oracle_backed)
-

@@ -575,7 +575,8 @@ def test_window_walk_matches_naive_check():
 def test_layers_agree_at_wide_n():
     # Seeded cross-check of the layers at n = 50..60, far beyond the
     # reference search: criteria-infeasible implies oracle-infeasible, and
-    # every extremal witness is confirmed by the oracle.
+    # every extremal witness verifies. The oracle also decides the
+    # feasibility claim, which verify_witness takes from the companion.
     rng = random.Random(50)
     tally = Counter()
     for _ in range(200):
@@ -592,8 +593,10 @@ def test_layers_agree_at_wide_n():
     for _ in range(40):
         n = rng.randint(50, 60)
         w = WeightProfile(tuple(sorted(rng.sample(range(2 * n), n), reverse=True)))
-        ver = verify_witness(extremal_witness(w, n + rng.randint(0, 2)))
+        wit = extremal_witness(w, n + rng.randint(0, 2))
+        ver = verify_witness(wit)
         assert ver.ok and ver.oracle_backed, w
+        assert decide(wit.instance, wit.companion_level).feasible, w
         tally["witness-confirmed"] += 1
     assert tally["classify-infeasible"] >= 50
     assert tally["classify-open"] >= 50
@@ -666,6 +669,16 @@ class TestErrorPaths:
     def test_min_bin1_budget_refusal(self):
         with pytest.raises(BudgetExceeded, match="undecided"):
             min_bin1_weight(SEVEN_DISTINCT, node_budget=10)
+
+    @pytest.mark.parametrize("call", [decide, min_bin1_weight])
+    def test_negative_budget_is_a_caller_error(self, call):
+        # Not a BudgetExceeded, which callers read as an honest refusal.
+        with pytest.raises(OracleError, match="node_budget=-1 is negative"):
+            call(SEVEN_DISTINCT, node_budget=-1)
+
+    def test_zero_budget_still_refuses(self):
+        with pytest.raises(BudgetExceeded, match="node budget 0 exhausted"):
+            decide(SEVEN_DISTINCT, 0, node_budget=0)
 
     def test_min_bin1_budget_is_shared_by_probes(self, monkeypatch):
         # The budget caps the nodes summed over every bisection probe. This

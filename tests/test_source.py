@@ -43,6 +43,7 @@ def test_layers_agree_under_optimize():
     assert tally.get("solver-feasible", 0) >= 50
     assert tally.get("wmin-checked", 0) >= 50
     assert tally.get("family-solver-feasible", 0) >= 400
+    assert tally.get("witness-companion-checked", 0) >= 200
 
 
 def _called_names(node):

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from hmbp import _search
 from hmbp.core import (
+    Assignment,
     CapacityProfile,
     Instance,
     ProfileError,
@@ -13,10 +15,11 @@ from hmbp.core import (
     gap_vector,
     weight_gap_profile,
 )
-from hmbp.oracle import decide
+from hmbp.oracle import OracleError, decide
 from hmbp.witness import (
     UnsupportedWeightsError,
     extremal_capacities,
+    extremal_companion,
     extremal_witness,
     relaxed_witness,
     verify_witness,
@@ -240,6 +243,128 @@ class TestVerification:
         ver = verify_witness(wit, node_budget=0)
         assert ver.ok and not ver.oracle_backed
         assert all(c.method == "analytic" for c in ver.checks)
+
+
+def checks_by_name(ver):
+    return {c.name: (c.method, c.passed) for c in ver.checks}
+
+
+class TestCompanion:
+    def test_companion_of_other_balls_rejected(self):
+        # Weight 100 is no weight of this instance, yet the companion is
+        # 2-feasible and not 1-feasible under its capacities.
+        wit = relaxed_witness(WeightProfile((4, 2, 1)), 6, 2)
+        foreign = Assignment(6, (100, 0), (6, 12), [[0, 6, 0], [6, 0, 6]])
+        ver = verify_witness(wit._replace(companion=foreign))
+        assert not ver.ok and ver.oracle_backed
+        checks = checks_by_name(ver)
+        assert checks["companion-level"] == ("analytic", False)
+        assert checks["feasible-above-claim"] == ("oracle", True)
+
+    def test_companion_with_too_few_bins_rejected(self):
+        # Once a ProfileError from gap_vector; now both companion checks fail.
+        wit = extremal_witness(WeightProfile((5, 3, 1, 0)), 6)
+        short = extremal_companion(WeightProfile((5, 3, 1)), 6)
+        ver = verify_witness(wit._replace(companion=short))
+        assert not ver.ok
+        checks = checks_by_name(ver)
+        assert checks["companion-level"] == ("analytic", False)
+        assert checks["companion-gaps"] == ("analytic", False)
+
+    @pytest.mark.parametrize(
+        "w, companion",
+        [
+            (
+                (4, 2, 1),
+                Assignment(6, (4, 2, 1), (12, 0, 6), [[6, 6, 0], [0, 0, 0], [0, 0, 6]]),
+            ),
+            (
+                (4, 2, 0),
+                Assignment(7, (4, 2, 0), (7, 7, 7), [[7, 0, 0], [0, 7, 0], [0, 0, 7]]),
+            ),
+        ],
+        ids=["other-supply", "other-d"],
+    )
+    def test_companion_of_other_multiplicity_rejected(self, w, companion):
+        # Each is 2-feasible and not 1-feasible under the witness capacities.
+        wit = relaxed_witness(WeightProfile(w), 6, 2)
+        ver = verify_witness(wit._replace(companion=companion))
+        assert not ver.ok
+        checks = checks_by_name(ver)
+        assert checks["companion-level"] == ("analytic", False)
+        assert checks["feasible-above-claim"] == ("oracle", True)
+
+
+class TestSearchCount:
+    """How many kernel searches one verification makes."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = _search.search_feasible
+
+        def counted(values, supply, caps, d, k, budget):
+            calls.append(k)
+            return search(values, supply, caps, d, k, budget)
+
+        monkeypatch.setattr(_search, "search_feasible", counted)
+        return calls
+
+    def test_companion_settles_feasibility(self, searches):
+        wit = extremal_witness(WeightProfile((5, 5, 3, 1, 1, 0)), 6)
+        ver = verify_witness(wit)
+        assert ver.ok and ver.oracle_backed
+        assert searches == [0]
+        names = [c.name for c in ver.checks]
+        assert names[names.index("companion-level") + 1] == "feasible-above-claim"
+        assert checks_by_name(ver)["feasible-above-claim"] == ("analytic", True)
+
+    def test_no_companion_searches_both_claims(self, searches):
+        wit = extremal_witness(WeightProfile((5, 5, 3, 1, 1, 0)), 6)
+        ver = verify_witness(wit._replace(companion=None))
+        assert ver.ok and ver.oracle_backed
+        assert searches == [0, 1]
+        checks = checks_by_name(ver)
+        assert checks["infeasible-at-claim"] == ("oracle", True)
+        assert checks["feasible-above-claim"] == ("oracle", True)
+
+    def test_failed_companion_searches_at_level(self, searches):
+        # Tampered capacities overfill the companion's bin 2, so it no longer
+        # shows 1-feasibility; the oracle still finds the instance 1-feasible.
+        wit = extremal_witness(WeightProfile((5, 5, 3, 1, 1, 0)), 6)
+        caps = CapacityProfile((30, 29, 21, 7, 7, 0))
+        comp = Assignment.from_bins(
+            wit.weights, 6,
+            [{5: 5, 3: 1}, {5: 6}, {5: 1, 3: 5}, {1: 6}, {1: 6}, {0: 6}],
+        )
+        ver = verify_witness(
+            wit._replace(instance=Instance(6, wit.weights, caps), companion=comp)
+        )
+        assert searches == [0, 1]
+        checks = checks_by_name(ver)
+        assert checks["companion-level"] == ("analytic", False)
+        assert checks["feasible-above-claim"] == ("oracle", True)
+
+    def test_constant_tail_has_no_feasibility_claim(self, searches):
+        wit = relaxed_witness(WeightProfile((3, 1)), 4, 2)
+        assert wit.construction == "relaxed-constant-tail"
+        ver = verify_witness(wit)
+        assert ver.ok and ver.oracle_backed
+        assert searches == [1]
+        assert "feasible-above-claim" not in checks_by_name(ver)
+
+    def test_settled_claim_survives_the_budget(self, searches):
+        wit = extremal_witness(WeightProfile((5, 5, 3, 1, 1, 0)), 6)
+        ver = verify_witness(wit, node_budget=0)
+        assert ver.ok and not ver.oracle_backed
+        assert checks_by_name(ver)["feasible-above-claim"] == ("analytic", True)
+        assert searches == [0]
+
+    def test_negative_budget_is_an_error(self, searches):
+        wit = extremal_witness(WeightProfile((3, 1)), 4)
+        with pytest.raises(OracleError, match="node_budget=-1 is negative"):
+            verify_witness(wit, node_budget=-1)
+        assert searches == []
 
 
 class TestCuratedFixtures:
