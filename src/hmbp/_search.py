@@ -27,9 +27,16 @@ bin and costs its nonzero counts, not ``n*m``.
 The memo holds one set per bin, made at the bin's first failure: the
 residuals at which bin ``j`` failed, at its entry or once its last choice
 failed, when its choices are undone and the residual is back at its entry
-value. The residual's tuple is built only to look it up in a set that
-exists, or to add it when the bin fails: a scale pass of
-``perfbench`` builds 1,700 keys over 5,531 bin entries, not one per entry.
+value. A memo serves only a search that comes back to a bin, which takes a
+choice still open below it: a choose frame whose count can fall further
+(``x > lo``). The search counts those frames, and a failure that leaves
+none returns infeasible at once, with nothing unwound and no key built.
+Otherwise the residual's tuple is built only to look it up in a set that
+exists, or to add it when the bin fails. The wide searches of a scale pass
+of ``perfbench`` (3,812 bin entries) never reopen a choice, so they build
+no key; they built 1,700 when every failure unwound its bins into the memo,
+and none was ever looked up. Oracle-desk's backtracking searches still find
+460 of their states in it.
 
 A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
 balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
@@ -41,7 +48,11 @@ test, and the counts above it are never tried, so they cost no node.
 The lightest-balls weight comes from a table built at bin entry: the ball
 counts and weights of the residual summed from the lightest class up. While
 bin ``j`` chooses at class ``c``, the classes ``c+1..m-1`` still hold their
-bin-entry residual, so the table serves every choice of the bin. Inside one
+bin-entry residual, so the table serves every choice of the bin; the search
+holds the current bin's table in locals, set at bin entry and when a choice
+resumes, and keeps it per bin only for those resumes. It is not carried over
+to the next bin: on a scale pass every bin entry of a feasible search (2,112
+of them) takes balls from its own table's classes. Inside one
 segment of the table the slack is linear in ``x``, so ``top`` is solved in
 closed form (``_top_count``): one test of the largest count, then a
 bisection over segments, not counts, and one ceiling division.
@@ -268,6 +279,8 @@ def search_feasible(values, supply, caps, d, k, budget):
     # memo[j]: the residuals at which bin j failed; None until its first.
     memo = [None] * n
     stack: list = []
+    # How many choose frames on the stack can still lower their count.
+    opened = 0
     nodes = 0
 
     # The node to expand next: bin j, or (at_bin false) class c of bin j
@@ -291,6 +304,7 @@ def search_feasible(values, supply, caps, d, k, budget):
                     low += 1
                 lows[j] = low
                 counts, weights = _light_table(values, residual, low, d)
+                covered = m - len(counts)
                 # Window j alone: its room less its d lightest balls, the
                 # last of which is in the table's last class.
                 i = len(counts) - 1
@@ -306,18 +320,19 @@ def search_feasible(values, supply, caps, d, k, budget):
                     if below is not None:
                         floors[j] = below
                         spent[j] = total + slack
-                        tables[j] = counts, weights, m - len(counts)
+                        tables[j] = counts, weights, covered
                         stack.append(j)
                         at_bin = False
                         c, d_left, cap_left = 0, d, caps[j]
                         continue
-                # Bin j fails at its entry.
-                if key is None:
-                    memo[j] = {tuple(residual)}
-                else:
-                    seen.add(key)
+                # Bin j fails at its entry. Only a search that goes on can
+                # come back to it.
+                if opened:
+                    if key is None:
+                        memo[j] = {tuple(residual)}
+                    else:
+                        seen.add(key)
         elif c < m:
-            counts, weights, covered = tables[j]
             v = values[c]
             hi = residual[c] if residual[c] <= d_left else d_left
             if v > 0 and cap_left // v < hi:
@@ -339,6 +354,8 @@ def search_feasible(values, supply, caps, d, k, budget):
                 if top >= lo:
                     if top:
                         stack.append([c, d_left, cap_left, v, top, lo, j])
+                        if top > lo:
+                            opened += 1
                         residual[c] -= top
                         if top == d_left:
                             # The bin is full: its fill is one node, and the
@@ -365,8 +382,14 @@ def search_feasible(values, supply, caps, d, k, budget):
                     c = end
                     continue
 
-        # The node just expanded failed: resume the nearest open choice.
-        while stack:
+        # The node just expanded failed. With no open choice left, every
+        # frame would unwind to an infeasible answer: nothing is memoized.
+        if not opened:
+            return STATUS_INFEASIBLE, None, nodes
+        # Resume the nearest open choice. The table in hand is that of the
+        # bin whose node just failed, if that bin has choices on the stack.
+        failed = j
+        while True:
             frame = stack[-1]
             if type(frame) is int:  # a bin whose every choice failed
                 stack.pop()
@@ -378,19 +401,21 @@ def search_feasible(values, supply, caps, d, k, budget):
                     seen.add(tuple(residual))
                 continue
             c, d_left, cap_left, v, x, lo, j = frame
+            if x > lo:
+                break
             residual[c] += x
-            if x == lo:
-                stack.pop()
-                continue
-            x -= 1
-            if x:
-                frame[4] = x
-                residual[c] -= x
-            else:
-                stack.pop()
-            # A lowered count leaves at least one ball to place.
-            c, d_left, cap_left = c + 1, d_left - x, cap_left - x * v
-            at_bin = False
-            break
+            stack.pop()
+        # The count falls by one: one ball of class c goes back.
+        residual[c] += 1
+        x -= 1
+        if x == lo:
+            opened -= 1
+        if x:
+            frame[4] = x
         else:
-            return STATUS_INFEASIBLE, None, nodes
+            stack.pop()
+        if j != failed:
+            counts, weights, covered = tables[j]
+        # A lowered count leaves at least one ball to place.
+        c, d_left, cap_left = c + 1, d_left - x, cap_left - x * v
+        at_bin = False

@@ -6,16 +6,20 @@ capacity profile ``C``, and a multiplicity ``d``: the instance asks whether
 receives exactly ``d`` balls without exceeding its capacity.
 
 Everything here is plain integer arithmetic on tuples; all types except
-:class:`Assignment` are immutable and safe to share. A weight profile's class
-table (:attr:`WeightProfile.classes`: its distinct values and how many
-weights share each) is built once per profile, and every layer reads the
-class structure from it. Assignments are count matrices over those classes,
-never per-ball lists, so multiplicities in the tens of thousands cost nothing.
+:class:`Assignment` are immutable and safe to share. A weight profile's
+tables are each built once per profile, on first use: the class table
+(:attr:`WeightProfile.classes`: its distinct values and how many weights
+share each), from which every layer reads the class structure, the
+correction constant of every suffix (:attr:`WeightProfile.b_row`) and the
+gap of every position (:attr:`WeightProfile.gaps`). Assignments are count
+matrices over those classes, never per-ball lists, so multiplicities in the
+tens of thousands cost nothing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, repeat
 from operator import index, mul, sub
 from typing import NamedTuple
 
@@ -137,6 +141,48 @@ class WeightProfile(_Profile):
                 mult.append(1)
         return tuple(values), tuple(mult)
 
+    @cached_property
+    def b_row(self) -> tuple[int, ...]:
+        """``b_constant(self.truncate(i))`` for every ``i``, in one O(n)
+        backward pass, built on first use and kept with the profile.
+
+        With ``v = w_i``, ``s`` the next smaller value and ``k`` the entries
+        equal to ``v`` after ``i``, entry ``i - 1`` is ``k * (v - s - 1)``
+        plus ``pred(w_p) - w_p - 1`` over every lighter entry ``w_p``; 0
+        when none is.
+        """
+        e = self.entries
+        row = [0] * len(e)
+        below = 0  # sum of pred(w_p) - w_p - 1 over the entries lighter than w_i
+        ties = 0  # entries after i equal to w_i
+        second = None  # next value below w_i; None while the suffix is constant
+        for i in range(len(e) - 2, -1, -1):
+            v, after = e[i], e[i + 1]
+            if v == after:
+                ties += 1
+            else:
+                below += (ties + 1) * (v - after - 1)
+                ties = 0
+                second = after
+            if second is not None:
+                row[i] = ties * (v - second - 1) + below
+        return tuple(row)
+
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        """Gap of every position 2..n, read per class from :attr:`classes`,
+        built on first use and kept with the profile.
+
+        The gap of ``w_i`` is the distance to the next strictly larger
+        value; entries of the top block measure the drop to the
+        second-largest value instead. Rejects constant profiles.
+        """
+        values, mult = self.classes
+        if len(values) < 2:
+            raise ProfileError("gap sequence undefined for constant weight profiles")
+        drops = (values[0] - values[1],) + tuple(map(sub, values, values[1:]))
+        return tuple(chain.from_iterable(map(repeat, drops, mult)))[1:]
+
     def is_constant(self) -> bool:
         return self.entries[0] == self.entries[-1]
 
@@ -233,46 +279,30 @@ def b_constant(w: WeightProfile) -> int:
     This is the exact amount by which suffix-capacity bounds must exceed
     suffix demand to become sufficient for large multiplicities.
     """
-    return b_row(w)[0]
+    return w.b_row[0]
 
 
 def b_row(w: WeightProfile) -> tuple[int, ...]:
-    """``b_constant(w.truncate(i))`` for every ``i``, in one O(n) backward pass.
-
-    With ``v = w_i``, ``s`` the next smaller value and ``k`` the entries equal
-    to ``v`` after ``i``, entry ``i - 1`` is ``k * (v - s - 1)`` plus
-    ``pred(w_p) - w_p - 1`` over every lighter entry ``w_p``; 0 when none is.
-    """
-    e = w.entries
-    row = [0] * w.n
-    below = 0  # sum of pred(w_p) - w_p - 1 over the entries lighter than w_i
-    ties = 0  # entries after i equal to w_i
-    second = None  # next value below w_i; None while the suffix is constant
-    for i in range(w.n - 2, -1, -1):
-        v, after = e[i], e[i + 1]
-        if v == after:
-            ties += 1
-        else:
-            below += (ties + 1) * (v - after - 1)
-            ties = 0
-            second = after
-        if second is not None:
-            row[i] = ties * (v - second - 1) + below
-    return tuple(row)
+    """``b_constant(w.truncate(i))`` for every ``i``: the table
+    :attr:`WeightProfile.b_row`."""
+    return w.b_row
 
 
 def weight_gap_profile(w: WeightProfile) -> tuple[int, ...]:
-    """Gap of every position 2..n, read per class from ``w.classes``.
+    """Gap of every position 2..n: the table :attr:`WeightProfile.gaps`.
+    Rejects constant profiles."""
+    return w.gaps
 
-    The gap of ``w_i`` is the distance to the next strictly larger value;
-    entries of the top block measure the drop to the second-largest value
-    instead. Rejects constant profiles.
-    """
-    values, mult = w.classes
-    if len(values) < 2:
-        raise ProfileError("gap sequence undefined for constant weight profiles")
-    drops = (values[0] - values[1],) + tuple(map(sub, values, values[1:]))
-    return tuple(g for g, m in zip(drops, mult) for _ in range(m))[1:]
+
+def _diagonal_bins(mult, d: int, first: int = 0) -> list:
+    """Every position's diagonal bin, ``d`` balls of its own class, as
+    ``(class, count)`` pairs; ``mult`` gives the positions of each class,
+    and the classes are numbered from ``first``. The positions of one class
+    share one bin tuple."""
+    bins = []
+    for c, count in enumerate(mult, first):
+        bins += [((c, d),)] * count
+    return bins
 
 
 class Assignment:
@@ -308,14 +338,15 @@ class Assignment:
         The matrix is filled, checked and weighed over the pairs only; when a
         check fails the dense constructor re-checks it, with its message."""
         values, supply = tuple(class_values), tuple(class_supply)
+        m = len(values)
         counts = [[0] * len(bins) for _ in values]
-        held = [0] * len(values)
+        held = [0] * m
         loads = []
         valid = True
         for j, pairs in enumerate(bins):
             balls = load = 0
             for c, q in pairs:
-                if not 0 <= c < len(held):
+                if not 0 <= c < m:
                     raise ProfileError(f"bin {j + 1} holds unknown class {c}")
                 counts[c][j] += q
                 held[c] += q
@@ -349,7 +380,8 @@ class Assignment:
     @classmethod
     def diagonal(cls, weights: WeightProfile, d: int) -> "Assignment":
         """The assignment placing ``d`` balls of ``w_j`` in bin ``j``."""
-        return cls.from_bins(weights, d, [{v: d} for v in weights.entries])
+        values, mult = weights.classes
+        return cls.from_pairs(d, values, [d * m for m in mult], _diagonal_bins(mult, d))
 
     @classmethod
     def single_bin(cls, value: int, d: int) -> "Assignment":
@@ -506,8 +538,7 @@ def is_k_feasible(assignment: Assignment, capacities: CapacityProfile, k: int) -
     """True iff bins beyond the first ``k`` all stay within capacity."""
     if not 0 <= k <= capacities.n:
         raise ProfileError(f"k={k} out of range 0..{capacities.n}")
-    gv = gap_vector(assignment, capacities)
-    return all(gv[j] >= 0 for j in range(k, capacities.n))
+    return min(gap_vector(assignment, capacities)[k:], default=0) >= 0
 
 
 def d_threshold(w: WeightProfile) -> int:

@@ -26,10 +26,10 @@ from .core import (
     Instance,
     ProfileError,
     WeightProfile,
+    _diagonal_bins,
     b_constant,
     gap_vector,
     is_k_feasible,
-    weight_gap_profile,
 )
 from .criteria import suffix_report
 
@@ -73,7 +73,7 @@ def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
     # The last run of the conjugate diagram has height h_k, the number of
     # top-weight entries, and length a_k = top - second.
     h_k, a_k = mult[0], top - second
-    gaps = weight_gap_profile(w)
+    gaps = w.gaps
     caps = [d * top - 1] * h_k
     caps.append((h_k - 1) * top + (d - h_k + 1) * second + (a_k - 1))
     # Bin j >= h_k + 2 (1-based) gets d * w_j plus the gap of w_j, minus one.
@@ -81,25 +81,27 @@ def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
     return tuple(caps)
 
 
-def _extremal_bins(w: WeightProfile, d: int) -> list[dict[int, int]]:
-    """The companion's bins as ``{value: count}`` mappings."""
-    values, mult = w.classes
-    top, second = values[0], values[1]
+def _extremal_bins(w: WeightProfile, d: int, first: int = 0) -> list:
+    """The companion's bins as ``(class, count)`` pairs, the classes of
+    ``w`` numbered from ``first``."""
+    mult = w.classes[1]
     h_k = mult[0]
-    bins: list[dict[int, int]] = [{top: d}]
-    for _ in range(2, h_k + 1):
-        bins.append({top: d - 1, second: 1})
-    mixed = {second: d - h_k + 1}
+    top, second = first, first + 1
+    bins = [((top, d),)]
+    bins += [((top, d - 1), (second, 1))] * (h_k - 1)
     if h_k > 1:
-        mixed[top] = h_k - 1
-    bins.append(mixed)
-    bins.extend({v: d} for v in w.entries[h_k + 1 :])
+        bins.append(((second, d - h_k + 1), (top, h_k - 1)))
+    else:
+        bins.append(((second, d),))
+    # Bins h_k + 2 on (1-based) hold their diagonal.
+    bins += _diagonal_bins(mult, d, first)[h_k + 1 :]
     return bins
 
 
 def extremal_companion(w: WeightProfile, d: int) -> Assignment:
     """The companion assignment: overfills bin 1 by one unit, nothing else."""
-    return Assignment.from_bins(w, d, _extremal_bins(w, d))
+    values, mult = w.classes
+    return Assignment.from_pairs(d, values, [d * m for m in mult], _extremal_bins(w, d))
 
 
 def extremal_witness(w: WeightProfile, d: int) -> WitnessInstance:
@@ -140,22 +142,24 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
     # holds with room to spare, yet still non-increasing into the suffix.
     pad = b_constant(w) + w.n * w[0]
     prefix = [d * v + pad for v in w.entries[: i0 - 1]]
+    values, mult = w.classes
+    first = len(values) - len(wt.classes[0])  # w's class of wt's top class
     if constant:
         v = wt[0]
         tail = [d * v] * (wt.n - 1) + [d * v - 1]
-        tail_bins = [{v: d}] * wt.n
+        tail_bins = [((first, d),)] * wt.n
         construction, level = "relaxed-constant-tail", w.n
     else:
         tail = extremal_capacities(wt, d)
-        tail_bins = _extremal_bins(wt, d)
+        tail_bins = _extremal_bins(wt, d, first)
         construction, level = "relaxed-extremal", i0
     # The prefix bins hold their diagonal, the suffix its companion.
-    bins = [{v: d} for v in w.entries[: i0 - 1]] + tail_bins
+    bins = _diagonal_bins(mult, d)[: i0 - 1] + tail_bins
     wit = WitnessInstance(
         instance=Instance(d, w, CapacityProfile(tuple(prefix) + tuple(tail))),
         construction=construction,
         relax_index=i0,
-        companion=Assignment.from_bins(w, d, bins),
+        companion=Assignment.from_pairs(d, values, [d * m for m in mult], bins),
         companion_level=level,
     )
     _assert_relaxed_shape(wit)
@@ -231,9 +235,11 @@ def verify_witness(
         raise ProfileError(f"companion_level={level} out of range 0..{inst.n}")
     checks: list[WitnessCheck] = []
 
-    slack_ok = suffix_report(inst).sufficient_slack[i0 - 1] == -1
-    checks.append(WitnessCheck("suffix-slack-minus-one", "analytic", slack_ok))
-    caps = inst.capacities.entries
+    # The corrected suffix condition at i0, the one entry of the suffix
+    # report this check reads.
+    caps, w = inst.capacities.entries, inst.weights
+    slack = sum(caps[i0 - 1 :]) - inst.d * sum(w.entries[i0 - 1 :]) - w.b_row[i0 - 1]
+    checks.append(WitnessCheck("suffix-slack-minus-one", "analytic", slack == -1))
     mono_ok = all(map(ge, caps, caps[1:]))
     checks.append(WitnessCheck("capacities-non-increasing", "analytic", mono_ok))
 
@@ -242,7 +248,7 @@ def verify_witness(
     if comp is not None:
         # The same d, classes and supplies fix the bin count too: every bin
         # holds d balls, so there are as many bins as weight entries.
-        values, mult = inst.weights.classes
+        values, mult = w.classes
         holds = (
             comp.d == inst.d
             and comp.class_values == values
@@ -258,7 +264,7 @@ def verify_witness(
         if settled:
             checks.append(WitnessCheck("feasible-above-claim", "analytic", True))
         if wit.construction == "extremal":
-            gaps = weight_gap_profile(inst.weights)
+            gaps = w.gaps
             expected = (-1,) + tuple(g - 1 for g in gaps)
             gaps_ok = holds and gap_vector(comp, inst.capacities) == expected
             checks.append(WitnessCheck("companion-gaps", "analytic", gaps_ok))

@@ -15,6 +15,10 @@ compares equal to one that reports its pairs.
 The calls mix sorted and unsorted capacities (as the W^min probes pass),
 empty lightest classes, ``k = 0`` and random ``k``, and small and large node
 budgets. ``--wide`` draws wider instances (n = 13..40, up to 30 classes).
+``--near-tight`` draws the wide answers the paper's witnesses ask for:
+distinct weights at n = 30..60 with capacities ``d*v + 1``, or the
+extremal witness of the same weights (``hmbp.witness``) at ``k = 0`` or 1;
+the seed draws the weights, so every seed searches other trees.
 Run it as
 ``PYTHONPATH=src python tests/kernel_differential.py old_search.py --calls 30000``.
 """
@@ -27,6 +31,8 @@ import time
 from collections import Counter
 
 from hmbp import _search
+from hmbp.core import WeightProfile
+from hmbp.witness import extremal_capacities
 
 
 def load_kernel(path):
@@ -103,12 +109,30 @@ def random_call(rng, wide):
     return values, supply, caps, d, k, budget
 
 
+def near_tight_call(rng):
+    """One ``search_feasible`` argument tuple: ``n = 30..60`` distinct
+    weights, ``d = n..n+3`` balls of each, and capacities ``d*v + 1`` or the
+    extremal witness's."""
+    n = rng.randint(30, 60)
+    top = rng.choice([2 * n, 4 * n, 10**4])
+    values = sorted(rng.sample(range(top), n), reverse=True)
+    d = n + rng.randint(0, 3)
+    if rng.random() < 0.5:
+        caps, k = [d * v + 1 for v in values], 0
+    else:
+        caps, k = list(extremal_capacities(WeightProfile(values), d)), rng.randint(0, 1)
+    budget = rng.choice([rng.randint(1, 3000), 100_000])
+    return values, [d] * n, caps, d, k, budget
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("other", help="path of the other _search.py")
     p.add_argument("--calls", type=int, default=30_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--wide", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--wide", action="store_true")
+    mode.add_argument("--near-tight", action="store_true")
     args = p.parse_args(argv)
     other = load_kernel(args.other)
     rng = random.Random(args.seed)
@@ -117,7 +141,7 @@ def main(argv=None) -> int:
     tally = Counter()
     mismatches = 0
     for i in range(args.calls):
-        call = random_call(rng, args.wide)
+        call = near_tight_call(rng) if args.near_tight else random_call(rng, args.wide)
         answers = [None, None]
         for side in (i % 2, 1 - i % 2):
             start = time.perf_counter()

@@ -26,7 +26,7 @@ from hmbp.core import (
 )
 from hmbp.criteria import classify
 from hmbp.oracle import BudgetExceeded, OracleError, decide, min_bin1_weight
-from hmbp.witness import extremal_witness, verify_witness
+from hmbp.witness import extremal_witness, relaxed_witness, verify_witness
 
 SEVEN_DISTINCT = make_instance(
     7, (6, 5, 4, 3, 2, 1, 0), tuple(7 * v + 2 for v in (6, 5, 4, 3, 2, 1, 0))
@@ -213,8 +213,12 @@ def test_free_bins_are_filled_heaviest_first(d, w, caps, k, witness, nodes):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--calls", "200"], ["--calls", "40", "--wide"]],
-    ids=["narrow", "wide"],
+    [
+        ["--calls", "200"],
+        ["--calls", "40", "--wide"],
+        ["--calls", "12", "--near-tight"],
+    ],
+    ids=["narrow", "wide", "near-tight"],
 )
 def test_kernel_differential_runs_against_this_kernel(argv, capsys):
     # Keeps the differential script working: this tree's kernel against its
@@ -320,6 +324,69 @@ class TestSearchCost:
         res = decide(SIXTY, 0)
         assert res.feasible and res.nodes_explored == 2011
         assert len(walks) == 14
+
+
+class MemoKeys:
+    """Counts the memo keys the kernel builds, ``tuple(residual)`` calls
+    seen through the name ``tuple`` in its globals, and the lookups that
+    find an equal key."""
+
+    def __init__(self, monkeypatch):
+        self.built = self.hits = 0
+        counter = self
+
+        class Key(tuple):
+            __hash__ = tuple.__hash__
+
+            def __eq__(self, other):
+                equal = tuple.__eq__(self, other)
+                if equal is True:
+                    counter.hits += 1
+                return equal
+
+        def counted(iterable=()):
+            # The residual is the kernel's only list of ints it makes a
+            # tuple of; the answer's pairs are lists of tuples.
+            if type(iterable) is list and all(type(x) is int for x in iterable):
+                counter.built += 1
+                return Key(iterable)
+            return tuple(iterable)
+
+        monkeypatch.setattr(_search, "tuple", counted, raising=False)
+
+
+SEEDED_60 = WeightProfile(
+    tuple(sorted(random.Random(0).sample(range(120), 60), reverse=True))
+)
+
+
+class TestMemoKeys:
+    # A search that fails with no choice left open returns at once: it
+    # unwinds nothing and builds no memo key, where unwinding would add one
+    # key per bin that no lookup ever reads.
+    @pytest.mark.parametrize(
+        "wit, nodes",
+        [
+            (extremal_witness(SEEDED_60, 62), 1948),
+            (relaxed_witness(SEEDED_60, 62, 14), 1801),
+        ],
+        ids=["extremal-k0", "relaxed-at-claim"],
+    )
+    def test_failed_wide_search_builds_no_key(self, monkeypatch, wit, nodes):
+        keys = MemoKeys(monkeypatch)
+        res = decide(wit.instance, wit.relax_index - 1)
+        assert not res.feasible and res.nodes_explored == nodes
+        assert keys.built == 0 and keys.hits == 0
+
+    def test_open_choices_still_hit_the_memo(self, monkeypatch):
+        # This search backtracks through open choices and meets a failed
+        # residual again: the memo answers it. The bins that fail once no
+        # choice is open add no key.
+        keys = MemoKeys(monkeypatch)
+        inst = make_instance(18, (13, 12, 10, 7, 6), (231, 217, 181, 127, 109))
+        res = decide(inst, 0)
+        assert not res.feasible and res.nodes_explored == 24
+        assert keys.built == 4 and keys.hits == 1
 
 
 def test_budget_cut_off_on_every_budget():

@@ -119,6 +119,86 @@ def test_truncated_suffix_has_its_own_classes():
     assert CapacityProfile((4, 3, 3)).truncate(2) == CapacityProfile((3, 3))
 
 
+def naive_gaps(entries):
+    """Gap of every position 2..n: the step to the next strictly larger
+    value, or for the top block the drop to the second-largest value."""
+    top = entries[0]
+    second = max(v for v in entries if v < top)
+    return tuple(
+        top - second if v == top else min(u for u in entries if u > v) - v
+        for v in entries[1:]
+    )
+
+
+def naive_b_row(entries):
+    """``sum(g - 1)`` over the gaps of every suffix; 0 for a constant one."""
+    return tuple(
+        0 if len(set(entries[i:])) == 1 else sum(g - 1 for g in naive_gaps(entries[i:]))
+        for i in range(len(entries))
+    )
+
+
+PROFILES = [
+    (5, 5, 3, 1, 1, 0),
+    (9, 7, 4, 4, 4),
+    (6, 0),
+    (8, 8, 8, 2),
+    (12, 9, 5, 2, 0, 0),
+]
+
+
+@pytest.mark.parametrize("entries", PROFILES)
+def test_cached_tables_match_a_fresh_build(entries):
+    # b_row and gaps are built once and kept, like classes; a fresh profile
+    # builds the same tables, and both match their definitions.
+    w = WeightProfile(entries)
+    assert w.b_row is w.b_row and w.gaps is w.gaps
+    fresh = WeightProfile(entries)
+    assert w.b_row == fresh.b_row == naive_b_row(entries)
+    assert w.gaps == fresh.gaps == naive_gaps(entries)
+
+
+@pytest.mark.parametrize("entries", PROFILES)
+def test_cached_tables_survive_pickling(entries):
+    w = WeightProfile(entries)
+    tables = (w.classes, w.b_row, w.gaps)
+    back = pickle.loads(pickle.dumps(w))
+    assert (back.classes, back.b_row, back.gaps) == tables
+    assert back == w and hash(back) == hash(w) and repr(back) == repr(w)
+
+
+@pytest.mark.parametrize("entries", PROFILES)
+def test_truncated_suffix_has_its_own_tables(entries):
+    # A suffix's b row is the tail of the profile's; its gaps are its own.
+    w = WeightProfile(entries)
+    w.b_row, w.gaps  # fill the profile's caches before truncating
+    for i in range(1, w.n + 1):
+        suffix = w.truncate(i)
+        assert suffix.b_row == w.b_row[i - 1 :] == naive_b_row(entries[i - 1 :])
+        if len(set(entries[i - 1 :])) > 1:
+            assert suffix.gaps == naive_gaps(entries[i - 1 :])
+        else:
+            with pytest.raises(ProfileError, match="constant"):
+                suffix.gaps
+
+
+def test_filled_caches_leave_equality_hash_and_repr_alone():
+    w, fresh = WeightProfile((9, 7, 4, 4, 4)), WeightProfile((9, 7, 4, 4, 4))
+    before = (hash(w), repr(w))
+    w.classes, w.b_row, w.gaps
+    assert w == fresh and fresh == w
+    assert (hash(w), repr(w)) == before == (hash(fresh), repr(fresh))
+    assert len({w, fresh}) == 1
+    with pytest.raises(AttributeError):
+        w.entries = (1,)
+    # A constant profile has no gaps: the error is raised on every read.
+    flat = WeightProfile((3, 3))
+    for _ in range(2):
+        with pytest.raises(ProfileError, match="constant"):
+            flat.gaps
+    assert flat.b_row == (0, 0) and flat == WeightProfile((3, 3))
+
+
 def test_constructors_still_check():
     with pytest.raises(ProfileError, match="d must be a positive integer: 2.5"):
         Instance(2.5, WeightProfile((2, 1)), CapacityProfile((5, 3)))

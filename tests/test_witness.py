@@ -1,6 +1,7 @@
 """Tests for the extremal and relaxed infeasibility witness constructions."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -293,6 +294,102 @@ class TestCompanion:
         checks = checks_by_name(ver)
         assert checks["companion-level"] == ("analytic", False)
         assert checks["feasible-above-claim"] == ("oracle", True)
+
+
+def reference_extremal_bins(w, d):
+    """The extremal companion's bins as ``{value: count}`` mappings, as they
+    were built before companions came from ``(class, count)`` pairs."""
+    values, mult = w.classes
+    top, second = values[0], values[1]
+    h_k = mult[0]
+    bins = [{top: d}]
+    for _ in range(2, h_k + 1):
+        bins.append({top: d - 1, second: 1})
+    mixed = {second: d - h_k + 1}
+    if h_k > 1:
+        mixed[top] = h_k - 1
+    bins.append(mixed)
+    bins.extend({v: d} for v in w.entries[h_k + 1 :])
+    return bins
+
+
+def reference_companion(wit):
+    """The witness's companion built from dicts by ``Assignment.from_bins``."""
+    w, d, i0 = wit.weights, wit.instance.d, wit.relax_index
+    if wit.construction == "extremal":
+        return Assignment.from_bins(w, d, reference_extremal_bins(w, d))
+    wt = w.truncate(i0)
+    if wit.construction == "relaxed-constant-tail":
+        tail = [{wt[0]: d}] * wt.n
+    else:
+        tail = reference_extremal_bins(wt, d)
+    return Assignment.from_bins(w, d, [{v: d} for v in w.entries[: i0 - 1]] + tail)
+
+
+def seeded_witnesses(rng, count):
+    """Extremal and relaxed witnesses at n = 2..60 over four weight shapes:
+    distinct, a repeated top block, a constant tail and a zero-weight tail."""
+    shapes = ("distinct", "top-block", "constant-tail", "zero-tail")
+    for i in range(count):
+        shape = shapes[i % len(shapes)]
+        n = rng.randint(2, 60)
+        head = rng.randint(1, n - 1)  # entries before the block or tail
+        if shape == "distinct":
+            w = sorted(rng.sample(range(2 * n + 5), n), reverse=True)
+            i0s = [rng.randint(1, n)]
+        elif shape == "top-block":
+            rest = sorted(rng.sample(range(1, 2 * n + 5), n - head), reverse=True)
+            w = [rest[0] + rng.randint(1, 3)] * head + rest
+            i0s = [rng.randint(head + 1, n)]
+        else:
+            low = 0 if shape == "zero-tail" else rng.randint(1, 5)
+            w = sorted(rng.sample(range(low + 1, low + 2 * n + 5), head), reverse=True)
+            w += [low] * (n - head)
+            i0s = [head + 1, rng.randint(1, head)]
+        d = n + rng.randint(0, 3)
+        profile = WeightProfile(tuple(w))
+        yield shape, extremal_witness(profile, d)
+        for i0 in i0s:
+            try:
+                yield shape, relaxed_witness(profile, d, i0)
+            except UnsupportedWeightsError:
+                pass
+
+
+def test_companions_equal_the_dict_built_reference():
+    # Companions are built from (class, count) pairs; the dict-built
+    # construction they replace is the reference, and every check
+    # verify_witness makes comes out the same on either.
+    tally = Counter()
+    for shape, wit in seeded_witnesses(random.Random(2025), 240):
+        ref = reference_companion(wit)
+        comp = wit.companion
+        assert comp == ref and comp.class_supply == ref.class_supply, wit
+        n = wit.instance.n
+        assert [comp.bin_weight(j) for j in range(n)] == [
+            ref.bin_weight(j) for j in range(n)
+        ]
+        budget = 10**6 if n <= 8 else 0  # analytic checks only above n = 8
+        assert verify_witness(wit, budget) == verify_witness(
+            wit._replace(companion=ref), budget
+        ), wit
+        tally[shape, wit.construction] += 1
+        tally["h_k > 1"] += (
+            wit.construction == "extremal" and wit.weights.classes[1][0] > 1
+        )
+        tally["n >= 50"] += n >= 50
+        tally["searched"] += budget > 0
+    for seen in [
+        ("distinct", "extremal"),
+        ("distinct", "relaxed-extremal"),
+        ("top-block", "relaxed-extremal"),
+        ("constant-tail", "relaxed-constant-tail"),
+        ("zero-tail", "relaxed-constant-tail"),
+        "h_k > 1",
+        "n >= 50",
+        "searched",
+    ]:
+        assert tally[seen] >= 10, (seen, tally)
 
 
 class TestSearchCount:
