@@ -32,11 +32,8 @@ choice still open below it: a choose frame whose count can fall further
 (``x > lo``). The search counts those frames, and a failure that leaves
 none returns infeasible at once, with nothing unwound and no key built.
 Otherwise the residual's tuple is built only to look it up in a set that
-exists, or to add it when the bin fails. The wide searches of a scale pass
-of ``perfbench`` (3,812 bin entries) never reopen a choice, so they build
-no key; they built 1,700 when every failure unwound its bins into the memo,
-and none was ever looked up. Oracle-desk's backtracking searches still find
-460 of their states in it.
+exists, or to add it when the bin fails. A search that never reopens a
+choice, as the wide witness checks do, builds no key at all.
 
 A count ``x`` of class ``c`` is tried only when the lightest ``d_left - x``
 balls of the lighter classes still fit in ``cap_left - x*v``. Lowering
@@ -51,11 +48,11 @@ bin ``j`` chooses at class ``c``, the classes ``c+1..m-1`` still hold their
 bin-entry residual, so the table serves every choice of the bin; the search
 holds the current bin's table in locals, set at bin entry and when a choice
 resumes, and keeps it per bin only for those resumes. It is not carried over
-to the next bin: on a scale pass every bin entry of a feasible search (2,112
-of them) takes balls from its own table's classes. Inside one
-segment of the table the slack is linear in ``x``, so ``top`` is solved in
-closed form (``_top_count``): one test of the largest count, then a
-bisection over segments, not counts, and one ceiling division.
+to the next bin, whose entry finds the table's classes changed by the bin
+just filled. Inside one segment of the table the slack is linear in ``x``,
+so ``top`` is solved in closed form (``_top_count``): one test of the
+largest count, then a bisection over segments, not counts, and one ceiling
+division.
 
 Bin entry skips the lightest classes that hold no balls. The last bins,
 usually the smallest, are filled first, so the lightest classes tend to
@@ -84,10 +81,7 @@ length ``L >= 2`` fits, and bin ``j`` checks only ``f_j(1) >= 0``. Bin
 sum from ``w`` down to ``j``; the first bin walks. ``_least_slack`` walks
 the windows once, with running sums of room and balls carried on from the
 table's end, and returns the suffix minima as a list indexed by the lowest
-bin they reach below, or ``None`` at the first negative window. At
-``w = (60, ..., 1)``, ``d = 60``, ``C = d*w + 1``, 14 of the 60 bin entries
-walk, where ``SM_w(2)`` at every offset leaves 30, and the tables sum 120
-classes, not 1,890.
+bin they reach below, or ``None`` at the first negative window.
 
 The inputs are checked once at entry, in ``O(m)``. The supply fills every
 bin, so bin ``j`` is entered with ``d*(j+1)`` balls left, at least the
@@ -100,10 +94,7 @@ and ``t`` stays fixed while counts are 0, because the table, ``d_left`` and
 step: one bisection over the table finds ``t``, one more checks that count 0
 fits, and one over ``values`` finds the run's end. The run still costs one
 node per class, and a budget that runs out inside it stops the search at the
-same node as a class-by-class walk would. With the runs crossed this way the
-search makes fewer bisections than nodes: 696 over 2,011 nodes at
-``w = (60, ..., 1)``, ``d = 60``, ``C = d*w + 1``, where solving every
-class's top took 3,716.
+same node as a class-by-class walk would, with fewer bisections than nodes.
 """
 
 from __future__ import annotations

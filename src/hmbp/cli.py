@@ -130,9 +130,8 @@ def _print_assignment(inst: Instance, assignment, out) -> None:
             file=out,
         )
     print("values: " + " ".join(str(v) for v in assignment.class_values), file=out)
-    for j in range(assignment.n):
-        row = " ".join(str(assignment.counts[c][j]) for c in range(assignment.m))
-        print(f"B{j + 1}: {row}", file=out)
+    for j, column in enumerate(zip(*assignment.counts)):
+        print(f"B{j + 1}: " + " ".join(map(str, column)), file=out)
 
 
 def cmd_check(args) -> int:
@@ -201,7 +200,7 @@ def cmd_oracle(args) -> int:
         try:
             value = _oracle.min_bin1_weight(inst, node_budget=args.budget)
         except _oracle.OracleError as exc:
-            print(f"not 1-feasible: {exc}", file=out)
+            print(exc, file=out)
             return EXIT_INFEASIBLE
         except _oracle.BudgetExceeded as exc:
             print(exc, file=out)

@@ -11,16 +11,16 @@ tables are each built once per profile, on first use: the class table
 (:attr:`WeightProfile.classes`: its distinct values and how many weights
 share each), from which every layer reads the class structure, the
 correction constant of every suffix (:attr:`WeightProfile.b_row`) and the
-gap of every position (:attr:`WeightProfile.gaps`). Assignments are count
-matrices over those classes, never per-ball lists, so multiplicities in the
-tens of thousands cost nothing.
+gap of every position (:attr:`WeightProfile.gaps`). An assignment holds
+each bin's nonzero counts keyed by weight value, never per-ball lists or a
+dense matrix, so multiplicities in the tens of thousands cost nothing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, repeat
-from operator import index, mul, sub
+from operator import index, sub
 from typing import NamedTuple
 
 
@@ -306,63 +306,78 @@ def _diagonal_bins(mult, d: int, first: int = 0) -> list:
 
 
 class Assignment:
-    """Count matrix of balls per distinct weight value per bin.
+    """Balls per weight value per bin, stored as each bin's nonzero counts.
 
-    ``counts[c][j]`` is the number of balls of value ``class_values[c]``
-    placed in bin ``j`` (bins 0-indexed here; reports print them 1-based).
-    Every column sums to ``d`` and row ``c`` sums to ``class_supply[c]``.
-    The matrix is dense, but a bin holds only a few classes: :meth:`from_bins`
-    and the oracle fill and check it from the nonzero ``(class, count)``
-    pairs (:meth:`from_pairs`); the constructor takes a whole dense matrix.
-    Mutation happens only through :meth:`apply`, which moves balanced groups
-    of ball transfers, and :meth:`prepend_bin`, which adds a full bin in
-    front together with its supply, so the sums are preserved at every
-    exposed state.
+    Bin ``j`` (0-based; reports print bins 1-based) is a dict ``{value:
+    count}`` of positive counts, kept with its load; every bin holds ``d``
+    balls, and all hold ``class_supply[c]`` of ``class_values[c]``
+    (decreasing). :meth:`from_pairs` takes per-bin ``(class, count)`` pairs,
+    the constructor a dense matrix ``counts[c][j]`` (:attr:`counts` is that
+    view), and both run one check. Only :meth:`apply`, which moves balanced
+    groups of transfers, and :meth:`prepend_bin`, which adds a full bin and
+    its supply, change it, so the sums hold at every exposed state.
     """
 
-    __slots__ = ("d", "class_values", "class_supply", "counts", "_bin_weights")
+    __slots__ = ("d", "class_values", "class_supply", "_bins", "_bin_weights")
 
     def __init__(self, d: int, class_values, class_supply, counts):
-        self.d = d
-        self.class_values = tuple(class_values)
-        self.class_supply = tuple(class_supply)
-        self.counts = [list(row) for row in counts]
-        bins = list(zip(*self.counts))
-        self._bin_weights = [sum(map(mul, self.class_values, col)) for col in bins]
-        self._check(bins)
+        pairs = [[(c, q) for c, q in enumerate(col) if q] for col in zip(*counts)]
+        self._fill(d, class_values, class_supply, pairs)
 
     @classmethod
     def from_pairs(cls, d: int, class_values, class_supply, bins) -> "Assignment":
         """Build from per-bin ``(class, count)`` pairs, ``class`` indexing
-        ``class_values`` (any other raises); a class may repeat within a bin.
-        The matrix is filled, checked and weighed over the pairs only; when a
-        check fails the dense constructor re-checks it, with its message."""
-        values, supply = tuple(class_values), tuple(class_supply)
+        ``class_values`` (any other raises); repeated classes add up."""
+        out = cls.__new__(cls)
+        out._fill(d, class_values, class_supply, bins)
+        return out
+
+    def _fill(self, d: int, class_values, class_supply, bins) -> None:
+        """Store per-bin pairs as dicts with their loads; :meth:`_check` them."""
+        values = tuple(class_values)
         m = len(values)
-        counts = [[0] * len(bins) for _ in values]
         held = [0] * m
-        loads = []
-        valid = True
+        stored, loads, sizes = [], [], []
+        low = 1  # the least count of a pair
         for j, pairs in enumerate(bins):
+            content = {}
             balls = load = 0
             for c, q in pairs:
                 if not 0 <= c < m:
                     raise ProfileError(f"bin {j + 1} holds unknown class {c}")
-                counts[c][j] += q
+                v = values[c]
+                content[v] = content.get(v, 0) + q
                 held[c] += q
                 balls += q
-                load += values[c] * q
-                if q < 0:
-                    valid = False
+                load += v * q
+                if q < low:
+                    low = q
+            stored.append(content)
             loads.append(load)
-            if balls != d:
-                valid = False
-        if not valid or tuple(held) != supply:
-            return cls(d, values, supply, counts)
-        out = cls.__new__(cls)
-        out.d, out.class_values, out.class_supply = d, values, supply
-        out.counts, out._bin_weights = counts, loads
-        return out
+            sizes.append(balls)
+        if low <= 0:  # a count may net to 0
+            stored = [{v: q for v, q in b.items() if q} for b in stored]
+        self.d, self.class_values, self.class_supply = d, values, tuple(class_supply)
+        self._bins, self._bin_weights = stored, loads
+        self._check(held, sizes, low)
+
+    def _check(self, held, sizes, low) -> None:
+        """The one check of the constructors and :meth:`validate`, given the
+        balls of each class and of each bin and the least count. First fault
+        raises: by class, heaviest first, a negative count or a total other
+        than the supply; then the first bin without ``d`` balls."""
+        values, supply, d = self.class_values, self.class_supply, self.d
+        if low < 0 or tuple(held) != supply:
+            for c, v in enumerate(values):
+                if any(b.get(v, 0) < 0 for b in self._bins):
+                    raise ProfileError(f"negative count in class {c}")
+                if held[c] != supply[c]:
+                    raise ProfileError(
+                        f"class {v} holds {held[c]} balls, supply is {supply[c]}"
+                    )
+        if sizes.count(d) != len(sizes):
+            j = next(j for j, size in enumerate(sizes) if size != d)
+            raise ProfileError(f"bin {j + 1} holds {sizes[j]} balls, expected {d}")
 
     @classmethod
     def from_bins(cls, weights: WeightProfile, d: int, bins) -> "Assignment":
@@ -395,17 +410,24 @@ class Assignment:
 
     @property
     def n(self) -> int:
-        return len(self.counts[0]) if self.counts else 0
+        return len(self._bins)
 
-    def class_index(self, value: int) -> int:
-        try:
-            return self.class_values.index(value)
-        except ValueError:
-            raise ProfileError(f"no weight class with value {value}") from None
+    @property
+    def counts(self) -> list[list[int]]:
+        """Dense view, built on each read: ``counts[c][j]`` balls of class
+        ``c`` in bin ``j``."""
+        return [[b.get(v, 0) for b in self._bins] for v in self.class_values]
 
     def count_of(self, value: int, j: int) -> int:
-        """Number of balls of the given weight value in bin ``j`` (0-based)."""
-        return self.counts[self.class_index(value)][j]
+        """Balls of ``value`` in bin ``j`` (0-based); no class of it raises."""
+        q = self._bins[j].get(value, 0)
+        if not q and value not in self.class_values:
+            raise ProfileError(f"no weight class with value {value}")
+        return q
+
+    def bin_items(self, j: int):
+        """Bin ``j``'s ``(value, count)`` pairs, a read-only live view."""
+        return self._bins[j].items()
 
     def bin_weight(self, j: int) -> int:
         return self._bin_weights[j]
@@ -420,8 +442,9 @@ class Assignment:
         before any count changes, so a rejected group leaves the assignment
         as it was.
         """
-        staged = []  # (class, count, src, dst) of the checked transfers
-        n = self.n
+        bins, loads = self._bins, self._bin_weights
+        staged = []  # the checked transfers
+        n = len(bins)
         delta = [0] * n
         for value, q, src, dst in transfers:
             if not (0 <= src < n and 0 <= dst < n):
@@ -433,26 +456,30 @@ class Assignment:
                 raise ProfileError("transfer count must be non-negative")
             if q == 0:
                 continue
-            c = self.class_index(value)
-            held = self.counts[c][src]
-            for c2, q2, src2, dst2 in staged:
-                if c2 == c:
+            held = bins[src].get(value, 0)
+            for v2, q2, src2, dst2 in staged:
+                if v2 == value:
                     held += (q2 if dst2 == src else 0) - (q2 if src2 == src else 0)
             if held < q:
+                self.count_of(value, src)  # a value of no class raises first
                 raise ProfileError(
                     f"bin {src + 1} holds {held} balls of value {value}, "
                     f"cannot move {q}"
                 )
-            staged.append((c, q, src, dst))
+            staged.append((value, q, src, dst))
             delta[src] -= q
             delta[dst] += q
         if any(delta):
             raise ProfileError(f"unbalanced transfer group: bin deltas {delta}")
-        for c, q, src, dst in staged:
-            self.counts[c][src] -= q
-            self.counts[c][dst] += q
-            self._bin_weights[src] -= self.class_values[c] * q
-            self._bin_weights[dst] += self.class_values[c] * q
+        for value, q, src, dst in staged:
+            left = bins[src][value] - q
+            if left:
+                bins[src][value] = left
+            else:
+                del bins[src][value]
+            bins[dst][value] = bins[dst].get(value, 0) + q
+            loads[src] -= value * q
+            loads[dst] += value * q
 
     def prepend_bin(self, value: int) -> None:
         """Insert a new bin 0 holding ``d`` balls of ``value``; the old bins
@@ -470,45 +497,27 @@ class Assignment:
         if value > top:
             self.class_values = (value,) + self.class_values
             self.class_supply = (0,) + self.class_supply
-            self.counts.insert(0, [0] * self.n)
         self.class_supply = (self.class_supply[0] + self.d,) + self.class_supply[1:]
-        for row in self.counts:
-            row.insert(0, 0)
-        self.counts[0][0] = self.d
+        self._bins.insert(0, {self.class_values[0]: self.d})
         self._bin_weights.insert(0, value * self.d)
 
     def copy(self) -> "Assignment":
         return Assignment(self.d, self.class_values, self.class_supply, self.counts)
 
     def validate(self) -> None:
-        """Check row/column sum invariants from scratch."""
-        self._check(list(zip(*self.counts)))
-
-    def _check(self, bins) -> None:
-        """:meth:`validate` given the count matrix's columns ``bins``."""
-        rows = self.counts
-        held = tuple(map(sum, rows))
-        if (bins and min(map(min, rows)) < 0) or held != self.class_supply:
-            for c, row in enumerate(rows):
-                if min(row, default=0) < 0:
-                    raise ProfileError(f"negative count in class {c}")
-                if held[c] != self.class_supply[c]:
-                    raise ProfileError(
-                        f"class {self.class_values[c]} holds {held[c]} balls, "
-                        f"supply is {self.class_supply[c]}"
-                    )
-        loads = list(map(sum, bins))
-        if loads.count(self.d) != len(loads):
-            j = next(j for j, load in enumerate(loads) if load != self.d)
-            raise ProfileError(f"bin {j + 1} holds {loads[j]} balls, expected {self.d}")
+        """Check the counts from scratch, with the check of the constructors."""
+        held = dict.fromkeys(self.class_values, 0)
+        low = 1
+        for v, q in chain.from_iterable(map(dict.items, self._bins)):
+            held[v] += q
+            if q < low:
+                low = q
+        sizes = list(map(sum, map(dict.values, self._bins)))
+        self._check(list(held.values()), sizes, low)
 
     def bin_notation(self, j: int) -> str:
         """Render bin ``j`` in ``value^count`` notation, e.g. ``5^2 3^1``."""
-        parts = [
-            f"{self.class_values[c]}^{self.counts[c][j]}"
-            for c in range(self.m)
-            if self.counts[c][j] > 0
-        ]
+        parts = [f"{v}^{q}" for v, q in sorted(self._bins[j].items(), reverse=True)]
         return " ".join(parts) if parts else "(empty)"
 
     def __eq__(self, other) -> bool:
@@ -517,7 +526,7 @@ class Assignment:
         return (
             self.d == other.d
             and self.class_values == other.class_values
-            and self.counts == other.counts
+            and self._bins == other._bins
         )
 
     def __repr__(self) -> str:

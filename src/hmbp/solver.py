@@ -259,28 +259,24 @@ def relief_swap(
     excess = assignment.bin_weight(0) - capacities[0]
     if excess <= 0:
         return None
-    tops = assignment.counts[0][0]
+    tops = assignment.count_of(top, 0)
     if tops == 0:
         return None
     for b in range(2, assignment.n + 1):
         gap = capacities[b - 1] - assignment.bin_weight(b - 1)
         if gap < top:
             continue
-        for c in range(assignment.m - 1, 0, -1):  # lightest value first
-            held = assignment.counts[c][b - 1]
-            if held > 0:
-                value = assignment.class_values[c]
-                step = top - value
-                q = min(
-                    limit, tops, held, (gap - top) // step + 1, -(-excess // step)
-                )
-                return _record(
-                    assignment,
-                    log,
-                    KIND_RELIEF,
-                    (Transfer(top, q, 1, b), Transfer(value, q, b, 1)),
-                    j=b,
-                )
+        value, held = min(assignment.bin_items(b - 1))  # lightest value first
+        if value < top:
+            step = top - value
+            q = min(limit, tops, held, (gap - top) // step + 1, -(-excess // step))
+            return _record(
+                assignment,
+                log,
+                KIND_RELIEF,
+                (Transfer(top, q, 1, b), Transfer(value, q, b, 1)),
+                j=b,
+            )
     return None
 
 
@@ -294,36 +290,35 @@ def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
     """
     first = _first_positions(assignment)
     n = assignment.n
-    top = assignment.class_values[0]
+    values = assignment.class_values
+    top = values[0]
     guard = 0
-    while assignment.counts[0][0] < N:
+    while assignment.count_of(top, 0) < N:
         guard += 1
         if guard > assignment.d + 1:
             raise StallError("boost", "exchange loop exceeded its iteration bound")
         k_class = None
         for c in range(1, assignment.m):
-            if assignment.counts[c][0] >= top:
+            if assignment.count_of(values[c], 0) >= top:
                 k_class = c
                 break
         if k_class is None:
             raise StallError(
                 "boost",
                 f"bin 1 holds no non-top value with at least {top} balls; "
-                f"top count stuck at {assignment.counts[0][0]} < {N}",
+                f"top count stuck at {assignment.count_of(top, 0)} < {N}",
             )
-        rbin = max(
-            range(2, n + 1), key=lambda b: (assignment.counts[0][b - 1], -b)
-        )
-        if assignment.counts[0][rbin - 1] == 0:
+        rbin = max(range(2, n + 1), key=lambda b: (assignment.count_of(top, b - 1), -b))
+        if assignment.count_of(top, rbin - 1) == 0:
             raise StallError("boost", "no bin beyond 1 holds any top ball")
-        wk = assignment.class_values[k_class]
+        wk = values[k_class]
         t_class = None
         for c in range(k_class + 1, assignment.m):
-            wt = assignment.class_values[c]
+            wt = values[c]
             if (
-                assignment.counts[c][rbin - 1] >= top - wk
-                and assignment.counts[0][rbin - 1] >= wk - wt
-                and assignment.counts[k_class][0] >= top - wt
+                assignment.count_of(wt, rbin - 1) >= top - wk
+                and assignment.count_of(top, rbin - 1) >= wk - wt
+                and assignment.count_of(wk, 0) >= top - wt
             ):
                 t_class = c
                 break
@@ -333,7 +328,7 @@ def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
                 f"no value below {wk} with enough balls in bin {rbin} to "
                 f"exchange against",
             )
-        wt = assignment.class_values[t_class]
+        wt = values[t_class]
         before = (assignment.bin_weight(0), assignment.bin_weight(rbin - 1))
         move = _record(
             assignment,
@@ -361,11 +356,16 @@ def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
     """
     first = _first_positions(assignment)
     n = assignment.n
+    # A bin that lacks a weight holds 0 >= r balls of it only when r <= 0.
+    rich = {v: [] if r > 0 else list(range(2, n + 1)) for v in assignment.class_values}
+    for j in range(2, n + 1 if r > 0 else 2):
+        for v, q in assignment.bin_items(j - 1):
+            if q >= r:
+                rich[v].append(j)
     adj: dict[int, list[int]] = {}
-    for c, row in enumerate(assignment.counts):
-        rich = [j for j in range(2, n + 1) if row[j - 1] >= r]
+    for c, v in enumerate(assignment.class_values):
         for i in range(max(first[c], 2), first[c + 1]):
-            adj[i] = rich
+            adj[i] = rich[v]
 
     match_right: dict[int, int] = {}
 
@@ -430,7 +430,7 @@ def shrink_gaps(
     """
     if assignment.m < 2:
         raise SolverUsageError("shrink_gaps needs at least two weight classes")
-    values, counts = assignment.class_values, assignment.counts
+    values = assignment.class_values
     first = _first_positions(assignment)
     top, second = values[0], values[1]
 
@@ -467,7 +467,7 @@ def shrink_gaps(
     for i in range(2, first[2]):
         bi = perm.bin_for(i)
         while slack(bi) >= top - second:
-            if counts[1][bi - 1] > 0:
+            if assignment.count_of(second, bi - 1):
                 transfers = (Transfer(top, 1, 1, bi), Transfer(second, 1, bi, 1))
                 step(KIND_TOP_EXIT, transfers, i=i)
                 return
@@ -478,14 +478,14 @@ def shrink_gaps(
                     f"no index beyond {i} carries the second-largest weight",
                     step=KIND_BLOCK,
                 )
-            lighter = [c for c in range(2, assignment.m) if counts[c][bi - 1]]
+            lighter = [v for v, _ in assignment.bin_items(bi - 1) if v < second]
             if not lighter:
                 raise StallError(
                     "shrink_gaps",
                     f"bin {bi} holds no ball lighter than {second}",
                     step=KIND_BLOCK,
                 )
-            wl = values[lighter[0]]
+            wl = max(lighter)
             t = (second - wl) // (top - second)
             bj = perm.bin_for(j)
             transfers = (
@@ -493,7 +493,7 @@ def shrink_gaps(
                 Transfer(top, t, bi, bj),
                 Transfer(wl, 1, bi, bj),
             )
-            step(KIND_BLOCK, transfers, i=i, j=j, l=first[lighter[0]], t=t)
+            step(KIND_BLOCK, transfers, i=i, j=j, l=first[values.index(wl)], t=t)
 
 
 def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> None:
@@ -511,34 +511,34 @@ def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> Non
         raise SolverUsageError(f"previous assignment is not {i}-feasible")
     m = prev.m
     n = prev.n
-    index = {v: c for c, v in enumerate(prev.class_values)}
-    small_quota = [0] * m
+    values = prev.class_values
+    index = {v: c for c, v in enumerate(values)}
+    excess = [0] * m  # suffix balls of each class less its suffix supply
     for pos in range(i, n + 1):
-        small_quota[index[inst.weights[pos - 1]]] += inst.d
-    excess = [
-        sum(prev.counts[c][j] for j in range(i - 1, n)) - small_quota[c]
-        for c in range(m)
-    ]
+        excess[index[inst.weights[pos - 1]]] -= inst.d
+        for v, q in prev.bin_items(pos - 1):
+            excess[index[v]] += q
     while True:
         c_plus = next((c for c in range(m) if excess[c] > 0), None)
         if c_plus is None:
             break
         c_minus = next(c for c in range(m - 1, -1, -1) if excess[c] < 0)
-        src = next(j for j in range(i - 1, n) if prev.counts[c_plus][j] > 0)
-        dst = next(j for j in range(i - 1) if prev.counts[c_minus][j] > 0)
+        v_plus, v_minus = values[c_plus], values[c_minus]
+        src = next(j for j in range(i - 1, n) if prev.count_of(v_plus, j))
+        dst = next(j for j in range(i - 1) if prev.count_of(v_minus, j))
         q = min(
             excess[c_plus],
             -excess[c_minus],
-            prev.counts[c_plus][src],
-            prev.counts[c_minus][dst],
+            prev.count_of(v_plus, src),
+            prev.count_of(v_minus, dst),
         )
         _record(
             prev,
             log,
             KIND_NORMALIZE,
             (
-                Transfer(prev.class_values[c_plus], q, src + 1, dst + 1),
-                Transfer(prev.class_values[c_minus], q, dst + 1, src + 1),
+                Transfer(v_plus, q, src + 1, dst + 1),
+                Transfer(v_minus, q, dst + 1, src + 1),
             ),
             stage=i,
         )
@@ -591,7 +591,7 @@ def descend(
                 # shrinking pass only needs a top ball in bin 1 for its exit
                 # swaps, so push on when one is there; its own stall (or lack of
                 # progress) is the decisive signal.
-                if assignment.counts[0][0] == 0:
+                if assignment.count_of(assignment.class_values[0], 0) == 0:
                     raise
             if relief_swap(assignment, C, log) is not None:
                 continue

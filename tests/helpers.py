@@ -6,14 +6,7 @@ from hmbp.witness import UnsupportedWeightsError, WitnessInstance
 
 def bins_as_dicts(assignment: Assignment) -> list[dict[int, int]]:
     """Every bin as a ``{value: count}`` mapping of its non-zero counts."""
-    return [
-        {
-            assignment.class_values[c]: assignment.counts[c][j]
-            for c in range(assignment.m)
-            if assignment.counts[c][j] > 0
-        }
-        for j in range(assignment.n)
-    ]
+    return [dict(assignment.bin_items(j)) for j in range(assignment.n)]
 
 
 def normalize(inst: Instance) -> Instance:

@@ -19,8 +19,14 @@ budgets. ``--wide`` draws wider instances (n = 13..40, up to 30 classes).
 distinct weights at n = 30..60 with capacities ``d*v + 1``, or the
 extremal witness of the same weights (``hmbp.witness``) at ``k = 0`` or 1;
 the seed draws the weights, so every seed searches other trees.
+``--reference`` takes no other kernel: it compares this tree's statuses on
+the narrow draw with those of ``tests/reference.py``, which shares no rule
+with the kernel, skipping the calls the kernel refuses at its budget and
+those on which the reference tries more than ``REFERENCE_FILLS`` count
+vectors.
 Run it as
-``PYTHONPATH=src python tests/kernel_differential.py old_search.py --calls 30000``.
+``PYTHONPATH=src python tests/kernel_differential.py old_search.py --calls 30000``
+or ``PYTHONPATH=src python tests/kernel_differential.py --reference --calls 2000``.
 """
 
 import argparse
@@ -30,9 +36,13 @@ import sys
 import time
 from collections import Counter
 
+import reference
 from hmbp import _search
 from hmbp.core import WeightProfile
 from hmbp.witness import extremal_capacities
+
+# The count vectors the reference may try on one call before it is skipped.
+REFERENCE_FILLS = 100_000
 
 
 def load_kernel(path):
@@ -125,15 +135,47 @@ def near_tight_call(rng):
     return values, [d] * n, caps, d, k, budget
 
 
+def against_reference(calls, rng) -> int:
+    """Statuses of this tree's kernel against the reference decider on
+    ``calls`` narrow draws; returns the number of disagreements."""
+    tally = Counter()
+    mismatches = 0
+    for _ in range(calls):
+        values, supply, caps, d, k, budget = call = random_call(rng, False)
+        status = _search.search_feasible(*call)[0]
+        if status == _search.STATUS_BUDGET:
+            tally["budget"] += 1
+            continue
+        layers = reference.leave(values, supply, caps, d, k, REFERENCE_FILLS)
+        if layers is None:
+            tally["reference-budget"] += 1
+            continue
+        feasible = not layers or bool(layers[-1])
+        if feasible != (status == _search.STATUS_FEASIBLE):
+            mismatches += 1
+            if mismatches <= 5:
+                print("mismatch:", call, file=sys.stderr)
+        tally["feasible" if feasible else "infeasible"] += 1
+    print(f"{calls} calls, {mismatches} mismatches; {dict(sorted(tally.items()))}")
+    return mismatches
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("other", help="path of the other _search.py")
+    p.add_argument("other", nargs="?", help="path of the other _search.py")
     p.add_argument("--calls", type=int, default=30_000)
     p.add_argument("--seed", type=int, default=1)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--wide", action="store_true")
     mode.add_argument("--near-tight", action="store_true")
+    mode.add_argument("--reference", action="store_true")
     args = p.parse_args(argv)
+    if args.reference:
+        if args.other is not None:
+            p.error("--reference takes no other kernel")
+        return 1 if against_reference(args.calls, random.Random(args.seed)) else 0
+    if args.other is None:
+        p.error("the path of the other _search.py is required")
     other = load_kernel(args.other)
     rng = random.Random(args.seed)
     kernels = (_search.search_feasible, other.search_feasible)

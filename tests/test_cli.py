@@ -173,6 +173,14 @@ class TestOracleCommand:
         assert code == EXIT_FEASIBLE
         assert "W^min = 6" in out
 
+    def test_wmin_not_one_feasible(self, tmp_path, capsys):
+        # The error's own words, once: the CLI adds no prefix of its own.
+        path = tmp_path / "tight.hmbp"
+        path.write_text("d: 3\nw: 2 2\nC: 5 1\n", encoding="utf-8")
+        code, out, _ = run_cli(["oracle", str(path), "--wmin"], capsys)
+        assert code == EXIT_INFEASIBLE
+        assert out == "instance is not 1-feasible; minimum bin-1 load undefined\n"
+
     def test_sixty_bins(self, sixty_bin_file, capsys):
         code, out, err = run_cli(["oracle", sixty_bin_file], capsys)
         assert (code, err) == (EXIT_FEASIBLE, "")

@@ -1,19 +1,23 @@
 """Domain type and integer-arithmetic tests for the core module."""
 
+import json
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmbp import _search
 from hmbp.cli import main
 from hmbp.core import (
     Assignment,
     CapacityProfile,
     ProfileError,
     WeightProfile,
+    _diagonal_bins,
     b_constant,
     b_row,
     conjugate,
@@ -24,11 +28,12 @@ from hmbp.core import (
     weight_gap_profile,
 )
 from hmbp.criteria import classify, tight_profile
-from hmbp.witness import extremal_witness, relaxed_witness
+from hmbp.witness import _extremal_bins, extremal_witness, relaxed_witness
 
 from conjugate_reference import b_by_run_overshoot, conjugate_by_columns, expand
 from helpers import bins_as_dicts, normalize
 
+PARITY_FIXTURE = Path(__file__).with_name("data") / "kernel_parity.json"
 EX_WEIGHTS = WeightProfile((5, 5, 3, 1, 1, 0))
 EX_CAPS = CapacityProfile((17, 17, 17, 17, 17, 8))
 EX_PARTITION = [
@@ -340,17 +345,24 @@ class TestAssignment:
 
     @pytest.mark.parametrize("counts, message", BAD_MATRICES)
     def test_validate_reports_the_first_error(self, counts, message):
+        # The dense constructor and from_pairs run one check (validate), so
+        # the same counts given as per-bin pairs raise the same first error.
         values, supply = (2, 1), (3, 3)
         with pytest.raises(ProfileError) as built:
             Assignment(2, values, supply, counts)
         assert str(built.value) == message
+        pairs = [[(c, row[j]) for c, row in enumerate(counts)] for j in range(3)]
+        with pytest.raises(ProfileError) as paired:
+            Assignment.from_pairs(2, values, supply, pairs)
+        assert str(paired.value) == message
         a = Assignment(2, values, supply, [[1, 1, 1], [1, 1, 1]])
         a.apply([(2, 1, 0, 2), (1, 1, 2, 0)])
         a.validate()
-        a.counts[:] = [list(row) for row in counts]
-        with pytest.raises(ProfileError) as checked:
-            a.validate()
-        assert str(checked.value) == message
+        # The dense view is built on each read: writing to it changes nothing.
+        view = a.counts
+        view[:] = [list(row) for row in counts]
+        a.validate()
+        assert a.counts == [[0, 1, 2], [2, 1, 0]] != view
 
     def test_from_pairs_matches_dense_constructor(self):
         # Seeded bins as (class, count) pairs, valid or broken by repeating a
@@ -559,6 +571,86 @@ class TestPrependBin:
                 assert_built_from_bins(
                     a, w.truncate(j + 1), d, [{w[j]: d}, *before]
                 )
+
+
+def dense_fill(m, bins):
+    """The ``m x n`` matrix of per-bin ``(class, count)`` pairs, filled as
+    the pair constructor once stored it: the reference for the dense view."""
+    counts = [[0] * len(bins) for _ in range(m)]
+    for j, pairs in enumerate(bins):
+        for c, q in pairs:
+            counts[c][j] += q
+    return counts
+
+
+class TestDenseView:
+    def test_matches_dense_fill_on_witnesses(self):
+        # Seeded extremal companions and diagonals, n = 2..60, with a
+        # repeated top block and often a tail of zero weights.
+        rng = random.Random(26)
+        for _ in range(80):
+            n = rng.randint(2, 60)
+            h = rng.randint(1, n - 1)
+            z = rng.choice([0, rng.randint(0, n - h - 1)])
+            top = n + rng.randint(1, 50)
+            middle = sorted(rng.sample(range(1, top), n - h - z), reverse=True)
+            w = WeightProfile((top,) * h + tuple(middle) + (0,) * z)
+            d = n + rng.randint(0, 3)
+            values, mult = w.classes
+            companion = extremal_witness(w, d).companion
+            assert companion.counts == dense_fill(len(values), _extremal_bins(w, d))
+            diagonal = Assignment.diagonal(w, d)
+            assert diagonal.counts == dense_fill(len(values), _diagonal_bins(mult, d))
+
+    def test_matches_dense_fill_on_parity_witnesses(self):
+        # The decide witness of every feasible record of the kernel fixture.
+        records = json.loads(PARITY_FIXTURE.read_text(encoding="utf-8"))["records"]
+        checked = 0
+        for r in records:
+            if r["status"] != _search.STATUS_FEASIBLE:
+                continue
+            call = r["values"], r["supply"], r["caps"], r["d"], r["k"], r["budget"]
+            _, bins, _ = _search.search_feasible(*call)
+            a = Assignment.from_pairs(r["d"], r["values"], r["supply"], bins)
+            assert a.counts == dense_fill(len(r["values"]), bins), r["key"]
+            checked += 1
+        assert checked >= 100
+
+    def test_matches_dense_fill_after_moves_and_prepends(self):
+        # A shadow matrix takes the same seeded moves and new bins, as the
+        # dense assignment once did, and the view follows it at every step.
+        rng = random.Random(27)
+        for _ in range(60):
+            n, d = rng.randint(2, 8), rng.randint(1, 6)
+            w = sorted((rng.randint(0, 6) for _ in range(n)), reverse=True)
+            a = Assignment.single_bin(w[-1], d)
+            shadow = [[d]]
+            for j in range(n - 2, -1, -1):
+                for _ in range(rng.randint(0, 4) if a.n > 1 else 0):
+                    src, dst = rng.sample(range(a.n), 2)
+                    give = rng.choice([c for c in range(a.m) if shadow[c][src]])
+                    take = rng.choice([c for c in range(a.m) if shadow[c][dst]])
+                    q = rng.randint(1, min(shadow[give][src], shadow[take][dst]))
+                    values = a.class_values
+                    a.apply([(values[give], q, src, dst), (values[take], q, dst, src)])
+                    shadow[give][src] -= q
+                    shadow[give][dst] += q
+                    shadow[take][dst] -= q
+                    shadow[take][src] += q
+                    assert a.counts == shadow
+                if w[j] > a.class_values[0]:
+                    shadow.insert(0, [0] * a.n)
+                for row in shadow:
+                    row.insert(0, 0)
+                shadow[0][0] = d
+                a.prepend_bin(w[j])
+                assert a.counts == shadow
+
+    def test_wide_companion_stores_its_nonzeros(self):
+        # Stored entries over all bins, not an n x n matrix.
+        n = 1920
+        a = extremal_witness(WeightProfile(tuple(range(n, 0, -1))), n).companion
+        assert sum(len(a.bin_items(j)) for j in range(a.n)) <= 2 * n
 
 
 class TestGapVector:

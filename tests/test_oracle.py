@@ -231,6 +231,19 @@ def test_kernel_differential_runs_against_this_kernel(argv, capsys):
         assert f"'{status}':" in out
 
 
+def test_kernel_differential_runs_against_the_reference(capsys):
+    # The --reference mode compares this tree's statuses with the reference
+    # decider's on the narrow draw, and takes no other kernel.
+    code = kernel_differential.main(["--reference", "--calls", "30"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert " 0 mismatches;" in out
+    for status in ("infeasible", "feasible"):
+        assert f"'{status}':" in out
+    with pytest.raises(SystemExit):
+        kernel_differential.main([_search.__file__, "--reference"])
+
+
 SIXTY_W = tuple(range(60, 0, -1))
 SIXTY = make_instance(60, SIXTY_W, tuple(60 * v + 1 for v in SIXTY_W))
 

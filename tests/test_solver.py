@@ -263,6 +263,16 @@ class TestMatching:
             find_permutation(a, 3)
         assert exc.value.deficient == (2,)
 
+    def test_threshold_at_most_zero_makes_every_bin_rich(self):
+        # A bin lacking a weight holds 0 balls of it, which meets r <= 0:
+        # both indices of weight 2 find a bin, though only bin 3 holds a 2.
+        w = WeightProfile((3, 2, 2))
+        a = Assignment.from_bins(w, 2, [{2: 2}, {3: 2}, {2: 2}])
+        with pytest.raises(StallError):
+            find_permutation(a, 1)
+        for r in (0, -1):
+            assert find_permutation(a, r).order == (1, 3, 2)
+
     def test_permutation_validation(self):
         with pytest.raises(SolverUsageError):
             MatchingPermutation((2, 1))

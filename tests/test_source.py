@@ -239,6 +239,32 @@ def test_solver_moves_take_one_path():
     assert optional_logs == []
 
 
+def test_only_core_and_the_cli_printer_read_the_dense_view():
+    # An assignment stores each bin's counts, and `.counts` builds the dense
+    # matrix afresh on each read: a step that held it across a move would
+    # act on stale counts. So only core.py and the CLI's printer read it.
+    found, printer_reads = [], 0
+    for path in sorted(Path(hmbp.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if path.name == "cli.py"
+            and getattr(fn, "name", None) == "_print_assignment"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "counts":
+                if id(node) in allowed:
+                    printer_reads += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert printer_reads == 1
+
+
 PUBLIC_NAMES = [
     "Assignment",
     "BudgetExceeded",
