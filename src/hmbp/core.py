@@ -104,7 +104,7 @@ class _Profile(_Frozen):
         A suffix of a checked profile passes every check of its constructor,
         so the slice is stored without re-running them.
         """
-        if not 1 <= i <= self.n:
+        if not 1 <= i <= len(self.entries):
             raise ProfileError(f"truncation index {i} out of range 1..{self.n}")
         out = object.__new__(type(self))
         out.__dict__["entries"] = self.entries[i - 1 :]
@@ -219,7 +219,11 @@ class Instance(_Frozen):
         return self.weights.n
 
     def truncate(self, i: int) -> "Instance":
-        return Instance(self.d, self.weights.truncate(i), self.capacities.truncate(i))
+        """Suffix from position ``i``, stored unchecked like the profiles'."""
+        out = object.__new__(type(self))
+        w, C = self.weights.truncate(i), self.capacities.truncate(i)
+        out.__dict__.update(d=self.d, weights=w, capacities=C)
+        return out
 
 
 def make_instance(d: int, w, C) -> Instance:

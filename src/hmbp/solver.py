@@ -4,9 +4,10 @@ Builds a feasible assignment by descending induction over suffixes of the
 instance: after stage ``i`` the bins ``i..n`` hold exactly the suffix supply
 and satisfy their capacities. One assignment serves the whole induction:
 stage ``i`` grows it in place by bin ``i`` with its own ``d`` balls in front
-(:meth:`~hmbp.core.Assignment.prepend_bin`), and runs a descent loop on that
-truncated problem which strictly lowers the load of the stage's head bin
-until it fits, using three kinds of ball exchanges:
+(:meth:`~hmbp.core.Assignment.prepend_bin`). A stage whose new head bin fits
+ends there; any other runs a descent loop on the truncated problem (sliced
+from the checked instance, not checked again) which strictly lowers the load
+of the head bin until it fits, using three kinds of ball exchanges:
 
 * a direct relief swap through any bin with slack at least the top weight,
   batched so that one move makes every consecutive swap through the same bin
@@ -22,7 +23,8 @@ The steps read the assignment's weight classes directly: class ``c`` holds
 the positions ``first[c] .. first[c+1] - 1``, where ``first`` is one O(m)
 table of cumulative multiplicities, and the gap of a position is the step
 from its class value up to the next larger one (the drop from the top to the
-second-largest value inside the top block).
+second-largest value inside the top block). Bin slacks are read from
+:func:`~hmbp.core.gap_vector`, not capacity by capacity.
 
 The finished assignment's row and column sums are validated from scratch
 once, with every capacity, before it is returned.
@@ -46,6 +48,7 @@ from .core import (
     Instance,
     _Frozen,
     _Record,
+    gap_vector,
     is_k_feasible,
 )
 
@@ -162,9 +165,7 @@ class DescentTrace(_Record):
         self.moves = [] if moves is None else moves
 
     def serialize(self) -> str:
-        return "\n".join(mv.serialize() for mv in self.moves) + (
-            "\n" if self.moves else ""
-        )
+        return "".join(mv.serialize() + "\n" for mv in self.moves)
 
     def replay(self, initial: Assignment) -> Assignment:
         out = initial.copy()
@@ -201,12 +202,12 @@ class SolverConfig(NamedTuple):
     provably terminating once the multiplicity clears its threshold
     (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working problem), and
     ``max_rounds`` defaults to ``d*w1 + n + 2``. :meth:`resolved` fills the
-    unset values in for one working problem; each stage attempt resolves
-    once and hands the steps plain numbers. Below the threshold no bin may
-    be that rich: a stage that stalls in the matching or the shrinking step
-    restarts from its start state with the resolved ``r`` and ``N`` halved,
-    rounded up, down to 1. ``fallback_to_oracle`` hands a stalled instance
-    to the exact search under its default node budget.
+    unset values in for one working problem and refuses a set value below 1;
+    each stage attempt resolves once and hands the steps plain numbers. Below
+    the threshold no bin may be that rich: a stage that stalls in the matching
+    or the shrinking step restarts from its start state with the resolved
+    ``r`` and ``N`` halved, rounded up, down to 1. ``fallback_to_oracle``
+    hands a stalled instance to the exact search under its default budget.
     """
 
     r: int | None = None
@@ -216,6 +217,9 @@ class SolverConfig(NamedTuple):
 
     def resolved(self, inst: Instance) -> "SolverConfig":
         """This config with every unset tunable at its default for ``inst``."""
+        for name, value in zip(("r", "N", "max_rounds"), self):
+            if value is not None and value < 1:
+                raise SolverUsageError(f"{name} must be at least 1, got {value}")
         n, top = inst.n, inst.weights[0]
         r = self.r if self.r is not None else 2 * n * top
         N = self.N if self.N is not None else (n - 1) * n * r
@@ -256,14 +260,11 @@ def relief_swap(
     if limit < 1:
         raise SolverUsageError(f"relief limit must be at least 1, got {limit}")
     top = assignment.class_values[0]
-    excess = assignment.bin_weight(0) - capacities[0]
-    if excess <= 0:
+    slack = gap_vector(assignment, capacities)
+    excess, tops = -slack[0], assignment.count_of(top, 0)
+    if excess <= 0 or tops == 0:
         return None
-    tops = assignment.count_of(top, 0)
-    if tops == 0:
-        return None
-    for b in range(2, assignment.n + 1):
-        gap = capacities[b - 1] - assignment.bin_weight(b - 1)
+    for b, gap in enumerate(slack[1:], 2):
         if gap < top:
             continue
         value, held = min(assignment.bin_items(b - 1))  # lightest value first
@@ -297,11 +298,8 @@ def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
         guard += 1
         if guard > assignment.d + 1:
             raise StallError("boost", "exchange loop exceeded its iteration bound")
-        k_class = None
-        for c in range(1, assignment.m):
-            if assignment.count_of(values[c], 0) >= top:
-                k_class = c
-                break
+        held = (assignment.count_of(values[c], 0) for c in range(1, assignment.m))
+        k_class = next((c for c, q in enumerate(held, 1) if q >= top), None)
         if k_class is None:
             raise StallError(
                 "boost",
@@ -389,8 +387,7 @@ def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
                 f"with {r} or more balls",
                 deficient=tuple(deficient),
             )
-    order = [0] * n
-    order[0] = 1
+    order = [1] + [0] * (n - 1)
     for j, i in match_right.items():
         order[i - 1] = j
     return MatchingPermutation(tuple(order))
@@ -433,9 +430,7 @@ def shrink_gaps(
     values = assignment.class_values
     first = _first_positions(assignment)
     top, second = values[0], values[1]
-
-    def slack(b: int) -> int:
-        return capacities[b - 1] - assignment.bin_weight(b - 1)
+    slack = [0, *gap_vector(assignment, capacities)]  # by 1-based bin, kept current
 
     def step(kind: str, transfers: tuple, **diag) -> None:
         for value, q, src, _ in transfers:
@@ -447,6 +442,9 @@ def shrink_gaps(
                     step=kind,
                 )
         _record(assignment, log, kind, transfers, **diag)
+        for value, q, src, dst in transfers:
+            slack[src] += value * q
+            slack[dst] -= value * q
 
     # Upward sweep over the classes below the second-largest value.
     for c in range(assignment.m - 1, 1, -1):
@@ -455,10 +453,10 @@ def shrink_gaps(
         bj = perm.bin_for(j)
         for i in range(first[c + 1] - 1, first[c] - 1, -1):
             bi = perm.bin_for(i)
-            while slack(bi) >= pred - v:
+            while slack[bi] >= pred - v:
                 transfers = (Transfer(v, 1, bi, bj), Transfer(pred, 1, bj, bi))
                 step(KIND_CHAIN, transfers, i=i, j=j)
-                if slack(bj) >= top:
+                if slack[bj] >= top:
                     transfers = (Transfer(top, 1, 1, bj), Transfer(v, 1, bj, 1))
                     step(KIND_CHAIN_EXIT, transfers, i=i, j=j)
                     return
@@ -466,7 +464,7 @@ def shrink_gaps(
     # Downward sweep over the top block.
     for i in range(2, first[2]):
         bi = perm.bin_for(i)
-        while slack(bi) >= top - second:
+        while slack[bi] >= top - second:
             if assignment.count_of(second, bi - 1):
                 transfers = (Transfer(top, 1, 1, bi), Transfer(second, 1, bi, 1))
                 step(KIND_TOP_EXIT, transfers, i=i)
@@ -566,11 +564,11 @@ def descend(
     """
     cfg = cfg.resolved(inst)
     C = inst.capacities
-    top = inst.weights[0]
+    top, cap = inst.weights[0], C.entries[0]
     max_rounds = cfg.max_rounds
     rounds = 0
     try:
-        while assignment.bin_weight(0) > C[0]:
+        while assignment.bin_weight(0) > cap:
             if rounds >= max_rounds:
                 raise StallError("descend", f"no convergence after {rounds} rounds")
             move = relief_swap(assignment, C, log, limit=max_rounds - rounds)
@@ -582,7 +580,7 @@ def descend(
                 raise StallError(
                     "descend",
                     f"all weights equal {top}: every bin needs capacity "
-                    f"{inst.d * top}, bin 1 has {C[0]}",
+                    f"{inst.d * top}, bin 1 has {cap}",
                 )
             try:
                 boost_top_count(assignment, cfg.N, log)
@@ -598,7 +596,7 @@ def descend(
             perm = find_permutation(assignment, cfg.r)
             before = assignment.bin_weight(0)
             shrink_gaps(assignment, C, perm, log)
-            if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > C[0]:
+            if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > cap:
                 raise StallError(
                     "descend",
                     "gap shrinking completed without freeing bin 1; the total "
@@ -663,46 +661,44 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """Build a verified feasible assignment by descending suffix induction.
 
     One assignment is grown in place: stage ``i`` (from ``n`` down to 1)
-    prepends bin ``i`` with its ``d`` balls of ``w_i``, descends the
-    truncated problem on bins ``i..n`` and logs its moves with full-instance
-    bins. The row and column sums are checked from scratch once, after the
-    last stage, together with every capacity.
+    prepends bin ``i`` with its ``d`` balls of ``w_i``; unless they fit, it
+    descends the truncated problem on bins ``i..n`` and logs its moves with
+    full-instance bins. A constant suffix fits where its last bin does. The
+    row and column sums are checked from scratch once, after the last stage,
+    together with every capacity. A tunable below 1 raises at once.
 
-    Constant-weight truncations are decided directly: each suffix bin already
-    holds ``d`` equal balls, so only the smallest capacity matters. Success
-    is guaranteed whenever the corrected suffix conditions hold and the
-    multiplicity clears its threshold. Below it a stalled stage restarts at
-    half ``r`` and ``N``; a stall that remains ends the solve, and with
+    Success is guaranteed whenever the corrected suffix conditions hold and
+    the multiplicity clears its threshold. Below it a stalled stage restarts
+    at half ``r`` and ``N``; a stall that remains ends the solve, and with
     ``fallback_to_oracle`` set the exact search decides the instance unless
     its node budget runs out.
     """
     cfg = cfg or SolverConfig()
+    cfg.resolved(inst)  # a tunable set below 1 raises before any stage
+    d, w, C = inst.d, inst.weights.entries, inst.capacities.entries
     trace = DescentTrace()
-    assignment = Assignment.single_bin(inst.weights[-1], inst.d)
+    assignment = Assignment.single_bin(w[-1], d)
     total_rounds = 0
     try:
-        for i in range(inst.n, 0, -1):
-            sub = inst.truncate(i)
-            wt, Ct = sub.weights, sub.capacities
+        for i in range(len(w), 0, -1):
             # The descents so far moved balls only among bins i+1..n, so those
             # bins hold exactly their own supply: prepending bin i's d balls of
-            # w_i gives stage i's start.
-            if i < inst.n:
-                assignment.prepend_bin(wt[0])
-            if wt.is_constant():
-                need = inst.d * wt[0]
-                if Ct[Ct.n - 1] < need:
-                    raise StallError(
-                        "stage",
-                        f"constant suffix at {i}: every bin needs {need}, "
-                        f"capacity {Ct[Ct.n - 1]} is too small",
-                    )
-            else:
-                local: list[Move] = []
-                try:
-                    total_rounds += _descend_stage(sub, assignment, cfg, local)
-                finally:
-                    trace.moves.extend(mv.shifted(i - 1, stage=i) for mv in local)
+            # w_i gives stage i's start, and the stage is over if they fit.
+            if i < len(w):
+                assignment.prepend_bin(w[i - 1])
+            if d * w[i - 1] <= C[i - 1]:
+                continue
+            if w[i - 1] == w[-1]:
+                raise StallError(
+                    "stage",
+                    f"constant suffix at {i}: every bin needs {d * w[-1]}, "
+                    f"capacity {C[-1]} is too small",
+                )
+            log: list[Move] = []
+            try:
+                total_rounds += _descend_stage(inst.truncate(i), assignment, cfg, log)
+            finally:  # stage 1 is the whole instance: its moves go in as they are
+                trace.moves += (mv.shifted(i - 1, i) for mv in log) if i > 1 else log
     except StallError as stall:
         total_rounds += stall.rounds
         if cfg.fallback_to_oracle:

@@ -1,8 +1,10 @@
 """Descent engine tests: exchange ops, matching, gap shrinking, full solve."""
 
+import ast
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,7 @@ from hmbp.solver import (
 )
 from hmbp.witness import extremal_witness
 
+import solve_differential
 from family import cross_check
 from helpers import bins_as_dicts
 
@@ -313,6 +316,24 @@ class TestReliefSwap:
         caps = CapacityProfile((11, 10, 9, 8))
         assert a.bin_weight(0) > caps[0]
         assert relief_swap(a, caps, []) is None
+
+    @pytest.mark.parametrize("caps", [(11,), (11, 8, 8)], ids=["short", "long"])
+    def test_capacities_of_another_length_are_refused(self, caps):
+        # The step reads every slack from gap_vector, which refuses a
+        # capacity profile of another length before anything moves, also
+        # when bin 1 already fits or a longer profile would cover every bin.
+        w = WeightProfile((3, 1))
+        a = Assignment.from_bins(w, 4, [{3: 4}, {1: 4}])
+        before, log = a.copy(), []
+        message = f"assignment has 2 bins, capacities have {len(caps)}"
+        with pytest.raises(ProfileError, match=message):
+            relief_swap(a, CapacityProfile(caps), log)
+        with pytest.raises(ProfileError, match=message):
+            relief_swap(a, CapacityProfile((20,) * len(caps)), log)
+        perm = MatchingPermutation((1, 2))
+        with pytest.raises(ProfileError, match=message):
+            shrink_gaps(a, CapacityProfile(caps), perm, log)
+        assert a == before and log == []
 
     def test_preserves_one_feasibility_randomized(self):
         rng = random.Random(41)
@@ -667,6 +688,78 @@ def _unit_swaps(moves):
     return out
 
 
+class TestSolverConfig:
+    INST = make_instance(2, (3, 1, 0), (5, 4, 1))
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["r", "N", "max_rounds"])
+    def test_tunable_below_one_is_refused(self, field, value):
+        # The defaults solve this instance. A tunable below 1 is a usage
+        # error, as the CLI says, not a stall to hand to the oracle; it is
+        # raised before any stage, so an instance whose stages all fit,
+        # which makes no descent, refuses it too.
+        assert solve(self.INST).status == "feasible"
+        message = f"{field} must be at least 1, got {value}"
+        for fallback in (False, True):
+            cfg = SolverConfig(**{field: value}, fallback_to_oracle=fallback)
+            with pytest.raises(SolverUsageError, match=message):
+                solve(self.INST, cfg)
+            with pytest.raises(SolverUsageError, match=message):
+                cfg.resolved(self.INST)
+            with pytest.raises(SolverUsageError, match=message):
+                solve(make_instance(2, (3, 1), (9, 9)), cfg)
+        start = Assignment.diagonal(self.INST.weights, 2)
+        with pytest.raises(SolverUsageError, match=message):
+            descend(self.INST, start, SolverConfig(**{field: value}), [])
+        assert start == Assignment.diagonal(self.INST.weights, 2)
+
+    def test_tunables_of_one_are_taken(self):
+        cfg = SolverConfig(r=1, N=1, max_rounds=1)
+        assert cfg.resolved(self.INST) == cfg
+        assert solve(self.INST, cfg).status == "feasible"
+
+
+# The benchmark's three descent anchors: d = d_threshold(w), balanced with
+# slack 5n or squeezed by a third.
+ANCHORS = [
+    ((3, 2, 1, 0), "balanced", [3, 4]),
+    ((5, 5, 3, 1, 1, 0), "balanced", [4, 5, 6]),
+    ((6, 6, 4, 2, 1, 0), "squeezed", [5, 6]),
+]
+
+
+@pytest.mark.parametrize(
+    "w, shape, descents", ANCHORS, ids=["3210", "553110", "664210"]
+)
+def test_stages_whose_head_bin_fits_make_no_descent(monkeypatch, w, shape, descents):
+    # Every stage prepends its bin; only a stage whose new head bin is over
+    # its capacity descends (2, 3 and 2 of the 3, 5 and 5 stages with a
+    # non-constant suffix on these anchors).
+    d = d_threshold(WeightProfile(w))
+    if shape == "balanced":
+        caps = solve_differential.balanced(w, d, 5 * len(w))
+    else:
+        caps = solve_differential.squeezed(w, d, Fraction(1, 3))
+    calls = []
+    original = hmbp.solver.descend
+
+    def recording_descend(inst, assignment, cfg, log):
+        calls.append((inst.n, assignment.bin_weight(0), inst.capacities[0]))
+        return original(inst, assignment, cfg, log)
+
+    monkeypatch.setattr(hmbp.solver, "descend", recording_descend)
+    inst = make_instance(d, w, caps)
+    result = solve(inst)
+    assert result.status == "feasible"
+    assert [n for n, _, _ in calls] == descents
+    assert all(load > cap for _, load, cap in calls)
+    overfull = [len(w) - i for i in range(len(w)) if d * w[i] > caps[i]]
+    assert sorted(overfull) == descents
+    assert result.trace.replay(Assignment.diagonal(inst.weights, d)) == (
+        result.assignment
+    )
+
+
 class TestBatchedRelief:
     def test_batched_descent_matches_single_steps(self, monkeypatch):
         rng = random.Random(71)
@@ -958,3 +1051,34 @@ def test_family_slice_solver_feasible_is_oracle_feasible():
     assert tally["oracle-feasible"] == 475
     assert tally["stalled-on-feasible"] == 29
     assert tally["solver-feasible"] >= 400
+
+
+def test_solve_differential_runs_against_this_tree(monkeypatch, capsys):
+    # Keeps tests/solve_differential.py working: this tree against its own
+    # src in a subprocess agrees on every solve, and a hundred draws meet
+    # every status, the oracle fallback, the stall kinds that end solves on
+    # these draws and stage restarts (stalls that _descend_stage retries).
+    caught = Counter()
+    original = hmbp.solver.descend
+
+    def counting_descend(inst, assignment, cfg, log):
+        try:
+            return original(inst, assignment, cfg, log)
+        except StallError as stall:
+            caught[stall.op] += 1
+            raise
+
+    monkeypatch.setattr(hmbp.solver, "descend", counting_descend)
+    src = Path(hmbp.solver.__file__).parent.parent
+    argv = ["--solves", "100", "--seed", "3", "--other", str(src)]
+    code = solve_differential.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "100 solves, 0 mismatches;" in out
+    tally = ast.literal_eval(out.split(";", 1)[1].strip())
+    for key in ("feasible", "infeasible", "indeterminate", "oracle"):
+        assert tally.get(key, 0) > 0, key
+    for kind in ("stage", "descend", "shrink_gaps"):
+        assert tally.get(f"stall:{kind}", 0) > 0, kind
+    assert caught["matching"] > 0
+    assert caught["shrink_gaps"] > tally["stall:shrink_gaps"]
