@@ -10,13 +10,11 @@ from .core import (
     ProfileError,
     WeightProfile,
     b_constant,
-    b_row,
     conjugate,
     d_threshold,
     gap_vector,
     is_k_feasible,
     make_instance,
-    weight_gap_profile,
 )
 from .criteria import (
     CriteriaReport,
@@ -69,7 +67,6 @@ __all__ = [
     "WitnessInstance",
     "WitnessVerification",
     "b_constant",
-    "b_row",
     "classify",
     "conjugate",
     "d_threshold",
@@ -83,5 +80,4 @@ __all__ = [
     "solve",
     "suffix_report",
     "verify_witness",
-    "weight_gap_profile",
 ]

@@ -28,11 +28,9 @@ from .core import (
     Instance,
     ProfileError,
     WeightProfile,
-    b_row,
     conjugate,
     d_threshold,
     gap_vector,
-    weight_gap_profile,
 )
 from .criteria import Feasibility, classify, suffix_report, tight_profile
 from .solver import SolverConfig, solve
@@ -259,11 +257,10 @@ def cmd_info(args) -> int:
         runs.append(f"{conj.rows}^{conj.a0}")
     runs.extend(f"{h}^{a}" for h, a in conj.runs)
     print(f"conjugate: {' '.join(runs) if runs else '(empty)'}", file=out)
-    print("b by truncation: " + " ".join(str(b) for b in b_row(w)), file=out)
+    print("b by truncation: " + " ".join(str(b) for b in w.b_row), file=out)
     values = w.classes[0]
     if len(values) >= 2:
-        gaps = weight_gap_profile(w)
-        print("gap sequence: " + " ".join(str(g) for g in gaps), file=out)
+        print("gap sequence: " + " ".join(str(g) for g in w.gaps), file=out)
         print(f"second largest: {values[1]}", file=out)
     else:
         print("gap sequence: (constant profile)", file=out)

@@ -7,11 +7,11 @@ receives exactly ``d`` balls without exceeding its capacity.
 
 Everything here is plain integer arithmetic on tuples; all types except
 :class:`Assignment` are immutable and safe to share. A weight profile's
-tables are each built once per profile, on first use: the class table
-(:attr:`WeightProfile.classes`: its distinct values and how many weights
-share each), from which every layer reads the class structure, the
-correction constant of every suffix (:attr:`WeightProfile.b_row`) and the
-gap of every position (:attr:`WeightProfile.gaps`). An assignment holds
+tables are each built once per profile, on first use, and every layer reads
+them in place: the class table (:attr:`WeightProfile.classes`: its distinct
+values and how many weights share each), the correction constant of every
+suffix (:attr:`WeightProfile.b_row`) and the gap of every position
+(:attr:`WeightProfile.gaps`). An assignment holds
 each bin's nonzero counts keyed by weight value, never per-ball lists or a
 dense matrix, so multiplicities in the tens of thousands cost nothing.
 """
@@ -218,13 +218,6 @@ class Instance(_Frozen):
     def n(self) -> int:
         return self.weights.n
 
-    def truncate(self, i: int) -> "Instance":
-        """Suffix from position ``i``, stored unchecked like the profiles'."""
-        out = object.__new__(type(self))
-        w, C = self.weights.truncate(i), self.capacities.truncate(i)
-        out.__dict__.update(d=self.d, weights=w, capacities=C)
-        return out
-
 
 def make_instance(d: int, w, C) -> Instance:
     """Convenience constructor from raw sequences."""
@@ -278,24 +271,12 @@ def b_constant(w: WeightProfile) -> int:
     """Correction constant of a weight profile.
 
     Zero when all entries are equal; otherwise ``sum(g - 1)`` over the gaps
-    of positions 2..n (:func:`weight_gap_profile`), which equals the
+    of positions 2..n (:attr:`WeightProfile.gaps`), which equals the
     weighted sum of run overshoots of the conjugate diagram and costs O(n).
     This is the exact amount by which suffix-capacity bounds must exceed
     suffix demand to become sufficient for large multiplicities.
     """
     return w.b_row[0]
-
-
-def b_row(w: WeightProfile) -> tuple[int, ...]:
-    """``b_constant(w.truncate(i))`` for every ``i``: the table
-    :attr:`WeightProfile.b_row`."""
-    return w.b_row
-
-
-def weight_gap_profile(w: WeightProfile) -> tuple[int, ...]:
-    """Gap of every position 2..n: the table :attr:`WeightProfile.gaps`.
-    Rejects constant profiles."""
-    return w.gaps
 
 
 def _diagonal_bins(mult, d: int, first: int = 0) -> list:
@@ -315,29 +296,17 @@ class Assignment:
     Bin ``j`` (0-based; reports print bins 1-based) is a dict ``{value:
     count}`` of positive counts, kept with its load; every bin holds ``d``
     balls, and all hold ``class_supply[c]`` of ``class_values[c]``
-    (decreasing). :meth:`from_pairs` takes per-bin ``(class, count)`` pairs,
-    the constructor a dense matrix ``counts[c][j]`` (:attr:`counts` is that
-    view), and both run one check. Only :meth:`apply`, which moves balanced
+    (decreasing). The constructor takes per-bin ``(class, count)`` pairs,
+    ``class`` indexing ``class_values`` (any other raises) and repeated
+    classes adding up, and runs one check; :attr:`counts` is a dense view
+    ``counts[c][j]``. Only :meth:`apply`, which moves balanced
     groups of transfers, and :meth:`prepend_bin`, which adds a full bin and
     its supply, change it, so the sums hold at every exposed state.
     """
 
     __slots__ = ("d", "class_values", "class_supply", "_bins", "_bin_weights")
 
-    def __init__(self, d: int, class_values, class_supply, counts):
-        pairs = [[(c, q) for c, q in enumerate(col) if q] for col in zip(*counts)]
-        self._fill(d, class_values, class_supply, pairs)
-
-    @classmethod
-    def from_pairs(cls, d: int, class_values, class_supply, bins) -> "Assignment":
-        """Build from per-bin ``(class, count)`` pairs, ``class`` indexing
-        ``class_values`` (any other raises); repeated classes add up."""
-        out = cls.__new__(cls)
-        out._fill(d, class_values, class_supply, bins)
-        return out
-
-    def _fill(self, d: int, class_values, class_supply, bins) -> None:
-        """Store per-bin pairs as dicts with their loads; :meth:`_check` them."""
+    def __init__(self, d: int, class_values, class_supply, bins) -> None:
         values = tuple(class_values)
         m = len(values)
         held = [0] * m
@@ -366,7 +335,7 @@ class Assignment:
         self._check(held, sizes, low)
 
     def _check(self, held, sizes, low) -> None:
-        """The one check of the constructors and :meth:`validate`, given the
+        """The one check of the constructor and :meth:`validate`, given the
         balls of each class and of each bin and the least count. First fault
         raises: by class, heaviest first, a negative count or a total other
         than the supply; then the first bin without ``d`` balls."""
@@ -394,19 +363,19 @@ class Assignment:
                 if v not in row_of:
                     raise ProfileError(f"bin {j + 1} holds unknown weight value {v}")
             pairs.append([(row_of[v], q) for v, q in content.items()])
-        return cls.from_pairs(d, values, [d * m for m in mult], pairs)
+        return cls(d, values, [d * m for m in mult], pairs)
 
     @classmethod
     def diagonal(cls, weights: WeightProfile, d: int) -> "Assignment":
         """The assignment placing ``d`` balls of ``w_j`` in bin ``j``."""
         values, mult = weights.classes
-        return cls.from_pairs(d, values, [d * m for m in mult], _diagonal_bins(mult, d))
+        return cls(d, values, [d * m for m in mult], _diagonal_bins(mult, d))
 
     @classmethod
     def single_bin(cls, value: int, d: int) -> "Assignment":
         """One bin holding ``d`` balls of ``value``: the last stage of a
         suffix induction, grown towards the front with :meth:`prepend_bin`."""
-        return cls.from_pairs(d, (value,), (d,), [((0, d),)])
+        return cls(d, (value,), (d,), [((0, d),)])
 
     @property
     def m(self) -> int:
@@ -506,10 +475,12 @@ class Assignment:
         self._bin_weights.insert(0, value * self.d)
 
     def copy(self) -> "Assignment":
-        return Assignment(self.d, self.class_values, self.class_supply, self.counts)
+        row = {v: c for c, v in enumerate(self.class_values)}
+        bins = [[(row[v], q) for v, q in b.items()] for b in self._bins]
+        return Assignment(self.d, self.class_values, self.class_supply, bins)
 
     def validate(self) -> None:
-        """Check the counts from scratch, with the check of the constructors."""
+        """Check the counts from scratch, with the check of the constructor."""
         held = dict.fromkeys(self.class_values, 0)
         low = 1
         for v, q in chain.from_iterable(map(dict.items, self._bins)):

@@ -6,8 +6,9 @@ against the matching suffix demand ``d * (w_i + ... + w_n)``; the sufficient
 ones additionally require the correction constant of the truncated weight
 profile as extra headroom, and only certify feasibility once the
 multiplicity clears its threshold. The correction constants of all the
-suffixes come from one O(n) pass (:func:`hmbp.core.b_row`), so a report
-costs O(n) whatever the size of the weights.
+suffixes are the profile's table :attr:`hmbp.core.WeightProfile.b_row`, one
+O(n) pass kept with the profile, so a report costs O(n) whatever the size of
+the weights.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
 
-from .core import CapacityProfile, Instance, WeightProfile, b_row, d_threshold
+from .core import CapacityProfile, Instance, WeightProfile, d_threshold
 
 
 class Feasibility(enum.Enum):
@@ -82,7 +83,7 @@ def suffix_report(inst: Instance) -> CriteriaReport:
     w = inst.weights
     suffix_cap = tuple(accumulate(reversed(inst.capacities.entries)))[::-1]
     suffix_dem = tuple(inst.d * s for s in accumulate(reversed(w.entries)))[::-1]
-    b_vals = b_row(w)
+    b_vals = w.b_row
     necessary = tuple(map(sub, suffix_cap, suffix_dem))
     sufficient = tuple(map(sub, necessary, b_vals))
     thr = d_threshold(w)
@@ -104,7 +105,7 @@ def tight_profile(w: WeightProfile, d: int) -> CapacityProfile:
     entries are raised to the running maximum from the right, which preserves
     every suffix sum and restores monotonicity minimally.
     """
-    b = b_row(w) + (0,)
+    b = w.b_row + (0,)
     caps = [d * w[i] + b[i] - b[i + 1] for i in range(w.n)]
     for j in range(w.n - 2, -1, -1):
         if caps[j] < caps[j + 1]:

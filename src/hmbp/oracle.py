@@ -85,7 +85,7 @@ def decide(
     if status == _search.STATUS_BUDGET:
         raise _undecided(node_budget, nodes)
     if status == _search.STATUS_FEASIBLE:
-        witness = Assignment.from_pairs(inst.d, values, supply, bins)
+        witness = Assignment(inst.d, values, supply, bins)
         if not is_k_feasible(witness, inst.capacities, k):
             raise AssertionError(f"oracle witness is not {k}-feasible")
         return OracleResult(True, witness, nodes, elapsed)

@@ -5,9 +5,9 @@ instance: after stage ``i`` the bins ``i..n`` hold exactly the suffix supply
 and satisfy their capacities. One assignment serves the whole induction:
 stage ``i`` grows it in place by bin ``i`` with its own ``d`` balls in front
 (:meth:`~hmbp.core.Assignment.prepend_bin`). A stage whose new head bin fits
-ends there; any other runs a descent loop on the truncated problem (sliced
-from the checked instance, not checked again) which strictly lowers the load
-of the head bin until it fits, using three kinds of ball exchanges:
+ends there; any other runs a descent loop on the working assignment and the
+capacities of its bins ``i..n`` which strictly lowers the load of the head
+bin until it fits, using three kinds of ball exchanges:
 
 * a direct relief swap through any bin with slack at least the top weight,
   batched so that one move makes every consecutive swap through the same bin
@@ -200,9 +200,9 @@ class SolverConfig(NamedTuple):
     ``r`` is the matching richness threshold and ``N`` the target top-ball
     count in the head bin; both default to values that make the engine
     provably terminating once the multiplicity clears its threshold
-    (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working problem), and
+    (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working assignment), and
     ``max_rounds`` defaults to ``d*w1 + n + 2``. :meth:`resolved` fills the
-    unset values in for one working problem and refuses a set value below 1;
+    unset values in for one working assignment and refuses a set value below 1;
     each stage attempt resolves once and hands the steps plain numbers. Below
     the threshold no bin may be that rich: a stage that stalls in the matching
     or the shrinking step restarts from its start state with the resolved
@@ -215,17 +215,18 @@ class SolverConfig(NamedTuple):
     max_rounds: int | None = None
     fallback_to_oracle: bool = False
 
-    def resolved(self, inst: Instance) -> "SolverConfig":
-        """This config with every unset tunable at its default for ``inst``."""
+    def resolved(self, work: Assignment) -> "SolverConfig":
+        """This config with every unset tunable at its default for the
+        working assignment ``work``: its bin count, top value and ``d``."""
         for name, value in zip(("r", "N", "max_rounds"), self):
             if value is not None and value < 1:
                 raise SolverUsageError(f"{name} must be at least 1, got {value}")
-        n, top = inst.n, inst.weights[0]
+        n, top = work.n, work.class_values[0]
         r = self.r if self.r is not None else 2 * n * top
         N = self.N if self.N is not None else (n - 1) * n * r
         max_rounds = self.max_rounds
         if max_rounds is None:
-            max_rounds = inst.d * top + n + 2
+            max_rounds = work.d * top + n + 2
         return SolverConfig(r, N, max_rounds, self.fallback_to_oracle)
 
 
@@ -350,13 +351,17 @@ def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
     ``r`` balls of that weight, via augmenting-path bipartite matching.
 
     Any perfect matching is acceptable. When none exists, the stall error
-    names a deficient index set whose joint neighborhood is too small.
+    names a deficient index set whose joint neighborhood is too small. Each
+    augmenting path is a depth-first walk kept on an explicit stack, so a
+    path through every bin costs no interpreter stack. An ``r`` below 1
+    raises.
     """
+    if r < 1:
+        raise SolverUsageError(f"r must be at least 1, got {r}")
     first = _first_positions(assignment)
     n = assignment.n
-    # A bin that lacks a weight holds 0 >= r balls of it only when r <= 0.
-    rich = {v: [] if r > 0 else list(range(2, n + 1)) for v in assignment.class_values}
-    for j in range(2, n + 1 if r > 0 else 2):
+    rich = {v: [] for v in assignment.class_values}
+    for j in range(2, n + 1):
         for v, q in assignment.bin_items(j - 1):
             if q >= r:
                 rich[v].append(j)
@@ -366,20 +371,31 @@ def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
             adj[i] = rich[v]
 
     match_right: dict[int, int] = {}
-
-    def try_assign(i: int, visited: set[int]) -> bool:
-        for j in adj[i]:
-            if j in visited:
+    for i in range(2, n + 1):
+        # An augmenting path from index i, walked depth-first on a stack:
+        # level 0 tries index i's unvisited bins in order, and the bin
+        # taken[k] sends the walk on to level k + 1, the index holding it.
+        visited: set[int] = set()
+        taken, todo = [], [iter(adj[i])]
+        while todo:
+            for j in todo[-1]:
+                if j not in visited:
+                    break
+            else:  # this level failed: back to the bin before it
+                todo.pop()
+                if taken:
+                    taken.pop()
                 continue
             visited.add(j)
-            if j not in match_right or try_assign(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(2, n + 1):
-        visited: set[int] = set()
-        if not try_assign(i, visited):
+            taken.append(j)
+            if j not in match_right:
+                # Each taken bin passes to the index that took it.
+                index = i
+                for b in taken:
+                    index, match_right[b] = match_right.get(b), index
+                break
+            todo.append(iter(adj[match_right[j]]))
+        else:
             deficient = sorted({i} | {match_right[j] for j in visited})
             raise StallError(
                 "matching",
@@ -545,16 +561,18 @@ def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> Non
 
 
 def descend(
-    inst: Instance,
     assignment: Assignment,
+    capacities: CapacityProfile,
     cfg: SolverConfig,
     log: list,
 ) -> int:
     """Lower the load of bin 1 until it fits; rounds count unit improvements.
 
-    ``assignment`` must be 1-feasible for ``inst`` and hold exactly its
-    supply; its moves are appended to ``log``. ``cfg`` is resolved for
-    ``inst`` once, and the steps get its ``r`` and ``N`` as plain numbers.
+    ``assignment`` must have one bin per capacity and be 1-feasible for
+    ``capacities``, or :class:`~hmbp.core.ProfileError` and
+    :class:`SolverUsageError` are raised before any move; its moves are
+    appended to ``log``. ``cfg`` is resolved for ``assignment`` once, and
+    the steps get its ``r`` and ``N`` as plain numbers.
     Returns the number of rounds: a batched relief move of ``q`` unit swaps
     counts as ``q`` rounds, any other round as one, and ``max_rounds`` caps
     that count. Raises :class:`StallError` when no exchange applies,
@@ -562,16 +580,17 @@ def descend(
     the total-slack condition holds; the error's ``rounds`` holds the rounds
     made before the stall.
     """
-    cfg = cfg.resolved(inst)
-    C = inst.capacities
-    top, cap = inst.weights[0], C.entries[0]
+    if min(gap_vector(assignment, capacities)[1:], default=0) < 0:
+        raise SolverUsageError("start assignment is not 1-feasible")
+    cfg = cfg.resolved(assignment)
+    top, cap = assignment.class_values[0], capacities.entries[0]
     max_rounds = cfg.max_rounds
     rounds = 0
     try:
         while assignment.bin_weight(0) > cap:
             if rounds >= max_rounds:
                 raise StallError("descend", f"no convergence after {rounds} rounds")
-            move = relief_swap(assignment, C, log, limit=max_rounds - rounds)
+            move = relief_swap(assignment, capacities, log, limit=max_rounds - rounds)
             if move is not None:
                 rounds += move.transfers[0].count
                 continue
@@ -580,7 +599,7 @@ def descend(
                 raise StallError(
                     "descend",
                     f"all weights equal {top}: every bin needs capacity "
-                    f"{inst.d * top}, bin 1 has {cap}",
+                    f"{assignment.d * top}, bin 1 has {cap}",
                 )
             try:
                 boost_top_count(assignment, cfg.N, log)
@@ -589,13 +608,13 @@ def descend(
                 # shrinking pass only needs a top ball in bin 1 for its exit
                 # swaps, so push on when one is there; its own stall (or lack of
                 # progress) is the decisive signal.
-                if assignment.count_of(assignment.class_values[0], 0) == 0:
+                if assignment.count_of(top, 0) == 0:
                     raise
-            if relief_swap(assignment, C, log) is not None:
+            if relief_swap(assignment, capacities, log) is not None:
                 continue
             perm = find_permutation(assignment, cfg.r)
             before = assignment.bin_weight(0)
-            shrink_gaps(assignment, C, perm, log)
+            shrink_gaps(assignment, capacities, perm, log)
             if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > cap:
                 raise StallError(
                     "descend",
@@ -609,7 +628,7 @@ def descend(
 
 
 def _descend_stage(
-    inst: Instance, assignment: Assignment, cfg: SolverConfig, log: list
+    assignment: Assignment, capacities: CapacityProfile, cfg: SolverConfig, log: list
 ) -> int:
     """:func:`descend` one stage; after a matching or shrinking stall, undo
     the attempt's moves (latest first, emptying ``log``) and restart it with
@@ -619,9 +638,9 @@ def _descend_stage(
     attempt = cfg
     while True:
         try:
-            return descend(inst, assignment, attempt, log)
+            return descend(assignment, capacities, attempt, log)
         except StallError as stall:
-            attempt = attempt.resolved(inst)
+            attempt = attempt.resolved(assignment)
             r, N = attempt.r, attempt.N
             if stall.op not in ("matching", "shrink_gaps") or max(r, N) <= 1:
                 raise
@@ -662,7 +681,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
 
     One assignment is grown in place: stage ``i`` (from ``n`` down to 1)
     prepends bin ``i`` with its ``d`` balls of ``w_i``; unless they fit, it
-    descends the truncated problem on bins ``i..n`` and logs its moves with
+    descends on bins ``i..n`` under their capacities and logs its moves with
     full-instance bins. A constant suffix fits where its last bin does. The
     row and column sums are checked from scratch once, after the last stage,
     together with every capacity. A tunable below 1 raises at once.
@@ -674,10 +693,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     its node budget runs out.
     """
     cfg = cfg or SolverConfig()
-    cfg.resolved(inst)  # a tunable set below 1 raises before any stage
-    d, w, C = inst.d, inst.weights.entries, inst.capacities.entries
+    d, w, C = inst.d, inst.weights.entries, inst.capacities
     trace = DescentTrace()
     assignment = Assignment.single_bin(w[-1], d)
+    cfg.resolved(assignment)  # a tunable set below 1 raises before any stage
     total_rounds = 0
     try:
         for i in range(len(w), 0, -1):
@@ -686,17 +705,17 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             # w_i gives stage i's start, and the stage is over if they fit.
             if i < len(w):
                 assignment.prepend_bin(w[i - 1])
-            if d * w[i - 1] <= C[i - 1]:
+            if d * w[i - 1] <= C.entries[i - 1]:
                 continue
             if w[i - 1] == w[-1]:
                 raise StallError(
                     "stage",
                     f"constant suffix at {i}: every bin needs {d * w[-1]}, "
-                    f"capacity {C[-1]} is too small",
+                    f"capacity {C.entries[-1]} is too small",
                 )
             log: list[Move] = []
             try:
-                total_rounds += _descend_stage(inst.truncate(i), assignment, cfg, log)
+                total_rounds += _descend_stage(assignment, C.truncate(i), cfg, log)
             finally:  # stage 1 is the whole instance: its moves go in as they are
                 trace.moves += (mv.shifted(i - 1, i) for mv in log) if i > 1 else log
     except StallError as stall:
@@ -719,6 +738,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             "indeterminate", None, trace, rounds=total_rounds, stall=str(stall)
         )
     assignment.validate()
-    if not is_k_feasible(assignment, inst.capacities, 0):
+    if not is_k_feasible(assignment, C, 0):
         raise AssertionError("descent finished with an infeasible assignment")
     return SolveResult("feasible", assignment, trace, rounds=total_rounds)

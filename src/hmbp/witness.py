@@ -73,11 +73,10 @@ def extremal_capacities(w: WeightProfile, d: int) -> tuple[int, ...]:
     # The last run of the conjugate diagram has height h_k, the number of
     # top-weight entries, and length a_k = top - second.
     h_k, a_k = mult[0], top - second
-    gaps = w.gaps
     caps = [d * top - 1] * h_k
     caps.append((h_k - 1) * top + (d - h_k + 1) * second + (a_k - 1))
     # Bin j >= h_k + 2 (1-based) gets d * w_j plus the gap of w_j, minus one.
-    caps.extend(d * v + g - 1 for v, g in zip(w.entries[h_k + 1 :], gaps[h_k:]))
+    caps.extend(d * v + g - 1 for v, g in zip(w.entries[h_k + 1 :], w.gaps[h_k:]))
     return tuple(caps)
 
 
@@ -101,7 +100,7 @@ def _extremal_bins(w: WeightProfile, d: int, first: int = 0) -> list:
 def extremal_companion(w: WeightProfile, d: int) -> Assignment:
     """The companion assignment: overfills bin 1 by one unit, nothing else."""
     values, mult = w.classes
-    return Assignment.from_pairs(d, values, [d * m for m in mult], _extremal_bins(w, d))
+    return Assignment(d, values, [d * m for m in mult], _extremal_bins(w, d))
 
 
 def extremal_witness(w: WeightProfile, d: int) -> WitnessInstance:
@@ -159,7 +158,7 @@ def relaxed_witness(w: WeightProfile, d: int, i0: int) -> WitnessInstance:
         instance=Instance(d, w, CapacityProfile(tuple(prefix) + tuple(tail))),
         construction=construction,
         relax_index=i0,
-        companion=Assignment.from_pairs(d, values, [d * m for m in mult], bins),
+        companion=Assignment(d, values, [d * m for m in mult], bins),
         companion_level=level,
     )
     _assert_relaxed_shape(wit)
@@ -264,8 +263,7 @@ def verify_witness(
         if settled:
             checks.append(WitnessCheck("feasible-above-claim", "analytic", True))
         if wit.construction == "extremal":
-            gaps = w.gaps
-            expected = (-1,) + tuple(g - 1 for g in gaps)
+            expected = (-1,) + tuple(g - 1 for g in w.gaps)
             gaps_ok = holds and gap_vector(comp, inst.capacities) == expected
             checks.append(WitnessCheck("companion-gaps", "analytic", gaps_ok))
 

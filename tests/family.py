@@ -11,7 +11,7 @@ how the constructive solver does where its guarantee does not reach.
 import random
 from collections import Counter
 
-from hmbp.core import WeightProfile, b_row, is_k_feasible, make_instance
+from hmbp.core import WeightProfile, is_k_feasible, make_instance
 from hmbp.oracle import decide
 from hmbp.solver import solve
 
@@ -28,7 +28,7 @@ def family_profiles(w: WeightProfile, d: int):
     leaves ``C_1..C_{j-1}`` room to stay at least ``C_j``.
     """
     n = w.n
-    b = b_row(w)
+    b = w.b_row
     demand = [0] * (n + 1)  # demand[j]: d * (w_{j+1} + ... + w_n), 0-based j
     for j in range(n - 1, -1, -1):
         demand[j] = demand[j + 1] + d * w[j]

@@ -18,7 +18,6 @@ from hmbp.core import (
     gap_vector,
     is_k_feasible,
     make_instance,
-    weight_gap_profile,
 )
 from hmbp.criteria import Feasibility, classify, tight_profile
 from hmbp.oracle import decide
@@ -76,8 +75,7 @@ def test_criterion_2_gap_identity_sweeps():
             if len(set(vals)) >= 2:
                 break
         w = WeightProfile(tuple(vals))
-        gaps = weight_gap_profile(w)
-        assert b_constant(w) == sum(g - 1 for g in gaps)
+        assert b_constant(w) == sum(g - 1 for g in w.gaps)
     for _ in range(1000):
         n = rng.randint(2, 8)
         vals = sorted(rng.sample(range(0, 11), n), reverse=True)
@@ -117,7 +115,7 @@ def test_criterion_4_witness_soundness_sweep():
             if len(set(vals)) >= 2:
                 break
         w = WeightProfile(tuple(vals))
-        gaps = weight_gap_profile(w)
+        gaps = w.gaps
         for d in range(n, n + 5):
             wit = extremal_witness(w, d)
             inst = wit.instance
@@ -257,10 +255,8 @@ def test_criterion_7_oracle_consistency_sweep():
             solve_checks += 1
         i = rng.randint(1, n)
         j = rng.randint(0, n - i + 1)
-        assert (
-            decide(inst, i + j - 1).feasible
-            == decide(inst.truncate(i), j).feasible
-        )
+        suffix = Instance(d, inst.weights.truncate(i), inst.capacities.truncate(i))
+        assert decide(inst, i + j - 1).feasible == decide(suffix, j).feasible
         trunc_checks += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from collections import Counter
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -19,13 +20,11 @@ from hmbp.core import (
     WeightProfile,
     _diagonal_bins,
     b_constant,
-    b_row,
     conjugate,
     d_threshold,
     gap_vector,
     is_k_feasible,
     make_instance,
-    weight_gap_profile,
 )
 from hmbp.criteria import classify, tight_profile
 from hmbp.witness import _extremal_bins, extremal_witness, relaxed_witness
@@ -169,7 +168,7 @@ class TestBConstant:
     @given(profiles(max_n=8, max_w=10, min_distinct=2))
     @settings(max_examples=500)
     def test_gap_sum_identity(self, w):
-        gaps = weight_gap_profile(w)
+        gaps = w.gaps
         assert b_constant(w) == sum(g - 1 for g in gaps)
 
     @given(st.lists(st.integers(0, 12), min_size=2, max_size=8, unique=True))
@@ -232,8 +231,8 @@ class TestBRow:
 
     def test_known_row(self):
         w = WeightProfile((6, 6, 4, 4, 4, 0))
-        assert b_row(w) == (7, 6, 9, 6, 3, 0)
-        assert b_constant(w) == b_row(w)[0]
+        assert w.b_row == (7, 6, 9, 6, 3, 0)
+        assert b_constant(w) == w.b_row[0]
 
     def test_differential_sweep(self):
         rng = random.Random(20261019)
@@ -244,7 +243,7 @@ class TestBRow:
             vals = sorted((rng.choice(pool) for _ in range(n)), reverse=True)
             w = WeightProfile(tuple(vals))
             ref = tuple(b_by_run_overshoot(w.truncate(i)) for i in range(1, n + 1))
-            assert b_row(w) == ref, w
+            assert w.b_row == ref, w
             rows += n
         assert rows > 10_000
 
@@ -252,36 +251,36 @@ class TestBRow:
         rng = random.Random(7)
         vals = sorted((rng.randint(0, 10**6) for _ in range(300)), reverse=True)
         w = WeightProfile(tuple(vals))
-        row = b_row(w)
+        row = w.b_row
         for i in (1, 2, 150, 299, 300):
             wt = w.truncate(i)
             if wt.is_constant():
                 assert row[i - 1] == 0
             else:
-                assert row[i - 1] == sum(g - 1 for g in weight_gap_profile(wt))
+                assert row[i - 1] == sum(g - 1 for g in wt.gaps)
 
 
 class TestWeightGaps:
     def test_mixed_profile(self):
-        g = weight_gap_profile(EX_WEIGHTS)
+        g = EX_WEIGHTS.gaps
         assert g == (2, 2, 2, 2, 1)
         assert EX_WEIGHTS.classes[0][1] == 3
 
     def test_two_values(self):
-        g = weight_gap_profile(WeightProfile((3, 1)))
+        g = WeightProfile((3, 1)).gaps
         assert g == (2,)
         assert WeightProfile((3, 1)).classes[0][1] == 1
         # cross-check against the correction constant
         assert sum(x - 1 for x in g) == b_constant(WeightProfile((3, 1)))
 
     def test_top_block(self):
-        g = weight_gap_profile(WeightProfile((5, 5, 5, 1, 0)))
+        g = WeightProfile((5, 5, 5, 1, 0)).gaps
         assert g == (4, 4, 4, 1)
         assert WeightProfile((5, 5, 5, 1, 0)).classes[0][1] == 1
 
     def test_rejects_constant(self):
         with pytest.raises(ProfileError):
-            weight_gap_profile(WeightProfile((4, 4, 4)))
+            WeightProfile((4, 4, 4)).gaps
 
     @given(profiles(max_n=10, max_w=12))
     def test_class_table_matches_definitions(self, w):
@@ -304,7 +303,7 @@ class TestWeightGaps:
                 e[0] - second if v == e[0] else min(u for u in e if u > v) - v
                 for v in e[1:]
             )
-            assert weight_gap_profile(wt) == expected
+            assert wt.gaps == expected
 
 
 class TestAssignment:
@@ -324,53 +323,61 @@ class TestAssignment:
     def test_validate_messages(self):
         values, supply = (2, 1), (2, 2)
         with pytest.raises(ProfileError, match="negative count in class 1"):
-            Assignment(2, values, supply, [[1, 1], [3, -1]])
+            Assignment(2, values, supply, [[(0, 1), (1, 3)], [(0, 1), (1, -1)]])
         with pytest.raises(ProfileError, match="class 2 holds 3 balls, supply is 2"):
-            Assignment(2, values, supply, [[2, 1], [0, 1]])
+            Assignment(2, values, supply, [[(0, 2)], [(0, 1), (1, 1)]])
         with pytest.raises(ProfileError, match="bin 1 holds 3 balls, expected 2"):
-            Assignment(2, values, supply, [[1, 1], [2, 0]])
+            Assignment(2, values, supply, [[(0, 1), (1, 2)], [(0, 1)]])
 
-    # Each malformed matrix (values (2, 1), supply (3, 3), d = 2, three
-    # bins) with the one error reported: the first offending class, a
-    # negative count before its class sum, classes before bins, then the
-    # first offending bin.
-    BAD_MATRICES = [
-        ([[4, 0, -1], [-1, 3, 1]], "negative count in class 0"),
-        ([[5, -1, 0], [1, 1, 1]], "negative count in class 0"),
-        ([[1, 1, 1], [4, -1, 1]], "negative count in class 1"),
-        ([[1, 1, 0], [2, 2, -1]], "class 2 holds 2 balls, supply is 3"),
-        ([[2, 1, 1], [1, 1, 1]], "class 2 holds 4 balls, supply is 3"),
-        ([[1, 2, 0], [1, 1, 1]], "bin 2 holds 3 balls, expected 2"),
+    # Each malformed assignment (values (2, 1), supply (3, 3), d = 2, three
+    # bins of (class, count) pairs) with the one error reported: the first
+    # offending class, a negative count before its class sum, classes before
+    # bins, then the first offending bin.
+    BAD_BINS = [
+        ([[(0, 4), (1, -1)], [(1, 3)], [(0, -1), (1, 1)]], "negative count in class 0"),
+        ([[(0, 5), (1, 1)], [(0, -1), (1, 1)], [(1, 1)]], "negative count in class 0"),
+        (
+            [[(0, 1), (1, 4)], [(0, 1), (1, -1)], [(0, 1), (1, 1)]],
+            "negative count in class 1",
+        ),
+        (
+            [[(0, 1), (1, 2)], [(0, 1), (1, 2)], [(1, -1)]],
+            "class 2 holds 2 balls, supply is 3",
+        ),
+        (
+            [[(0, 2), (1, 1)], [(0, 1), (1, 1)], [(0, 1), (1, 1)]],
+            "class 2 holds 4 balls, supply is 3",
+        ),
+        (
+            [[(0, 1), (1, 1)], [(0, 2), (1, 1)], [(1, 1)]],
+            "bin 2 holds 3 balls, expected 2",
+        ),
     ]
 
-    @pytest.mark.parametrize("counts, message", BAD_MATRICES)
+    @pytest.mark.parametrize("counts, message", BAD_BINS)
     def test_validate_reports_the_first_error(self, counts, message):
-        # The dense constructor and from_pairs run one check (validate), so
-        # the same counts given as per-bin pairs raise the same first error.
+        # The constructor and validate run one check, which raises the first
+        # error of the per-bin counts.
         values, supply = (2, 1), (3, 3)
         with pytest.raises(ProfileError) as built:
             Assignment(2, values, supply, counts)
         assert str(built.value) == message
-        pairs = [[(c, row[j]) for c, row in enumerate(counts)] for j in range(3)]
-        with pytest.raises(ProfileError) as paired:
-            Assignment.from_pairs(2, values, supply, pairs)
-        assert str(paired.value) == message
-        a = Assignment(2, values, supply, [[1, 1, 1], [1, 1, 1]])
+        a = Assignment(2, values, supply, [[(0, 1), (1, 1)]] * 3)
         a.apply([(2, 1, 0, 2), (1, 1, 2, 0)])
         a.validate()
         # The dense view is built on each read: writing to it changes nothing.
         view = a.counts
-        view[:] = [list(row) for row in counts]
+        view[:] = [[3, 0, 0], [-1, 2, 2]]
         a.validate()
         assert a.counts == [[0, 1, 2], [2, 1, 0]] != view
 
-    def test_from_pairs_matches_dense_constructor(self):
+    def test_pairs_match_a_dense_reference(self):
         # Seeded bins as (class, count) pairs, valid or broken by repeating a
         # class in a bin, zero and negative counts, a ball moved between
         # bins or added to one (wrong bin sizes), or a changed supply (wrong
-        # class totals). The sparse build raises exactly when the dense one
-        # does, with the same message, and otherwise gives the same
-        # assignment.
+        # class totals). The constructor raises exactly when the reference
+        # check of the netted dense counts finds a fault, with its message,
+        # and otherwise holds those counts.
         rng = random.Random(20)
         tally = Counter()
         for _ in range(3000):
@@ -401,23 +408,19 @@ class TestAssignment:
                     supply[c] += rng.choice([-1, 1])
             for bin_pairs in pairs:
                 rng.shuffle(bin_pairs)
-            dense = [[0] * n for _ in range(m)]
-            for j, bin_pairs in enumerate(pairs):
-                for c, q in bin_pairs:
-                    dense[c][j] += q
-            try:
-                want = Assignment(d, values, supply, dense)
-            except ProfileError as exc:
+            dense = dense_fill(m, pairs)
+            fault = dense_first_fault(d, values, supply, dense)
+            if fault is not None:
                 with pytest.raises(ProfileError) as got:
-                    Assignment.from_pairs(d, values, supply, pairs)
-                assert str(got.value) == str(exc)
-                tally[str(exc).split()[0]] += 1
+                    Assignment(d, values, supply, pairs)
+                assert str(got.value) == fault
+                tally[fault.split()[0]] += 1
                 continue
-            a = Assignment.from_pairs(d, values, supply, pairs)
-            assert (a.d, a.class_values, a.counts) == (d, values, want.counts)
-            assert a.class_supply == want.class_supply
+            a = Assignment(d, values, supply, pairs)
+            assert (a.d, a.class_values, a.counts) == (d, values, dense)
+            assert a.class_supply == tuple(supply)
             assert [a.bin_weight(j) for j in range(n)] == [
-                want.bin_weight(j) for j in range(n)
+                sum(map(mul, values, column)) for column in zip(*dense)
             ]
             tally["built"] += 1
             tally["built-with-negative-pair"] += any(
@@ -427,12 +430,36 @@ class TestAssignment:
             assert tally[outcome] >= 50, tally
         assert tally["built-with-negative-pair"] >= 50, tally
 
+    def test_pairs_equal_from_bins_and_diagonal(self):
+        # Seeded profiles: the diagonal and a shuffle of the balls into bins,
+        # given as pairs, equal the builds from values and the diagonal.
+        rng = random.Random(28)
+        for _ in range(300):
+            n, d = rng.randint(1, 8), rng.randint(1, 6)
+            entries = sorted((rng.randint(0, 9) for _ in range(n)), reverse=True)
+            w = WeightProfile(tuple(entries))
+            values, mult = w.classes
+            supply = [d * q for q in mult]
+            diagonal = [[(values.index(v), d)] for v in w]
+            assert Assignment(d, values, supply, diagonal) == Assignment.diagonal(w, d)
+            balls = [c for c, q in enumerate(supply) for _ in range(q)]
+            rng.shuffle(balls)
+            bins = [Counter(balls[j * d : (j + 1) * d]) for j in range(n)]
+            built = Assignment(d, values, supply, [list(b.items()) for b in bins])
+            want = Assignment.from_bins(
+                w, d, [{values[c]: q for c, q in b.items()} for b in bins]
+            )
+            assert built == want and built.class_supply == want.class_supply
+            assert [built.bin_weight(j) for j in range(n)] == [
+                want.bin_weight(j) for j in range(n)
+            ]
+
     @pytest.mark.parametrize("c", [-1, 2])
     def test_from_pairs_rejects_unknown_classes(self, c):
         # Class -1 once wrapped round to the last class and built
         # [1^1 | 2^1]; class 2 raised IndexError.
         with pytest.raises(ProfileError) as exc:
-            Assignment.from_pairs(1, (2, 1), (1, 1), [[(c, 1)], [(0, 1)]])
+            Assignment(1, (2, 1), (1, 1), [[(c, 1)], [(0, 1)]])
         assert str(exc.value) == f"bin 1 holds unknown class {c}"
 
     def test_unknown_value_rejected(self):
@@ -574,13 +601,45 @@ class TestPrependBin:
 
 
 def dense_fill(m, bins):
-    """The ``m x n`` matrix of per-bin ``(class, count)`` pairs, filled as
-    the pair constructor once stored it: the reference for the dense view."""
+    """The ``m x n`` matrix of per-bin ``(class, count)`` pairs, repeated
+    classes added up: the reference for the dense view."""
     counts = [[0] * len(bins) for _ in range(m)]
     for j, pairs in enumerate(bins):
         for c, q in pairs:
             counts[c][j] += q
     return counts
+
+
+def dense_first_fault(d, values, supply, counts):
+    """The first fault of the dense matrix ``counts[c][j]``, in the order
+    the assignment check documents, or None: by class, heaviest first, a
+    negative count or a total other than the supply; then the first bin
+    without ``d`` balls."""
+    for c, row in enumerate(counts):
+        if min(row) < 0:
+            return f"negative count in class {c}"
+        if sum(row) != supply[c]:
+            return f"class {values[c]} holds {sum(row)} balls, supply is {supply[c]}"
+    for j, column in enumerate(zip(*counts)):
+        if sum(column) != d:
+            return f"bin {j + 1} holds {sum(column)} balls, expected {d}"
+    return None
+
+
+def assert_copy_is_independent(a):
+    """``a.copy()`` equals ``a`` in every field, and a move and a new bin
+    on the copy leave ``a`` as it was."""
+    state = a.counts, a.class_supply, [a.bin_weight(j) for j in range(a.n)]
+    b = a.copy()
+    assert b == a and a == b
+    assert (b.counts, b.class_supply, [b.bin_weight(j) for j in range(b.n)]) == state
+    give, take = min(b.bin_items(0))[0], min(b.bin_items(b.n - 1))[0]
+    b.apply([(give, 1, 0, b.n - 1), (take, 1, b.n - 1, 0)])
+    b.prepend_bin(b.class_values[0])
+    b.validate()
+    assert b != a
+    assert (a.counts, a.class_supply, [a.bin_weight(j) for j in range(a.n)]) == state
+    a.validate()
 
 
 class TestDenseView:
@@ -599,6 +658,7 @@ class TestDenseView:
             values, mult = w.classes
             companion = extremal_witness(w, d).companion
             assert companion.counts == dense_fill(len(values), _extremal_bins(w, d))
+            assert_copy_is_independent(companion)
             diagonal = Assignment.diagonal(w, d)
             assert diagonal.counts == dense_fill(len(values), _diagonal_bins(mult, d))
 
@@ -611,8 +671,9 @@ class TestDenseView:
                 continue
             call = r["values"], r["supply"], r["caps"], r["d"], r["k"], r["budget"]
             _, bins, _ = _search.search_feasible(*call)
-            a = Assignment.from_pairs(r["d"], r["values"], r["supply"], bins)
+            a = Assignment(r["d"], r["values"], r["supply"], bins)
             assert a.counts == dense_fill(len(r["values"]), bins), r["key"]
+            assert_copy_is_independent(a)
             checked += 1
         assert checked >= 100
 

@@ -19,6 +19,7 @@ import kernel_differential
 from helpers import normalize
 from hmbp import _search
 from hmbp.core import (
+    Instance,
     ProfileError,
     WeightProfile,
     is_k_feasible,
@@ -706,7 +707,8 @@ class TestSearchProperties:
             i = rng.randint(1, inst.n)
             j = rng.randint(0, inst.n - i + 1)
             full = decide(inst, i + j - 1).feasible
-            sub = decide(inst.truncate(i), j).feasible
+            w, C = inst.weights.truncate(i), inst.capacities.truncate(i)
+            sub = decide(Instance(inst.d, w, C), j).feasible
             assert full == sub, (inst, i, j)
 
     def test_witnesses_valid(self):

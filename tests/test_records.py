@@ -3,7 +3,6 @@
 the checks their constructors make."""
 
 import pickle
-import random
 
 import pytest
 
@@ -220,32 +219,3 @@ def test_constructors_still_check():
     assert MatchingPermutation((1, 3, 2)).bin_for(2) == 3
 
 
-def test_truncated_instance_equals_a_checked_one():
-    # Instance.truncate stores the suffixes unchecked; the result must be the
-    # instance its constructor would build: equal both ways, with the same
-    # hash, repr and pickle, and the same immutability.
-    rng = random.Random(27)
-    checked = 0
-    for _ in range(40):
-        n = rng.randint(1, 9)
-        w = sorted((rng.randint(0, 9) for _ in range(n)), reverse=True)
-        d = rng.randint(1, 20)
-        caps = sorted((d * v + rng.randint(-5, 5) for v in w), reverse=True)
-        inst = make_instance(d, w, caps)
-        for i in range(1, n + 1):
-            got = inst.truncate(i)
-            want = Instance(d, inst.weights.truncate(i), inst.capacities.truncate(i))
-            assert type(got) is Instance
-            assert got == want and want == got
-            assert hash(got) == hash(want) and repr(got) == repr(want)
-            assert pickle.loads(pickle.dumps(got)) == want
-            assert pickle.dumps(got) == pickle.dumps(want)
-            with pytest.raises(AttributeError):
-                got.d = 2
-            checked += 1
-        for i in (0, n + 1):
-            with pytest.raises(
-                ProfileError, match=f"truncation index {i} out of range 1..{n}"
-            ):
-                inst.truncate(i)
-    assert checked > 150

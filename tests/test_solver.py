@@ -266,15 +266,40 @@ class TestMatching:
             find_permutation(a, 3)
         assert exc.value.deficient == (2,)
 
-    def test_threshold_at_most_zero_makes_every_bin_rich(self):
-        # A bin lacking a weight holds 0 balls of it, which meets r <= 0:
-        # both indices of weight 2 find a bin, though only bin 3 holds a 2.
+    def test_threshold_below_one_is_refused(self):
+        # A bin lacking a weight holds 0 balls of it, which would meet r <= 0
+        # and make every bin rich; like the solver's other tunables, such a
+        # threshold is refused.
         w = WeightProfile((3, 2, 2))
         a = Assignment.from_bins(w, 2, [{2: 2}, {3: 2}, {2: 2}])
         with pytest.raises(StallError):
             find_permutation(a, 1)
         for r in (0, -1):
-            assert find_permutation(a, r).order == (1, 3, 2)
+            message = f"r must be at least 1, got {r}"
+            with pytest.raises(SolverUsageError, match=message):
+                find_permutation(a, r)
+
+    def test_path_through_every_bin(self):
+        # Distinct weights, r = 5, d = 2r: bins i and i+1 each hold r balls
+        # of w_i (i = 2..n-1), bins 1 and 2 of w_n, bins 1 and n of w_1. The
+        # last position's only rich bin is bin 2, so its augmenting path runs
+        # through bins 2, 3, ..., n; a recursive walk overflowed the
+        # interpreter stack near n = 1,000.
+        n, r = 1500, 5
+        w = WeightProfile(tuple(range(n, 0, -1)))
+        bins = [Counter() for _ in range(n)]
+        for i in range(2, n):
+            bins[i - 1][w[i - 1]] += r
+            bins[i][w[i - 1]] += r
+        for j, v in ((1, w[n - 1]), (2, w[n - 1]), (1, w[0]), (n, w[0])):
+            bins[j - 1][v] += r
+        a = Assignment.from_bins(w, 2 * r, bins)
+        perm = find_permutation(a, r)
+        assert sorted(perm.order) == list(range(1, n + 1))
+        for i in range(2, n + 1):
+            assert a.count_of(w[i - 1], perm.bin_for(i) - 1) >= r
+        assert perm.bin_for(n) == 2
+        assert [perm.bin_for(i) for i in range(2, n)] == list(range(3, n + 1))
 
     def test_permutation_validation(self):
         with pytest.raises(SolverUsageError):
@@ -445,15 +470,28 @@ class TestDescendAndSolve:
     def test_zero_rounds_when_feasible(self):
         inst = make_instance(2, (2, 1), (10, 10))
         a = Assignment.diagonal(inst.weights, 2)
-        assert descend(inst, a, SolverConfig(), []) == 0
+        assert descend(a, inst.capacities, SolverConfig(), []) == 0
+
+    def test_descend_checks_its_start(self):
+        # Bin 2 weighs 3 against a capacity of 2, or the capacities leave a
+        # bin out: descend refuses before any round.
+        inst = make_instance(3, (3, 1, 0), (9, 2, 0))
+        a = Assignment.diagonal(inst.weights, 3)
+        message = "start assignment is not 1-feasible"
+        with pytest.raises(SolverUsageError, match=message):
+            descend(a, inst.capacities, SolverConfig(), [])
+        message = "assignment has 3 bins, capacities have 2"
+        with pytest.raises(ProfileError, match=message):
+            descend(a, CapacityProfile((9, 3)), SolverConfig(), [])
+        assert a == Assignment.diagonal(inst.weights, 3)
 
     def test_descend_stalls_when_all_weights_are_equal(self):
         # One weight class leaves nothing to exchange: bin 1 can only fit.
         log = []
         with pytest.raises(StallError) as info:
             descend(
-                make_instance(2, (3,), (5,)),
                 Assignment.diagonal(WeightProfile((3,)), 2),
+                CapacityProfile((5,)),
                 SolverConfig(),
                 log,
             )
@@ -465,9 +503,8 @@ class TestDescendAndSolve:
         assert log == []
 
     def test_descend_from_canonical_start(self):
-        inst = make_instance(6, SIX_W.entries, SIX_C.entries)
         a = six_bin_start()
-        rounds = descend(inst, a, SolverConfig(r=2), [])
+        rounds = descend(a, SIX_C, SolverConfig(r=2), [])
         assert rounds >= 1
         assert is_k_feasible(a, SIX_C, 0)
 
@@ -502,11 +539,11 @@ class TestDescendAndSolve:
         attempts, discarded = [], []
         original = hmbp.solver.descend
 
-        def recording_descend(inst, assignment, cfg, log):
-            resolved = cfg.resolved(inst)
-            attempts.append((inst.n, resolved.r, resolved.N))
+        def recording_descend(assignment, capacities, cfg, log):
+            resolved = cfg.resolved(assignment)
+            attempts.append((assignment.n, resolved.r, resolved.N))
             try:
-                return original(inst, assignment, cfg, log)
+                return original(assignment, capacities, cfg, log)
             except StallError:
                 discarded.append(len(log))
                 raise
@@ -614,7 +651,7 @@ class TestDescendAndSolve:
         a = Assignment.diagonal(inst.weights, 9)
         moves = []
         normalize_suffix(inst, 1, a, moves)
-        descend(inst, a, SolverConfig(r=1), moves)
+        descend(a, inst.capacities, SolverConfig(r=1), moves)
         exits = [
             m.bin1_weight
             for m in moves
@@ -705,17 +742,17 @@ class TestSolverConfig:
             with pytest.raises(SolverUsageError, match=message):
                 solve(self.INST, cfg)
             with pytest.raises(SolverUsageError, match=message):
-                cfg.resolved(self.INST)
+                cfg.resolved(Assignment.diagonal(self.INST.weights, 2))
             with pytest.raises(SolverUsageError, match=message):
                 solve(make_instance(2, (3, 1), (9, 9)), cfg)
         start = Assignment.diagonal(self.INST.weights, 2)
         with pytest.raises(SolverUsageError, match=message):
-            descend(self.INST, start, SolverConfig(**{field: value}), [])
+            descend(start, self.INST.capacities, SolverConfig(**{field: value}), [])
         assert start == Assignment.diagonal(self.INST.weights, 2)
 
     def test_tunables_of_one_are_taken(self):
         cfg = SolverConfig(r=1, N=1, max_rounds=1)
-        assert cfg.resolved(self.INST) == cfg
+        assert cfg.resolved(Assignment.diagonal(self.INST.weights, 2)) == cfg
         assert solve(self.INST, cfg).status == "feasible"
 
 
@@ -743,9 +780,9 @@ def test_stages_whose_head_bin_fits_make_no_descent(monkeypatch, w, shape, desce
     calls = []
     original = hmbp.solver.descend
 
-    def recording_descend(inst, assignment, cfg, log):
-        calls.append((inst.n, assignment.bin_weight(0), inst.capacities[0]))
-        return original(inst, assignment, cfg, log)
+    def recording_descend(assignment, capacities, cfg, log):
+        calls.append((assignment.n, assignment.bin_weight(0), capacities[0]))
+        return original(assignment, capacities, cfg, log)
 
     monkeypatch.setattr(hmbp.solver, "descend", recording_descend)
     inst = make_instance(d, w, caps)
@@ -1061,9 +1098,9 @@ def test_solve_differential_runs_against_this_tree(monkeypatch, capsys):
     caught = Counter()
     original = hmbp.solver.descend
 
-    def counting_descend(inst, assignment, cfg, log):
+    def counting_descend(assignment, capacities, cfg, log):
         try:
-            return original(inst, assignment, cfg, log)
+            return original(assignment, capacities, cfg, log)
         except StallError as stall:
             caught[stall.op] += 1
             raise

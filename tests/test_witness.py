@@ -14,7 +14,6 @@ from hmbp.core import (
     WeightProfile,
     b_constant,
     gap_vector,
-    weight_gap_profile,
 )
 from hmbp.oracle import OracleError, decide
 from hmbp.witness import (
@@ -96,7 +95,7 @@ class TestExtremal:
             wit = extremal_witness(w, d)
             inst = wit.instance
             assert inst.capacities.total == d * w.total + b_constant(w) - 1
-            gaps = weight_gap_profile(w)
+            gaps = w.gaps
             expected = (-1,) + tuple(gaps[j - 2] - 1 for j in range(2, w.n + 1))
             assert gap_vector(wit.companion, inst.capacities) == expected
             assert decide(inst, 1).feasible
@@ -113,7 +112,7 @@ class TestExtremal:
             d = rng.randint(n, n + 3)
             caps = extremal_capacities(w, d)
             delta = [caps[j] - d * w[j] for j in range(n)]
-            gaps = weight_gap_profile(w)
+            gaps = w.gaps
             assert delta[0] == -1
             for j in range(2, n + 1):
                 assert delta[j - 1] == gaps[j - 2] - 1
@@ -255,7 +254,7 @@ class TestCompanion:
         # Weight 100 is no weight of this instance, yet the companion is
         # 2-feasible and not 1-feasible under its capacities.
         wit = relaxed_witness(WeightProfile((4, 2, 1)), 6, 2)
-        foreign = Assignment(6, (100, 0), (6, 12), [[0, 6, 0], [6, 0, 6]])
+        foreign = Assignment(6, (100, 0), (6, 12), [[(1, 6)], [(0, 6)], [(1, 6)]])
         ver = verify_witness(wit._replace(companion=foreign))
         assert not ver.ok and ver.oracle_backed
         checks = checks_by_name(ver)
@@ -277,11 +276,11 @@ class TestCompanion:
         [
             (
                 (4, 2, 1),
-                Assignment(6, (4, 2, 1), (12, 0, 6), [[6, 6, 0], [0, 0, 0], [0, 0, 6]]),
+                Assignment(6, (4, 2, 1), (12, 0, 6), [[(0, 6)], [(0, 6)], [(2, 6)]]),
             ),
             (
                 (4, 2, 0),
-                Assignment(7, (4, 2, 0), (7, 7, 7), [[7, 0, 0], [0, 7, 0], [0, 0, 7]]),
+                Assignment(7, (4, 2, 0), (7, 7, 7), [[(0, 7)], [(1, 7)], [(2, 7)]]),
             ),
         ],
         ids=["other-supply", "other-d"],
