@@ -164,12 +164,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load(args.file)
-    cfg = SolverConfig(
-        r=args.r,
-        N=args.N,
-        max_rounds=args.max_rounds,
-        fallback_to_oracle=args.fallback_oracle,
-    )
+    cfg = SolverConfig(r=args.r, N=args.N, max_rounds=args.max_rounds)
     # The trace file is opened first, so that a path that cannot be opened
     # exits 3 before the solve rather than after it.
     with _open(args.trace, "w") if args.trace else nullcontext() as trace:
@@ -177,15 +172,25 @@ def cmd_solve(args) -> int:
         if trace is not None:
             trace.write(result.trace.serialize())
     out = sys.stdout
-    if result.status == "feasible":
-        how = "fallback oracle" if result.oracle_used else f"{result.rounds} rounds"
-        print(f"feasible ({how})", file=out)
+    if result.feasible:
+        print(f"feasible ({result.rounds} rounds)", file=out)
         _print_assignment(inst, result.assignment, out)
         return EXIT_FEASIBLE
-    if result.status == "infeasible":
-        print("infeasible via fallback oracle", file=out)
-        print(f"stall: {result.stall}", file=out)
-        return EXIT_INFEASIBLE
+    if args.fallback_oracle:
+        # The descent stalled: the exact search decides under its default
+        # budget, and a refusal leaves the stall as the answer.
+        try:
+            exact = _oracle.decide(inst, 0)
+        except _oracle.BudgetExceeded:
+            pass
+        else:
+            if exact.feasible:
+                print("feasible (fallback oracle)", file=out)
+                _print_assignment(inst, exact.witness, out)
+                return EXIT_FEASIBLE
+            print("infeasible via fallback oracle", file=out)
+            print(f"stall: {result.stall}", file=out)
+            return EXIT_INFEASIBLE
     print("stall: indeterminate", file=out)
     print(result.stall, file=out)
     return EXIT_INDETERMINATE

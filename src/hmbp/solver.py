@@ -33,7 +33,9 @@ Stalls are first-class outcomes: below the multiplicity threshold the theory
 gives no termination guarantee. A stage that stalls in the matching or the
 shrinking step is undone and restarted with the richness threshold ``r`` and
 the top-count target ``N`` halved; the stall is reported, with exactly where
-the engine got stuck, once ``r = N = 1`` stalls too.
+the engine got stuck, once ``r = N = 1`` stalls too. The solver never asks
+the exact search (:mod:`hmbp.oracle`), so a feasible answer is always its
+own construction, and its trace replays to it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from . import oracle as _oracle
 from .core import (
     Assignment,
     CapacityProfile,
@@ -203,31 +204,32 @@ class SolverConfig(NamedTuple):
     (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working assignment), and
     ``max_rounds`` defaults to ``d*w1 + n + 2``. :meth:`resolved` fills the
     unset values in for one working assignment and refuses a set value below 1;
-    each stage attempt resolves once and hands the steps plain numbers. Below
-    the threshold no bin may be that rich: a stage that stalls in the matching
-    or the shrinking step restarts from its start state with the resolved
-    ``r`` and ``N`` halved, rounded up, down to 1. ``fallback_to_oracle``
-    hands a stalled instance to the exact search under its default budget.
+    each stage resolves once, on its start assignment, and hands the steps
+    plain numbers. Below the threshold no bin may be that rich: a stage that
+    stalls in the matching or the shrinking step restarts from its start
+    state with the resolved ``r`` and ``N`` halved, rounded up, down to 1.
     """
 
     r: int | None = None
     N: int | None = None
     max_rounds: int | None = None
-    fallback_to_oracle: bool = False
 
     def resolved(self, work: Assignment) -> "SolverConfig":
         """This config with every unset tunable at its default for the
-        working assignment ``work``: its bin count, top value and ``d``."""
-        for name, value in zip(("r", "N", "max_rounds"), self):
+        working assignment ``work``: its bin count, top value and ``d``. A
+        config with every tunable set is its own resolution."""
+        for name, value in zip(self._fields, self):
             if value is not None and value < 1:
                 raise SolverUsageError(f"{name} must be at least 1, got {value}")
+        if None not in self:
+            return self
         n, top = work.n, work.class_values[0]
         r = self.r if self.r is not None else 2 * n * top
         N = self.N if self.N is not None else (n - 1) * n * r
         max_rounds = self.max_rounds
         if max_rounds is None:
             max_rounds = work.d * top + n + 2
-        return SolverConfig(r, N, max_rounds, self.fallback_to_oracle)
+        return SolverConfig(r, N, max_rounds)
 
 
 def _first_positions(assignment: Assignment) -> list[int]:
@@ -630,17 +632,16 @@ def descend(
 def _descend_stage(
     assignment: Assignment, capacities: CapacityProfile, cfg: SolverConfig, log: list
 ) -> int:
-    """:func:`descend` one stage; after a matching or shrinking stall, undo
-    the attempt's moves (latest first, emptying ``log``) and restart it with
-    the attempt's resolved ``r`` and ``N`` halved, rounded up. The stall at
-    ``r = N = 1`` is raised.
+    """:func:`descend` one stage with ``cfg`` resolved on its start
+    assignment; after a matching or shrinking stall, undo the attempt's moves
+    (latest first, emptying ``log``) and restart it with ``r`` and ``N``
+    halved, rounded up. The stall at ``r = N = 1`` is raised.
     """
-    attempt = cfg
+    attempt = cfg.resolved(assignment)
     while True:
         try:
             return descend(assignment, capacities, attempt, log)
         except StallError as stall:
-            attempt = attempt.resolved(assignment)
             r, N = attempt.r, attempt.N
             if stall.op not in ("matching", "shrink_gaps") or max(r, N) <= 1:
                 raise
@@ -653,11 +654,12 @@ def _descend_stage(
 
 
 class SolveResult(_Record):
-    """What :func:`solve` found: ``status`` is "feasible", "infeasible" or
-    "indeterminate"; ``stall`` is the text of the stall that ended the
-    descent, if one did."""
+    """What :func:`solve` built: ``status`` is "feasible", with the assignment
+    that ``trace`` replays to from the diagonal start, or "indeterminate",
+    with no assignment and ``stall``, the text of the stall that ended the
+    descent."""
 
-    _fields = ("status", "assignment", "trace", "rounds", "stall", "oracle_used")
+    _fields = ("status", "assignment", "trace", "rounds", "stall")
 
     def __init__(
         self,
@@ -666,10 +668,9 @@ class SolveResult(_Record):
         trace: DescentTrace,
         rounds: int = 0,
         stall: str | None = None,
-        oracle_used: bool = False,
     ) -> None:
         self.status, self.assignment, self.trace = status, assignment, trace
-        self.rounds, self.stall, self.oracle_used = rounds, stall, oracle_used
+        self.rounds, self.stall = rounds, stall
 
     @property
     def feasible(self) -> bool:
@@ -688,9 +689,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
 
     Success is guaranteed whenever the corrected suffix conditions hold and
     the multiplicity clears its threshold. Below it a stalled stage restarts
-    at half ``r`` and ``N``; a stall that remains ends the solve, and with
-    ``fallback_to_oracle`` set the exact search decides the instance unless
-    its node budget runs out.
+    at half ``r`` and ``N``; a stall that remains ends the solve as
+    "indeterminate". A stall decides nothing: :func:`hmbp.oracle.decide` is
+    the exact answer for a stalled instance.
     """
     cfg = cfg or SolverConfig()
     d, w, C = inst.d, inst.weights.entries, inst.capacities
@@ -719,23 +720,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             finally:  # stage 1 is the whole instance: its moves go in as they are
                 trace.moves += (mv.shifted(i - 1, i) for mv in log) if i > 1 else log
     except StallError as stall:
-        total_rounds += stall.rounds
-        if cfg.fallback_to_oracle:
-            try:
-                res = _oracle.decide(inst, 0)
-            except _oracle.BudgetExceeded:
-                pass
-            else:
-                return SolveResult(
-                    "feasible" if res.feasible else "infeasible",
-                    res.witness,
-                    trace,
-                    rounds=total_rounds,
-                    stall=str(stall),
-                    oracle_used=True,
-                )
         return SolveResult(
-            "indeterminate", None, trace, rounds=total_rounds, stall=str(stall)
+            "indeterminate", None, trace, total_rounds + stall.rounds, str(stall)
         )
     assignment.validate()
     if not is_k_feasible(assignment, C, 0):

@@ -3,8 +3,12 @@
 Solves seeded random instances with ``hmbp.solver.solve`` and prints one
 digest line per solve: the draw (family, ``d``, ``w``, ``C``, the solver
 settings), then the status, rounds, stall text, whether the oracle decided,
-``trace.serialize()`` and the final counts, as one JSON list. A last line
-tallies the statuses and the stall kinds (the operation that stalled).
+``trace.serialize()`` and the final counts, as one JSON list. A draw whose
+settings ask for ``fallback_to_oracle`` composes the fallback as
+``hmbp solve --fallback-oracle`` does: after a stall, ``decide(inst, 0)``
+under its default budget gives the status and the counts, and a budget
+refusal leaves the stall. A last line tallies the statuses and the stall
+kinds (the operation that stalled).
 
 With ``--other SRC`` the same draws are also solved under the ``hmbp``
 package in ``SRC`` (for instance the ``src`` of the commit before a solver
@@ -35,6 +39,7 @@ from fractions import Fraction
 
 from hmbp.core import WeightProfile, b_constant, d_threshold, make_instance
 from hmbp.criteria import tight_profile
+from hmbp.oracle import BudgetExceeded, decide
 from hmbp.solver import SolverConfig, solve
 
 
@@ -92,27 +97,33 @@ def draw(rng, index):
     return "below", d, w, caps, cfg
 
 
+def composed(inst, cfg) -> tuple:
+    """``(status, rounds, stall, oracle_used, trace, counts)`` of ``solve``
+    under ``cfg``, a dict of settings; with ``fallback_to_oracle`` in it,
+    the exact search decides a stalled instance unless its budget runs out."""
+    cfg = dict(cfg)
+    fallback = cfg.pop("fallback_to_oracle", False)
+    res = solve(inst, SolverConfig(**cfg))
+    status, found, oracle_used = res.status, res.assignment, False
+    if fallback and status == "indeterminate":
+        try:
+            exact = decide(inst, 0)
+        except BudgetExceeded:
+            pass
+        else:
+            status = "feasible" if exact.feasible else "infeasible"
+            found, oracle_used = exact.witness, True
+    counts = None if found is None else found.counts
+    return status, res.rounds, res.stall, oracle_used, res.trace.serialize(), counts
+
+
 def digest(rng, index) -> list:
     """The draw followed by what this tree's ``solve`` made of it."""
     family, d, w, caps, cfg = draw(rng, index)
     try:
-        res = solve(make_instance(d, w, caps), SolverConfig(**cfg))
+        return [family, d, w, caps, cfg, *composed(make_instance(d, w, caps), cfg)]
     except Exception as exc:  # compared like any other outcome
         return [family, d, w, caps, cfg, f"error: {type(exc).__name__}: {exc}"]
-    counts = None if res.assignment is None else res.assignment.counts
-    return [
-        family,
-        d,
-        w,
-        caps,
-        cfg,
-        res.status,
-        res.rounds,
-        res.stall,
-        res.oracle_used,
-        res.trace.serialize(),
-        counts,
-    ]
 
 
 def tally_of(rows) -> Counter:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hmbp.cli
+import hmbp.oracle
 from hmbp.cli import (
     BENCH_CSV_HEADER,
     EXIT_FEASIBLE,
@@ -22,6 +23,8 @@ from hmbp.cli import (
 )
 from hmbp.core import WeightProfile, b_constant
 from hmbp.criteria import tight_profile
+from hmbp.solver import SolverConfig, solve
+from hmbp.witness import extremal_witness
 
 SIX_BIN_TEXT = "d: 6\nw: 5 5 3 1 1 0\nC: 17 17 17 17 17 8\n"
 SIXTY_W = range(60, 0, -1)
@@ -228,6 +231,68 @@ class TestSolveCommand:
         )
         assert code == EXIT_INFEASIBLE
         assert "infeasible via fallback oracle" in out
+
+    EXTREMAL_TEXT = "d: 6\nw: 5 5 3 1 1 0\nC: 29 29 21 7 7 0\n"
+
+    @pytest.mark.parametrize("case", ["extremal-r2", "witness-n9"])
+    def test_fallback_decides_a_stall_infeasible(self, case, tmp_path, capsys):
+        # The r = 2 extremal instance, and the n = 9 extremal witness under
+        # the default tunables: the descent stalls, the exact search settles
+        # either at once, and the stall is still printed. The trace file
+        # holds the stalled descent's moves.
+        if case == "extremal-r2":
+            text, r = self.EXTREMAL_TEXT, 2
+        else:
+            w = WeightProfile((8, 7, 6, 5, 4, 3, 2, 1, 0))
+            text, r = render_instance(extremal_witness(w, 30).instance), None
+        path = tmp_path / "case.hmbp"
+        path.write_text(text, encoding="utf-8")
+        stalled = solve(parse_instance(text), SolverConfig(r=r))
+        assert stalled.status == "indeterminate"
+        flags = [] if r is None else ["--r", str(r)]
+        trace_path = tmp_path / "run.trace"
+        argv = ["solve", str(path), *flags, "--trace", str(trace_path)]
+        code, out, _ = run_cli(argv + ["--fallback-oracle"], capsys)
+        assert code == EXIT_INFEASIBLE
+        assert out == f"infeasible via fallback oracle\nstall: {stalled.stall}\n"
+        assert trace_path.read_text() == stalled.trace.serialize()
+
+    def test_fallback_answers_feasible_with_the_oracle_witness(self, tmp_path, capsys):
+        # The descent stalls at r = N = 1 and the exact search finds an
+        # assignment: it is printed, and the trace file still holds the
+        # descent's two moves, which do not lead to it.
+        path = tmp_path / "stall.hmbp"
+        path.write_text("d: 2\nw: 7 6 5 4 2\nC: 13 12 11 9 4\n", encoding="utf-8")
+        trace_path = tmp_path / "run.trace"
+        argv = ["solve", str(path), "--r", "1", "--N", "1", "--trace", str(trace_path)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == EXIT_INDETERMINATE
+        stalled_trace = trace_path.read_text()
+        code, out, _ = run_cli(argv + ["--fallback-oracle"], capsys)
+        assert code == EXIT_FEASIBLE
+        assert out.splitlines()[:2] == [
+            "feasible (fallback oracle)",
+            "B1: 6^2  weight=12 gap=1",
+        ]
+        assert trace_path.read_text() == stalled_trace
+        assert len(stalled_trace.splitlines()) == 2
+
+    def test_fallback_refused_by_budget_keeps_the_stall(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "ext.hmbp"
+        path.write_text(self.EXTREMAL_TEXT, encoding="utf-8")
+        code, without, _ = run_cli(["solve", str(path)], capsys)
+        assert code == EXIT_INDETERMINATE
+
+        def refuse(*args):
+            raise hmbp.oracle.BudgetExceeded("undecided: node budget exhausted")
+
+        monkeypatch.setattr(hmbp.oracle, "decide", refuse)
+        code, out, _ = run_cli(["solve", str(path), "--fallback-oracle"], capsys)
+        assert code == EXIT_INDETERMINATE
+        assert out == without
+        assert out.startswith("stall: indeterminate\n")
 
     def test_zero_round_output(self, tmp_path, capsys):
         path = tmp_path / "easy.hmbp"

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import hmbp.oracle
 import hmbp.solver
 from hmbp.core import (
     Assignment,
@@ -46,7 +45,6 @@ from hmbp.solver import (
     shrink_gaps,
     solve,
 )
-from hmbp.witness import extremal_witness
 
 import solve_differential
 from family import cross_check
@@ -525,12 +523,6 @@ class TestDescendAndSolve:
         assert result.status == "indeterminate"
         assert result.stall
 
-    def test_extremal_resolved_by_fallback(self):
-        inst = make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0))
-        result = solve(inst, SolverConfig(r=2, fallback_to_oracle=True))
-        assert result.status == "infeasible"
-        assert result.oracle_used
-
     def test_six_bin_solves_with_defaults(self, monkeypatch):
         # The default r = 2*n*w1 finds no rich bin at d = 6: stage 1 stalls
         # in the matching step and restarts at half r and N until it
@@ -552,7 +544,6 @@ class TestDescendAndSolve:
         inst = make_instance(6, SIX_W.entries, SIX_C.entries)
         result = solve(inst)
         assert result.status == "feasible"
-        assert not result.oracle_used
         assert [(r, N) for n, r, N in attempts if n == 6] == [
             (60, 1800), (30, 900), (15, 450), (8, 225), (4, 113), (2, 57)
         ]
@@ -560,27 +551,6 @@ class TestDescendAndSolve:
         assert result.trace.replay(Assignment.diagonal(SIX_W, 6)) == (
             result.assignment
         )
-
-    def test_fallback_takes_any_size(self):
-        # n = 9 bins: the oracle settles the extremal witness at once.
-        wit = extremal_witness(WeightProfile((8, 7, 6, 5, 4, 3, 2, 1, 0)), 30)
-        result = solve(wit.instance, SolverConfig(fallback_to_oracle=True))
-        assert result.status == "infeasible"
-        assert result.oracle_used
-        assert result.stall
-
-    def test_fallback_refused_by_budget_keeps_the_stall(self, monkeypatch):
-        inst = make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0))
-        stall = solve(inst).stall
-
-        def refuse(*args):
-            raise hmbp.oracle.BudgetExceeded("undecided: node budget exhausted")
-
-        monkeypatch.setattr(hmbp.oracle, "decide", refuse)
-        result = solve(inst, SolverConfig(fallback_to_oracle=True))
-        assert result.status == "indeterminate"
-        assert result.stall == stall
-        assert not result.oracle_used
 
     def test_curated_profile_never_claimed_feasible(self):
         w = (6, 6, 4, 4, 4, 0)
@@ -632,7 +602,7 @@ class TestDescendAndSolve:
         ]:
             inst = make_instance(d, w.entries, caps)
             result = solve(inst, SolverConfig(r=2))
-            if result.status != "feasible" or result.oracle_used:
+            if result.status != "feasible":
                 continue
             replayed = result.trace.replay(Assignment.diagonal(w, d))
             assert replayed == result.assignment
@@ -732,19 +702,18 @@ class TestSolverConfig:
     @pytest.mark.parametrize("field", ["r", "N", "max_rounds"])
     def test_tunable_below_one_is_refused(self, field, value):
         # The defaults solve this instance. A tunable below 1 is a usage
-        # error, as the CLI says, not a stall to hand to the oracle; it is
-        # raised before any stage, so an instance whose stages all fit,
-        # which makes no descent, refuses it too.
+        # error, as the CLI says, not a stall; it is raised before any
+        # stage, so an instance whose stages all fit, which makes no
+        # descent, refuses it too.
         assert solve(self.INST).status == "feasible"
         message = f"{field} must be at least 1, got {value}"
-        for fallback in (False, True):
-            cfg = SolverConfig(**{field: value}, fallback_to_oracle=fallback)
-            with pytest.raises(SolverUsageError, match=message):
-                solve(self.INST, cfg)
-            with pytest.raises(SolverUsageError, match=message):
-                cfg.resolved(Assignment.diagonal(self.INST.weights, 2))
-            with pytest.raises(SolverUsageError, match=message):
-                solve(make_instance(2, (3, 1), (9, 9)), cfg)
+        cfg = SolverConfig(**{field: value})
+        with pytest.raises(SolverUsageError, match=message):
+            solve(self.INST, cfg)
+        with pytest.raises(SolverUsageError, match=message):
+            cfg.resolved(Assignment.diagonal(self.INST.weights, 2))
+        with pytest.raises(SolverUsageError, match=message):
+            solve(make_instance(2, (3, 1), (9, 9)), cfg)
         start = Assignment.diagonal(self.INST.weights, 2)
         with pytest.raises(SolverUsageError, match=message):
             descend(start, self.INST.capacities, SolverConfig(**{field: value}), [])
@@ -944,7 +913,6 @@ class TestStageNumbering:
         assert result.status == status
         assert result.rounds == rounds
         assert result.stall == stall
-        assert not result.oracle_used
         assert result.trace.serialize() == trace
         if counts is None:
             assert result.assignment is None
@@ -999,8 +967,18 @@ class TestStageNumbering:
 # status, a round count, a stall text, a trace line or a final count. The 39
 # records whose outcome the stage restart and the uncapped oracle fallback
 # changed were re-recorded; no record that ended feasible without the oracle
-# changed.
+# changed. The records were taken from a solver that called the oracle
+# itself after a stall when ``cfg`` held ``fallback_to_oracle``; the replay
+# composes that fallback outside the solver, as ``hmbp solve
+# --fallback-oracle`` does.
 SOLVE_PARITY = Path(__file__).with_name("data") / "solve_parity.json"
+
+
+def _solver_config(cfg: dict) -> SolverConfig:
+    """The solver settings of a record's ``cfg``: the ones ``SolverConfig``
+    takes, so the fallback flag of the parity and differential records is
+    left out."""
+    return SolverConfig(**{k: v for k, v in cfg.items() if k in SolverConfig._fields})
 
 
 def test_solve_replays_parity_fixture():
@@ -1017,15 +995,8 @@ def test_solve_replays_parity_fixture():
     assert kinds[KIND_BOOST] >= 10
     mismatches = []
     for r in records:
-        res = solve(make_instance(r["d"], r["w"], r["C"]), SolverConfig(**r["cfg"]))
-        got = (
-            res.status,
-            res.rounds,
-            res.stall,
-            res.oracle_used,
-            res.trace.serialize(),
-            None if res.assignment is None else res.assignment.counts,
-        )
+        inst = make_instance(r["d"], r["w"], r["C"])
+        got = solve_differential.composed(inst, r["cfg"])
         want = (
             r["status"],
             r["rounds"],
@@ -1037,6 +1008,30 @@ def test_solve_replays_parity_fixture():
         if got != want:
             mismatches.append(r["key"])
     assert mismatches == []
+
+
+def test_feasible_solve_replays_its_trace():
+    # A feasible answer is the descent's own construction: its trace
+    # replays from the diagonal start to its assignment, on every parity
+    # record and on the differential's draws. A stall answers
+    # "indeterminate" with no assignment.
+    records = json.loads(SOLVE_PARITY.read_text(encoding="utf-8"))["records"]
+    cases = [(make_instance(r["d"], r["w"], r["C"]), r["cfg"]) for r in records]
+    rng = random.Random(1)
+    for index in range(500):
+        _, d, w, caps, cfg = solve_differential.draw(rng, index)
+        cases.append((make_instance(d, w, caps), cfg))
+    replayed = Counter()
+    for case, (inst, cfg) in enumerate(cases):
+        res = solve(inst, _solver_config(cfg))
+        if res.status == "feasible":
+            start = Assignment.diagonal(inst.weights, inst.d)
+            assert res.trace.replay(start) == res.assignment, case
+            replayed["parity" if case < len(records) else "draw"] += 1
+        else:
+            assert (res.status, res.assignment) == ("indeterminate", None), case
+    assert replayed["parity"] == 340
+    assert replayed["draw"] == 455
 
 
 def _head_loads(initial, moves, head):
@@ -1069,7 +1064,7 @@ def test_each_move_logs_the_head_load_after_it():
         if r["status"] != "feasible":
             continue
         inst = make_instance(r["d"], r["w"], r["C"])
-        moves = solve(inst, SolverConfig(**r["cfg"])).trace.moves
+        moves = solve(inst, _solver_config(r["cfg"])).trace.moves
         start = Assignment.diagonal(inst.weights, inst.d)
         loads = _head_loads(start, moves, lambda mv: mv.stage)
         assert [mv.bin1_weight for mv in moves] == loads, r["key"]

@@ -140,6 +140,36 @@ def test_every_import_is_used():
     assert found == []
 
 
+def _package_imports(tree):
+    """The ``hmbp`` modules a module's relative imports name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_solver_stands_alone():
+    # The descent answers for itself: the solver imports no layer but core,
+    # so a feasible solve is always its own construction. Only the CLI and
+    # the witness checker put the exact search together with another
+    # deciding layer.
+    deciding = {"criteria", "solver", "witness"}
+    imports = {
+        path.name: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(hmbp.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert imports["solver.py"] == {"core"}
+    combined = {
+        name for name, used in imports.items() if "oracle" in used and used & deciding
+    }
+    assert combined == {"cli.py", "witness.py"}
+
+
 def test_no_dataclasses_import():
     # Importing dataclasses (and the inspect, ast and dis modules it pulls
     # in) costs every CLI process more than the commands compute; records
