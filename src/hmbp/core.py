@@ -467,10 +467,12 @@ class Assignment:
             raise ProfileError(
                 f"cannot prepend a bin of value {value} before top class {top}"
             )
+        supply = self.class_supply
         if value > top:
             self.class_values = (value,) + self.class_values
-            self.class_supply = (0,) + self.class_supply
-        self.class_supply = (self.class_supply[0] + self.d,) + self.class_supply[1:]
+            self.class_supply = (self.d,) + supply
+        else:
+            self.class_supply = (supply[0] + self.d,) + supply[1:]
         self._bins.insert(0, {self.class_values[0]: self.d})
         self._bin_weights.insert(0, value * self.d)
 

@@ -23,8 +23,12 @@ The steps read the assignment's weight classes directly: class ``c`` holds
 the positions ``first[c] .. first[c+1] - 1``, where ``first`` is one O(m)
 table of cumulative multiplicities, and the gap of a position is the step
 from its class value up to the next larger one (the drop from the top to the
-second-largest value inside the top block). Bin slacks are read from
-:func:`~hmbp.core.gap_vector`, not capacity by capacity.
+second-largest value inside the top block). A descent reads its bin slacks
+once, from :func:`~hmbp.core.gap_vector`, into one list that the relief and
+shrinking steps keep current from their own transfers. Each stage logs its
+moves with full-instance bins from the start: the steps name bins of the
+working assignment, and the one helper that records a move adds the stage's
+bin offset as it builds the move.
 
 The finished assignment's row and column sums are validated from scratch
 once, with every capacity, before it is returned.
@@ -100,12 +104,13 @@ class Move(NamedTuple):
 
     Every step builds its moves through one private helper, which applies
     the transfers, reads ``bin1_weight`` (the head-bin load) from the
-    assignment after them and appends the move to the step's log.
-    ``i``/``j``/``l``/``t`` are step parameters local to the working
-    (possibly truncated) problem; ``stage`` is the suffix start position in
-    the full instance. A relief move may carry ``count > 1``: it is that many
-    unit swaps through the same bin, and ``bin1_weight`` is the load after
-    the last of them.
+    assignment after them and appends the move to the step's log. The
+    transfers name full-instance bins from the start: a stage's log knows
+    its bin offset and its ``stage``, the suffix start position in the full
+    instance. ``i``/``j``/``l``/``t`` stay step parameters local to the
+    working (possibly truncated) problem. A relief move may carry
+    ``count > 1``: it is that many unit swaps through the same bin, and
+    ``bin1_weight`` is the load after the last of them.
     """
 
     kind: str
@@ -116,15 +121,6 @@ class Move(NamedTuple):
     j: int | None = None
     l: int | None = None
     t: int | None = None
-
-    def shifted(self, offset: int, stage: int) -> "Move":
-        moved = tuple(
-            Transfer(value, q, src + offset, dst + offset)
-            for value, q, src, dst in self.transfers
-        )
-        return Move(
-            self.kind, moved, self.bin1_weight, stage, self.i, self.j, self.l, self.t
-        )
 
     def serialize(self) -> str:
         parts = [self.kind, f"stage={self.stage}"]
@@ -140,14 +136,32 @@ class Move(NamedTuple):
         return " ".join(parts)
 
 
+class _StageLog(list):
+    """The move log of one stage: its steps name bins ``1..`` of the working
+    assignment, which are the full-instance bins ``offset + 1..``, and each
+    move it holds is tagged ``stage``. A plain list is a log at offset 0,
+    stage 1."""
+
+    __slots__ = ("offset", "stage")
+
+    def __init__(self, offset: int, stage: int) -> None:
+        super().__init__()
+        self.offset, self.stage = offset, stage
+
+
 def _record(
-    assignment: Assignment, log: list, kind: str, transfers: tuple, **diag
+    assignment: Assignment, log: list, kind, transfers, i=None, j=None, l=None, t=None
 ) -> Move:
-    """Apply the 1-based ``transfers`` to ``assignment``, append them to
-    ``log`` as one move of ``kind`` and return it; the move's
-    ``bin1_weight`` is the head-bin load after the transfers."""
-    assignment.apply((value, q, src - 1, dst - 1) for value, q, src, dst in transfers)
-    move = Move(kind, transfers, assignment.bin_weight(0), **diag)
+    """Apply ``transfers``, plain ``(value, count, src, dst)`` tuples with
+    1-based bins of ``assignment``, append them to ``log`` as one move of
+    ``kind`` with the log's offset added to every bin, and return it; the
+    move's ``bin1_weight`` is the head-bin load after the transfers."""
+    assignment.apply([(v, q, src - 1, dst - 1) for v, q, src, dst in transfers])
+    offset, stage = (log.offset, log.stage) if type(log) is _StageLog else (0, 1)
+    moved = tuple(
+        [Transfer(v, q, src + offset, dst + offset) for v, q, src, dst in transfers]
+    )
+    move = Move(kind, moved, assignment.bin_weight(0), stage, i, j, l, t)
     log.append(move)
     return move
 
@@ -202,10 +216,11 @@ class SolverConfig(NamedTuple):
     count in the head bin; both default to values that make the engine
     provably terminating once the multiplicity clears its threshold
     (``r = 2*n*w1``, ``N = (n-1)*n*r``, per working assignment), and
-    ``max_rounds`` defaults to ``d*w1 + n + 2``. :meth:`resolved` fills the
-    unset values in for one working assignment and refuses a set value below 1;
-    each stage resolves once, on its start assignment, and hands the steps
-    plain numbers. Below the threshold no bin may be that rich: a stage that
+    ``max_rounds`` defaults to ``d*w1 + n + 2``; a default is never below 1.
+    :meth:`resolved` fills the unset values in for one working assignment
+    and refuses a set value that is not an integer or is below 1; each
+    stage resolves once, on its start assignment, and hands the steps plain
+    numbers. Below the threshold no bin may be that rich: a stage that
     stalls in the matching or the shrinking step restarts from its start
     state with the resolved ``r`` and ``N`` halved, rounded up, down to 1.
     """
@@ -217,16 +232,23 @@ class SolverConfig(NamedTuple):
     def resolved(self, work: Assignment) -> "SolverConfig":
         """This config with every unset tunable at its default for the
         working assignment ``work``: its bin count, top value and ``d``. A
-        config with every tunable set is its own resolution."""
-        for name, value in zip(self._fields, self):
-            if value is not None and value < 1:
-                raise SolverUsageError(f"{name} must be at least 1, got {value}")
-        if None not in self:
+        config with every tunable an ``int`` of at least 1 is its own
+        resolution; a bool, a float or any value below 1 raises."""
+        r, N, max_rounds = self
+        if type(r) is type(N) is type(max_rounds) is int and min(self) >= 1:
             return self
+        for name, value in zip(self._fields, self):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SolverUsageError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise SolverUsageError(f"{name} must be at least 1, got {value}")
         n, top = work.n, work.class_values[0]
-        r = self.r if self.r is not None else 2 * n * top
-        N = self.N if self.N is not None else (n - 1) * n * r
-        max_rounds = self.max_rounds
+        if r is None:
+            r = max(1, 2 * n * top)
+        if N is None:
+            N = max(1, (n - 1) * n * r)
         if max_rounds is None:
             max_rounds = work.d * top + n + 2
         return SolverConfig(r, N, max_rounds)
@@ -245,6 +267,7 @@ def relief_swap(
     log: list,
     *,
     limit: int = 1,
+    slack: list[int] | None = None,
 ) -> Move | None:
     """Swap top-weight balls out of bin 1 through a bin with slack >= w1.
 
@@ -259,28 +282,31 @@ def relief_swap(
     ``w1``, and the swaps needed until bin 1 fits. Only bins 1 and ``b``
     change, so ``q`` calls with ``limit=1`` would make the same ``q`` swaps.
     Returns None when no swap applies.
+
+    ``slack`` is the caller's list of the current bin slacks by 1-based bin
+    (entry 0 unused), which the swap keeps current; without it the step
+    reads :func:`~hmbp.core.gap_vector` afresh.
     """
     if limit < 1:
         raise SolverUsageError(f"relief limit must be at least 1, got {limit}")
+    if slack is None:
+        slack = [0, *gap_vector(assignment, capacities)]
     top = assignment.class_values[0]
-    slack = gap_vector(assignment, capacities)
-    excess, tops = -slack[0], assignment.count_of(top, 0)
+    excess, tops = -slack[1], assignment.count_of(top, 0)
     if excess <= 0 or tops == 0:
         return None
-    for b, gap in enumerate(slack[1:], 2):
+    for b, gap in enumerate(slack[2:], 2):
         if gap < top:
             continue
         value, held = min(assignment.bin_items(b - 1))  # lightest value first
         if value < top:
             step = top - value
             q = min(limit, tops, held, (gap - top) // step + 1, -(-excess // step))
-            return _record(
-                assignment,
-                log,
-                KIND_RELIEF,
-                (Transfer(top, q, 1, b), Transfer(value, q, b, 1)),
-                j=b,
-            )
+            transfers = ((top, q, 1, b), (value, q, b, 1))
+            move = _record(assignment, log, KIND_RELIEF, transfers, j=b)
+            slack[1] += step * q
+            slack[b] -= step * q
+            return move
     return None
 
 
@@ -335,11 +361,7 @@ def boost_top_count(assignment: Assignment, N: int, log: list) -> None:
             assignment,
             log,
             KIND_BOOST,
-            (
-                Transfer(wk, top - wt, 1, rbin),
-                Transfer(wt, top - wk, rbin, 1),
-                Transfer(top, wk - wt, rbin, 1),
-            ),
+            ((wk, top - wt, 1, rbin), (wt, top - wk, rbin, 1), (top, wk - wt, rbin, 1)),
             i=first[k_class],
             j=rbin,
             t=first[t_class],
@@ -416,6 +438,8 @@ def shrink_gaps(
     capacities: CapacityProfile,
     perm: MatchingPermutation,
     log: list,
+    *,
+    slack: list[int] | None = None,
 ) -> None:
     """Drive the slack of every bin beyond 1 below its weight-profile gap.
 
@@ -441,16 +465,18 @@ def shrink_gaps(
     order before it is applied, and a missing ball raises a stall naming the
     bin, value and count; that cannot happen once every paired bin holds
     ``r >= n*w1`` balls of its weight. An assignment with a single weight
-    class has no gaps and is refused.
+    class has no gaps and is refused. ``slack`` is kept current as in
+    :func:`relief_swap`.
     """
     if assignment.m < 2:
         raise SolverUsageError("shrink_gaps needs at least two weight classes")
     values = assignment.class_values
     first = _first_positions(assignment)
     top, second = values[0], values[1]
-    slack = [0, *gap_vector(assignment, capacities)]  # by 1-based bin, kept current
+    if slack is None:
+        slack = [0, *gap_vector(assignment, capacities)]
 
-    def step(kind: str, transfers: tuple, **diag) -> None:
+    def step(kind: str, transfers: tuple, i, j=None, l=None, t=None) -> None:
         for value, q, src, _ in transfers:
             held = assignment.count_of(value, src - 1)
             if held < q:
@@ -459,7 +485,7 @@ def shrink_gaps(
                     f"bin {src} holds {held} balls of value {value}, step needs {q}",
                     step=kind,
                 )
-        _record(assignment, log, kind, transfers, **diag)
+        _record(assignment, log, kind, transfers, i, j, l, t)
         for value, q, src, dst in transfers:
             slack[src] += value * q
             slack[dst] -= value * q
@@ -472,11 +498,9 @@ def shrink_gaps(
         for i in range(first[c + 1] - 1, first[c] - 1, -1):
             bi = perm.bin_for(i)
             while slack[bi] >= pred - v:
-                transfers = (Transfer(v, 1, bi, bj), Transfer(pred, 1, bj, bi))
-                step(KIND_CHAIN, transfers, i=i, j=j)
+                step(KIND_CHAIN, ((v, 1, bi, bj), (pred, 1, bj, bi)), i, j)
                 if slack[bj] >= top:
-                    transfers = (Transfer(top, 1, 1, bj), Transfer(v, 1, bj, 1))
-                    step(KIND_CHAIN_EXIT, transfers, i=i, j=j)
+                    step(KIND_CHAIN_EXIT, ((top, 1, 1, bj), (v, 1, bj, 1)), i, j)
                     return
 
     # Downward sweep over the top block.
@@ -484,8 +508,7 @@ def shrink_gaps(
         bi = perm.bin_for(i)
         while slack[bi] >= top - second:
             if assignment.count_of(second, bi - 1):
-                transfers = (Transfer(top, 1, 1, bi), Transfer(second, 1, bi, 1))
-                step(KIND_TOP_EXIT, transfers, i=i)
+                step(KIND_TOP_EXIT, ((top, 1, 1, bi), (second, 1, bi, 1)), i)
                 return
             j = max(i + 1, first[1])
             if j >= first[2]:
@@ -504,12 +527,8 @@ def shrink_gaps(
             wl = max(lighter)
             t = (second - wl) // (top - second)
             bj = perm.bin_for(j)
-            transfers = (
-                Transfer(second, t + 1, bj, bi),
-                Transfer(top, t, bi, bj),
-                Transfer(wl, 1, bi, bj),
-            )
-            step(KIND_BLOCK, transfers, i=i, j=j, l=first[values.index(wl)], t=t)
+            transfers = ((second, t + 1, bj, bi), (top, t, bi, bj), (wl, 1, bi, bj))
+            step(KIND_BLOCK, transfers, i, j, first[values.index(wl)], t)
 
 
 def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> None:
@@ -529,6 +548,7 @@ def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> Non
     n = prev.n
     values = prev.class_values
     index = {v: c for c, v in enumerate(values)}
+    moves = _StageLog(0, i)  # the whole assignment's bins, tagged stage i
     excess = [0] * m  # suffix balls of each class less its suffix supply
     for pos in range(i, n + 1):
         excess[index[inst.weights[pos - 1]]] -= inst.d
@@ -548,18 +568,11 @@ def normalize_suffix(inst: Instance, i: int, prev: Assignment, log: list) -> Non
             prev.count_of(v_plus, src),
             prev.count_of(v_minus, dst),
         )
-        _record(
-            prev,
-            log,
-            KIND_NORMALIZE,
-            (
-                Transfer(v_plus, q, src + 1, dst + 1),
-                Transfer(v_minus, q, dst + 1, src + 1),
-            ),
-            stage=i,
-        )
+        transfers = ((v_plus, q, src + 1, dst + 1), (v_minus, q, dst + 1, src + 1))
+        _record(prev, moves, KIND_NORMALIZE, transfers)
         excess[c_plus] -= q
         excess[c_minus] += q
+    log.extend(moves)
 
 
 def descend(
@@ -574,7 +587,10 @@ def descend(
     ``capacities``, or :class:`~hmbp.core.ProfileError` and
     :class:`SolverUsageError` are raised before any move; its moves are
     appended to ``log``. ``cfg`` is resolved for ``assignment`` once, and
-    the steps get its ``r`` and ``N`` as plain numbers.
+    the steps get its ``r`` and ``N`` as plain numbers. The bin slacks are
+    read once, for the start check, into the list that the relief and
+    shrinking steps then keep current. A boost that logs no move leaves the
+    state relief just refused, so relief is not asked again.
     Returns the number of rounds: a batched relief move of ``q`` unit swaps
     counts as ``q`` rounds, any other round as one, and ``max_rounds`` caps
     that count. Raises :class:`StallError` when no exchange applies,
@@ -582,17 +598,20 @@ def descend(
     the total-slack condition holds; the error's ``rounds`` holds the rounds
     made before the stall.
     """
-    if min(gap_vector(assignment, capacities)[1:], default=0) < 0:
+    slack = [0, *gap_vector(assignment, capacities)]  # by 1-based bin
+    if min(slack[2:], default=0) < 0:
         raise SolverUsageError("start assignment is not 1-feasible")
     cfg = cfg.resolved(assignment)
-    top, cap = assignment.class_values[0], capacities.entries[0]
+    top = assignment.class_values[0]
     max_rounds = cfg.max_rounds
     rounds = 0
     try:
-        while assignment.bin_weight(0) > cap:
+        while slack[1] < 0:
             if rounds >= max_rounds:
                 raise StallError("descend", f"no convergence after {rounds} rounds")
-            move = relief_swap(assignment, capacities, log, limit=max_rounds - rounds)
+            move = relief_swap(
+                assignment, capacities, log, limit=max_rounds - rounds, slack=slack
+            )
             if move is not None:
                 rounds += move.transfers[0].count
                 continue
@@ -601,8 +620,9 @@ def descend(
                 raise StallError(
                     "descend",
                     f"all weights equal {top}: every bin needs capacity "
-                    f"{assignment.d * top}, bin 1 has {cap}",
+                    f"{assignment.d * top}, bin 1 has {capacities.entries[0]}",
                 )
+            logged = len(log)
             try:
                 boost_top_count(assignment, cfg.N, log)
             except StallError:
@@ -612,12 +632,16 @@ def descend(
                 # progress) is the decisive signal.
                 if assignment.count_of(top, 0) == 0:
                     raise
-            if relief_swap(assignment, capacities, log) is not None:
+            # The boost keeps every bin load, so the slacks stay current, and
+            # a boost that moved nothing leaves the state relief just refused.
+            if len(log) > logged and (
+                relief_swap(assignment, capacities, log, slack=slack) is not None
+            ):
                 continue
             perm = find_permutation(assignment, cfg.r)
-            before = assignment.bin_weight(0)
-            shrink_gaps(assignment, capacities, perm, log)
-            if assignment.bin_weight(0) >= before and assignment.bin_weight(0) > cap:
+            before = slack[1]
+            shrink_gaps(assignment, capacities, perm, log, slack=slack)
+            if slack[1] <= before and slack[1] < 0:
                 raise StallError(
                     "descend",
                     "gap shrinking completed without freeing bin 1; the total "
@@ -634,10 +658,12 @@ def _descend_stage(
 ) -> int:
     """:func:`descend` one stage with ``cfg`` resolved on its start
     assignment; after a matching or shrinking stall, undo the attempt's moves
-    (latest first, emptying ``log``) and restart it with ``r`` and ``N``
-    halved, rounded up. The stall at ``r = N = 1`` is raised.
+    (latest first, their full-instance bins taken back by the log's offset,
+    emptying ``log``) and restart it with ``r`` and ``N`` halved, rounded
+    up. The stall at ``r = N = 1`` is raised.
     """
     attempt = cfg.resolved(assignment)
+    shift = log.offset + 1  # full-instance bin to 0-based working bin
     while True:
         try:
             return descend(assignment, capacities, attempt, log)
@@ -647,7 +673,7 @@ def _descend_stage(
                 raise
         for mv in reversed(log):
             assignment.apply(
-                (value, q, dst - 1, src - 1) for value, q, src, dst in mv.transfers
+                [(v, q, dst - shift, src - shift) for v, q, src, dst in mv.transfers]
             )
         log.clear()
         attempt = attempt._replace(r=-(-r // 2), N=-(-N // 2))
@@ -683,9 +709,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     One assignment is grown in place: stage ``i`` (from ``n`` down to 1)
     prepends bin ``i`` with its ``d`` balls of ``w_i``; unless they fit, it
     descends on bins ``i..n`` under their capacities and logs its moves with
-    full-instance bins. A constant suffix fits where its last bin does. The
-    row and column sums are checked from scratch once, after the last stage,
-    together with every capacity. A tunable below 1 raises at once.
+    full-instance bins as it makes them. A constant suffix fits where its
+    last bin does. The row and column sums are checked from scratch once,
+    after the last stage, together with every capacity. A tunable that is
+    not an integer or is below 1 raises at once.
 
     Success is guaranteed whenever the corrected suffix conditions hold and
     the multiplicity clears its threshold. Below it a stalled stage restarts
@@ -714,11 +741,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                     f"constant suffix at {i}: every bin needs {d * w[-1]}, "
                     f"capacity {C.entries[-1]} is too small",
                 )
-            log: list[Move] = []
+            log = _StageLog(i - 1, i)
             try:
                 total_rounds += _descend_stage(assignment, C.truncate(i), cfg, log)
-            finally:  # stage 1 is the whole instance: its moves go in as they are
-                trace.moves += (mv.shifted(i - 1, i) for mv in log) if i > 1 else log
+            finally:
+                trace.moves += log
     except StallError as stall:
         return SolveResult(
             "indeterminate", None, trace, total_rounds + stall.rounds, str(stall)

@@ -7,8 +7,12 @@ settings), then the status, rounds, stall text, whether the oracle decided,
 settings ask for ``fallback_to_oracle`` composes the fallback as
 ``hmbp solve --fallback-oracle`` does: after a stall, ``decide(inst, 0)``
 under its default budget gives the status and the counts, and a budget
-refusal leaves the stall. A last line tallies the statuses and the stall
-kinds (the operation that stalled).
+refusal leaves the stall. A last line tallies the statuses, the stall
+kinds (the operation that stalled) and the stage restarts: ``restart``
+counts every stage that ``solve`` undid and began again after a stall, and
+``restart:stage2+`` those of stage 2 or later, whose moves are undone at a
+bin offset. ``--min-restarts`` and ``--min-stage2-restarts`` make a run
+that saw fewer of them exit non-zero, so a run can show that path ran.
 
 With ``--other SRC`` the same draws are also solved under the ``hmbp``
 package in ``SRC`` (for instance the ``src`` of the commit before a solver
@@ -37,6 +41,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import hmbp.solver
 from hmbp.core import WeightProfile, b_constant, d_threshold, make_instance
 from hmbp.criteria import tight_profile
 from hmbp.oracle import BudgetExceeded, decide
@@ -117,13 +122,50 @@ def composed(inst, cfg) -> tuple:
     return status, res.rounds, res.stall, oracle_used, res.trace.serialize(), counts
 
 
-def digest(rng, index) -> list:
+class RestartWatch:
+    """Counts stage restarts while installed in place of
+    ``hmbp.solver.descend``. ``solve`` descends once on each stage it does
+    not skip, from bin ``n`` down, and once more after each restart, so
+    within one solve a ``descend`` on as many bins as the call before it is
+    a restart, and one on fewer than all ``n`` bins belongs to stage 2 or
+    later."""
+
+    def __init__(self) -> None:
+        self.tally = Counter()
+        self.sizes = []  # the bin count of each descend call of this solve
+        self.original = None
+
+    def __enter__(self) -> "RestartWatch":
+        self.original = original = hmbp.solver.descend
+
+        def watched(assignment, capacities, cfg, log):
+            self.sizes.append(assignment.n)
+            return original(assignment, capacities, cfg, log)
+
+        hmbp.solver.descend = watched
+        return self
+
+    def __exit__(self, *exc) -> None:
+        hmbp.solver.descend = self.original
+
+    def solved(self, n: int) -> None:
+        """Tally the restarts of the solve just made on ``n`` bins."""
+        for before, size in zip(self.sizes, self.sizes[1:]):
+            if size == before:
+                self.tally["restart"] += 1
+                self.tally["restart:stage2+"] += size < n
+        self.sizes.clear()
+
+
+def digest(rng, index, watch: RestartWatch) -> list:
     """The draw followed by what this tree's ``solve`` made of it."""
     family, d, w, caps, cfg = draw(rng, index)
     try:
         return [family, d, w, caps, cfg, *composed(make_instance(d, w, caps), cfg)]
     except Exception as exc:  # compared like any other outcome
         return [family, d, w, caps, cfg, f"error: {type(exc).__name__}: {exc}"]
+    finally:
+        watch.solved(len(w))
 
 
 def tally_of(rows) -> Counter:
@@ -146,14 +188,28 @@ def main(argv=None) -> int:
     p.add_argument("--solves", type=int, default=5000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--other", metavar="SRC", help="directory holding the other hmbp")
+    p.add_argument("--min-restarts", type=int, default=0, metavar="K")
+    p.add_argument("--min-stage2-restarts", type=int, default=0, metavar="K")
     args = p.parse_args(argv)
     rng = random.Random(args.seed)
-    lines = [json.dumps(digest(rng, i)) for i in range(args.solves)]
-    tally = dict(sorted(tally_of(map(json.loads, lines)).items()))
+    with RestartWatch() as watch:
+        lines = [json.dumps(digest(rng, i, watch)) for i in range(args.solves)]
+    tally = tally_of(map(json.loads, lines)) + watch.tally
+    tally = dict(sorted(tally.items()))
+    short = [
+        f"{tally.get(key, 0)} {key} below the required {least}"
+        for key, least in (
+            ("restart", args.min_restarts),
+            ("restart:stage2+", args.min_stage2_restarts),
+        )
+        if tally.get(key, 0) < least
+    ]
+    for line in short:
+        print(line, file=sys.stderr)
     if args.other is None:
         print("\n".join(lines))
         print(f"{args.solves} solves; {tally}")
-        return 0
+        return 1 if short else 0
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.other))
     argv = [sys.executable, __file__, "--solves", str(args.solves)]
     run = subprocess.run(
@@ -169,7 +225,7 @@ def main(argv=None) -> int:
     for i in mismatches[:5]:
         print(f"mismatch at solve {i}: {lines[i]}", file=sys.stderr)
     print(f"{args.solves} solves, {len(mismatches)} mismatches; {tally}")
-    return 1 if mismatches else 0
+    return 1 if mismatches or short else 0
 
 
 if __name__ == "__main__":

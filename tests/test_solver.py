@@ -678,6 +678,40 @@ class TestDescendAndSolve:
         assert result.rounds == rounds
 
 
+def test_a_late_stage_restarts_from_its_start(monkeypatch):
+    # Stage 2 (bins 2..5) stalls in the matching at r = 48, 24 and 12, and
+    # in the shrinking step at r = 6, 3 and 2 after nine moves each time.
+    # Its moves are logged in full-instance bins and undone at the stage's
+    # offset, so every attempt begins from exactly the stage's start
+    # assignment, and the trace still replays.
+    starts, discarded = [], []
+    original = hmbp.solver.descend
+
+    def recording_descend(assignment, capacities, cfg, log):
+        starts.append((assignment.n, assignment.copy()))
+        try:
+            return original(assignment, capacities, cfg, log)
+        except StallError:
+            discarded.append([tr for mv in log for tr in mv.transfers])
+            raise
+
+    monkeypatch.setattr(hmbp.solver, "descend", recording_descend)
+    inst = make_instance(10, (6, 6, 2, 1, 0), (69, 58, 19, 9, 8))
+    with solve_differential.RestartWatch() as watch:
+        result = solve(inst)
+        watch.solved(inst.n)
+    assert result.status == "feasible"
+    assert watch.tally == {"restart": 6, "restart:stage2+": 6}
+    late = [a for n, a in starts if n == 4]
+    assert len(late) == 7 and all(a == late[0] for a in late[1:])
+    assert list(map(len, discarded)) == [0, 0, 0, 18, 18, 18]
+    for transfers in discarded[3:]:  # stage 2 works on bins 2..5
+        assert {b for t in transfers for b in (t.src, t.dst)} == {3, 4, 5}
+    assert result.trace.replay(Assignment.diagonal(inst.weights, inst.d)) == (
+        result.assignment
+    )
+
+
 def _unit_swaps(moves):
     """The trace with every relief move written out as its unit swaps."""
     out = []
@@ -723,6 +757,31 @@ class TestSolverConfig:
         cfg = SolverConfig(r=1, N=1, max_rounds=1)
         assert cfg.resolved(Assignment.diagonal(self.INST.weights, 2)) == cfg
         assert solve(self.INST, cfg).status == "feasible"
+
+    @pytest.mark.parametrize("value", [2.5, True, 3.0])
+    @pytest.mark.parametrize("field", ["r", "N", "max_rounds"])
+    def test_non_integer_tunable_is_refused(self, field, value):
+        # Halving a float r or N gives floats; a bool is no count either.
+        # Refused alone and among set integers, as hmbp solve refuses them.
+        message = f"{field} must be an integer, got {value!r}"
+        work = Assignment.diagonal(self.INST.weights, 2)
+        alone = SolverConfig(**{field: value})
+        full = SolverConfig(r=2, N=3, max_rounds=4)._replace(**{field: value})
+        for cfg in (alone, full):
+            with pytest.raises(SolverUsageError, match=message):
+                cfg.resolved(work)
+            with pytest.raises(SolverUsageError, match=message):
+                solve(self.INST, cfg)
+
+    @pytest.mark.parametrize("top", [3, 0])
+    def test_defaults_are_at_least_one(self, top):
+        # On one bin N = (n-1)*n*r would be 0, and a top value of 0 makes
+        # r = 2*n*w1 = 0: resolved keeps both at 1, so its own answer
+        # resolves to itself.
+        cfg = SolverConfig().resolved(Assignment.single_bin(top, 2))
+        assert min(cfg) >= 1
+        assert cfg.N == 1 and cfg.r == max(1, 2 * top)
+        assert cfg.resolved(Assignment.single_bin(top, 2)) is cfg
 
 
 # The benchmark's three descent anchors: d = d_threshold(w), balanced with
@@ -797,7 +856,9 @@ class TestBatchedRelief:
         monkeypatch.setattr(
             hmbp.solver,
             "relief_swap",
-            lambda a, caps, log, *, limit=1: single(a, caps, log),
+            lambda a, caps, log, *, limit=1, slack=None: single(
+                a, caps, log, slack=slack
+            ),
         )
         reference = outcomes()
 
@@ -1013,8 +1074,9 @@ def test_solve_replays_parity_fixture():
 def test_feasible_solve_replays_its_trace():
     # A feasible answer is the descent's own construction: its trace
     # replays from the diagonal start to its assignment, on every parity
-    # record and on the differential's draws. A stall answers
-    # "indeterminate" with no assignment.
+    # record and on the differential's draws, and each stage-s move is born
+    # in full-instance bins, naming only the bins s..n its stage works on.
+    # A stall answers "indeterminate" with no assignment.
     records = json.loads(SOLVE_PARITY.read_text(encoding="utf-8"))["records"]
     cases = [(make_instance(r["d"], r["w"], r["C"]), r["cfg"]) for r in records]
     rng = random.Random(1)
@@ -1028,10 +1090,37 @@ def test_feasible_solve_replays_its_trace():
             start = Assignment.diagonal(inst.weights, inst.d)
             assert res.trace.replay(start) == res.assignment, case
             replayed["parity" if case < len(records) else "draw"] += 1
+            for mv in res.trace.moves:
+                bins = [b for tr in mv.transfers for b in (tr.src, tr.dst)]
+                assert mv.stage <= min(bins) and max(bins) <= inst.n, (case, mv)
+                replayed["stage > 1" if mv.stage > 1 else "stage 1"] += 1
         else:
             assert (res.status, res.assignment) == ("indeterminate", None), case
     assert replayed["parity"] == 340
     assert replayed["draw"] == 455
+    assert min(replayed["stage 1"], replayed["stage > 1"]) > 1000
+
+
+def test_gap_vector_is_read_once_per_descent(monkeypatch):
+    # A descent reads its slacks once, for its start check, into a list
+    # that the relief and shrinking steps keep current: gap_vector is read
+    # at most once per descent plus once per shrinking pass, and never
+    # again between two relief moves.
+    calls = Counter()
+    for name in ("gap_vector", "descend", "relief_swap", "shrink_gaps"):
+        original = getattr(hmbp.solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hmbp.solver, name, counted)
+    records = json.loads(SOLVE_PARITY.read_text(encoding="utf-8"))["records"]
+    for r in records:
+        solve(make_instance(r["d"], r["w"], r["C"]), _solver_config(r["cfg"]))
+    assert calls["shrink_gaps"] > 0
+    assert calls["relief_swap"] > calls["descend"] > 300
+    assert calls["gap_vector"] <= calls["descend"] + calls["shrink_gaps"]
 
 
 def _head_loads(initial, moves, head):
@@ -1114,3 +1203,16 @@ def test_solve_differential_runs_against_this_tree(monkeypatch, capsys):
         assert tally.get(f"stall:{kind}", 0) > 0, kind
     assert caught["matching"] > 0
     assert caught["shrink_gaps"] > tally["stall:shrink_gaps"]
+    # Every matching or shrinking stall but the ones that end a solve
+    # restarts its stage.
+    ends = tally["stall:shrink_gaps"]
+    assert tally["restart"] == caught["matching"] + caught["shrink_gaps"] - ends
+
+
+def test_solve_differential_requires_its_restarts(capsys):
+    # These hundred draws restart 11 stages, none of stage 2 or later.
+    argv = ["--solves", "100", "--seed", "3", "--min-restarts", "11"]
+    assert solve_differential.main(argv) == 0
+    assert solve_differential.main(argv + ["--min-stage2-restarts", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "0 restart:stage2+ below the required 1\n"

@@ -249,7 +249,8 @@ def test_bench_names_resolve():
 
 def test_solver_moves_take_one_path():
     # One helper applies, measures and logs every solver move: Move is built
-    # only there and in Move.shifted, and no step takes an optional log.
+    # only there, already in full-instance bins, and no step takes an
+    # optional log.
     path = Path(hmbp.__file__).with_name("solver.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     builders, optional_logs = set(), []
@@ -270,7 +271,7 @@ def test_solver_moves_take_one_path():
             and isinstance(default, ast.Constant)
             and default.value is None
         ]
-    assert builders == {"_record", "shifted"}
+    assert builders == {"_record"}
     assert optional_logs == []
 
 
