@@ -297,8 +297,9 @@ class Assignment:
     count}`` of positive counts, kept with its load; every bin holds ``d``
     balls, and all hold ``class_supply[c]`` of ``class_values[c]``
     (decreasing). The constructor takes per-bin ``(class, count)`` pairs,
-    ``class`` indexing ``class_values`` (any other raises) and repeated
-    classes adding up, and runs one check; :attr:`counts` is a dense view
+    ``class`` indexing ``class_values`` (any other raises), ``count`` an
+    ``int`` (a bool or a float raises) and repeated classes adding up, and
+    runs one check; :attr:`counts` is a dense view
     ``counts[c][j]``. Only :meth:`apply`, which moves balanced
     groups of transfers, and :meth:`prepend_bin`, which adds a full bin and
     its supply, change it, so the sums hold at every exposed state.
@@ -318,6 +319,8 @@ class Assignment:
             for c, q in pairs:
                 if not 0 <= c < m:
                     raise ProfileError(f"bin {j + 1} holds unknown class {c}")
+                if type(q) is not int:
+                    raise ProfileError(f"bin {j + 1}: count {q!r} is not an integer")
                 v = values[c]
                 content[v] = content.get(v, 0) + q
                 held[c] += q
@@ -408,12 +411,12 @@ class Assignment:
     def apply(self, transfers) -> None:
         """Apply a balanced group of transfers ``(value, count, src, dst)``.
 
-        Bins are 0-based here. The group must name bins of this assignment
-        and preserve every bin's cardinality; anything else is a
-        programming error in the caller and raises. Transfers take effect in
-        order (a ball moved in may move on), but the whole group is checked
-        before any count changes, so a rejected group leaves the assignment
-        as it was.
+        Bins are 0-based here. The group must name bins of this assignment,
+        move ``int`` counts of at least 0 and preserve every bin's
+        cardinality; anything else is a programming error in the caller and
+        raises. Transfers take effect in order (a ball moved in may move on),
+        but the whole group is checked before any count changes, so a
+        rejected group leaves the assignment as it was.
         """
         bins, loads = self._bins, self._bin_weights
         staged = []  # the checked transfers
@@ -425,8 +428,10 @@ class Assignment:
                     f"transfer from bin {src + 1} to bin {dst + 1} "
                     f"outside bins 1..{n}"
                 )
-            if q < 0:
-                raise ProfileError("transfer count must be non-negative")
+            if type(q) is not int or q < 0:
+                raise ProfileError(
+                    f"transfer count must be a non-negative integer, got {q!r}"
+                )
             if q == 0:
                 continue
             held = bins[src].get(value, 0)

@@ -262,35 +262,31 @@ def _first_positions(assignment: Assignment) -> list[int]:
 
 
 def relief_swap(
-    assignment: Assignment,
-    capacities: CapacityProfile,
-    log: list,
-    *,
-    limit: int = 1,
-    slack: list[int] | None = None,
+    assignment: Assignment, slack: list[int], log: list, *, limit: int = 1
 ) -> Move | None:
     """Swap top-weight balls out of bin 1 through a bin with slack >= w1.
 
-    Picks the lowest-index bin ``b`` whose gap is at least the top weight and
-    which holds some lighter ball, and trades balls of the lightest such
-    value ``v`` for top balls from bin 1. Each unit swap strictly lowers the
-    bin-1 load by ``w1 - v`` and preserves 1-feasibility.
+    ``slack`` holds the current bin slacks by 1-based bin (entry 0 unused):
+    the list :func:`descend` reads once from :func:`~hmbp.core.gap_vector`,
+    which the swap keeps current. Picks the lowest-index bin ``b`` whose
+    slack is at least the top weight and which holds some lighter ball, and
+    trades balls of the lightest such value ``v`` for top balls from bin 1.
+    Each unit swap strictly lowers the bin-1 load by ``w1 - v`` and
+    preserves 1-feasibility.
 
     One call makes ``q`` unit swaps at once, recorded as one move: ``q`` is
     the smallest of ``limit``, the top balls in bin 1, the class-``v`` balls
-    in bin ``b``, the swaps bin ``b``'s gap allows while it stays at least
+    in bin ``b``, the swaps bin ``b``'s slack allows while it stays at least
     ``w1``, and the swaps needed until bin 1 fits. Only bins 1 and ``b``
     change, so ``q`` calls with ``limit=1`` would make the same ``q`` swaps.
-    Returns None when no swap applies.
-
-    ``slack`` is the caller's list of the current bin slacks by 1-based bin
-    (entry 0 unused), which the swap keeps current; without it the step
-    reads :func:`~hmbp.core.gap_vector` afresh.
+    Returns None when no swap applies. A ``limit`` that is not an ``int``
+    (a bool or a float included) or is below 1 raises
+    :class:`SolverUsageError`.
     """
+    if type(limit) is not int:
+        raise SolverUsageError(f"relief limit must be an integer, got {limit!r}")
     if limit < 1:
         raise SolverUsageError(f"relief limit must be at least 1, got {limit}")
-    if slack is None:
-        slack = [0, *gap_vector(assignment, capacities)]
     top = assignment.class_values[0]
     excess, tops = -slack[1], assignment.count_of(top, 0)
     if excess <= 0 or tops == 0:
@@ -434,12 +430,7 @@ def find_permutation(assignment: Assignment, r: int) -> MatchingPermutation:
 
 
 def shrink_gaps(
-    assignment: Assignment,
-    capacities: CapacityProfile,
-    perm: MatchingPermutation,
-    log: list,
-    *,
-    slack: list[int] | None = None,
+    assignment: Assignment, slack: list[int], perm: MatchingPermutation, log: list
 ) -> None:
     """Drive the slack of every bin beyond 1 below its weight-profile gap.
 
@@ -465,16 +456,14 @@ def shrink_gaps(
     order before it is applied, and a missing ball raises a stall naming the
     bin, value and count; that cannot happen once every paired bin holds
     ``r >= n*w1`` balls of its weight. An assignment with a single weight
-    class has no gaps and is refused. ``slack`` is kept current as in
-    :func:`relief_swap`.
+    class has no gaps and is refused. ``slack`` is the descent's list of
+    bin slacks, kept current as in :func:`relief_swap`.
     """
     if assignment.m < 2:
         raise SolverUsageError("shrink_gaps needs at least two weight classes")
     values = assignment.class_values
     first = _first_positions(assignment)
     top, second = values[0], values[1]
-    if slack is None:
-        slack = [0, *gap_vector(assignment, capacities)]
 
     def step(kind: str, transfers: tuple, i, j=None, l=None, t=None) -> None:
         for value, q, src, _ in transfers:
@@ -588,9 +577,11 @@ def descend(
     :class:`SolverUsageError` are raised before any move; its moves are
     appended to ``log``. ``cfg`` is resolved for ``assignment`` once, and
     the steps get its ``r`` and ``N`` as plain numbers. The bin slacks are
-    read once, for the start check, into the list that the relief and
-    shrinking steps then keep current. A boost that logs no move leaves the
-    state relief just refused, so relief is not asked again.
+    read once, from :func:`~hmbp.core.gap_vector` for the start check, into
+    the list by 1-based bin that the relief and shrinking steps take as
+    ``slack`` and keep current; no step reads the capacities. A boost that
+    logs no move leaves the state relief just refused, so relief is not
+    asked again.
     Returns the number of rounds: a batched relief move of ``q`` unit swaps
     counts as ``q`` rounds, any other round as one, and ``max_rounds`` caps
     that count. Raises :class:`StallError` when no exchange applies,
@@ -609,9 +600,7 @@ def descend(
         while slack[1] < 0:
             if rounds >= max_rounds:
                 raise StallError("descend", f"no convergence after {rounds} rounds")
-            move = relief_swap(
-                assignment, capacities, log, limit=max_rounds - rounds, slack=slack
-            )
+            move = relief_swap(assignment, slack, log, limit=max_rounds - rounds)
             if move is not None:
                 rounds += move.transfers[0].count
                 continue
@@ -634,13 +623,11 @@ def descend(
                     raise
             # The boost keeps every bin load, so the slacks stay current, and
             # a boost that moved nothing leaves the state relief just refused.
-            if len(log) > logged and (
-                relief_swap(assignment, capacities, log, slack=slack) is not None
-            ):
+            if len(log) > logged and relief_swap(assignment, slack, log) is not None:
                 continue
             perm = find_permutation(assignment, cfg.r)
             before = slack[1]
-            shrink_gaps(assignment, capacities, perm, log, slack=slack)
+            shrink_gaps(assignment, slack, perm, log)
             if slack[1] <= before and slack[1] < 0:
                 raise StallError(
                     "descend",

@@ -2,13 +2,9 @@
 
 Solves seeded random instances with ``hmbp.solver.solve`` and prints one
 digest line per solve: the draw (family, ``d``, ``w``, ``C``, the solver
-settings), then the status, rounds, stall text, whether the oracle decided,
-``trace.serialize()`` and the final counts, as one JSON list. A draw whose
-settings ask for ``fallback_to_oracle`` composes the fallback as
-``hmbp solve --fallback-oracle`` does: after a stall, ``decide(inst, 0)``
-under its default budget gives the status and the counts, and a budget
-refusal leaves the stall. A last line tallies the statuses, the stall
-kinds (the operation that stalled) and the stage restarts: ``restart``
+settings), then the status, rounds, stall text, ``trace.serialize()`` and
+the final counts, as one JSON list. A last line tallies the statuses, the
+stall kinds (the operation that stalled) and the stage restarts: ``restart``
 counts every stage that ``solve`` undid and began again after a stall, and
 ``restart:stage2+`` those of stage 2 or later, whose moves are undone at a
 bin offset. ``--min-restarts`` and ``--min-stage2-restarts`` make a run
@@ -25,9 +21,8 @@ Every tenth draw is wide: distinct weights at n = 16..64 with
 draws at n = 2..8, alternately balanced and squeezed (a share of the head
 bins' capacity moved to the middle bins). The other half sits below the
 threshold (n = 2..6, ``d = 1..40``), with the total split evenly or each
-capacity near its bin's diagonal load, and random ``r``, ``N``,
-``max_rounds`` and ``fallback_to_oracle``, so that stage restarts, stalls
-and the oracle fallback all occur.
+capacity near its bin's diagonal load, and random ``r``, ``N`` and
+``max_rounds``, so that stage restarts and stalls occur.
 Run it as
 ``PYTHONPATH=src python tests/solve_differential.py --solves 5000 --other old/src``.
 """
@@ -44,7 +39,6 @@ from fractions import Fraction
 import hmbp.solver
 from hmbp.core import WeightProfile, b_constant, d_threshold, make_instance
 from hmbp.criteria import tight_profile
-from hmbp.oracle import BudgetExceeded, decide
 from hmbp.solver import SolverConfig, solve
 
 
@@ -97,29 +91,9 @@ def draw(rng, index):
         "r": rng.choice([None, 1, 1, 2, rng.randint(1, 6)]),
         "N": rng.choice([None, None, 1, rng.randint(1, 12)]),
         "max_rounds": rng.choice([None, None, rng.randint(1, 40)]),
-        "fallback_to_oracle": rng.random() < 0.5,
     }
+    rng.random()  # a retired setting's draw: each seed keeps its instances
     return "below", d, w, caps, cfg
-
-
-def composed(inst, cfg) -> tuple:
-    """``(status, rounds, stall, oracle_used, trace, counts)`` of ``solve``
-    under ``cfg``, a dict of settings; with ``fallback_to_oracle`` in it,
-    the exact search decides a stalled instance unless its budget runs out."""
-    cfg = dict(cfg)
-    fallback = cfg.pop("fallback_to_oracle", False)
-    res = solve(inst, SolverConfig(**cfg))
-    status, found, oracle_used = res.status, res.assignment, False
-    if fallback and status == "indeterminate":
-        try:
-            exact = decide(inst, 0)
-        except BudgetExceeded:
-            pass
-        else:
-            status = "feasible" if exact.feasible else "infeasible"
-            found, oracle_used = exact.witness, True
-    counts = None if found is None else found.counts
-    return status, res.rounds, res.stall, oracle_used, res.trace.serialize(), counts
 
 
 class RestartWatch:
@@ -161,7 +135,10 @@ def digest(rng, index, watch: RestartWatch) -> list:
     """The draw followed by what this tree's ``solve`` made of it."""
     family, d, w, caps, cfg = draw(rng, index)
     try:
-        return [family, d, w, caps, cfg, *composed(make_instance(d, w, caps), cfg)]
+        res = solve(make_instance(d, w, caps), SolverConfig(**cfg))
+        counts = None if res.assignment is None else res.assignment.counts
+        outcome = [res.status, res.rounds, res.stall, res.trace.serialize(), counts]
+        return [family, d, w, caps, cfg, *outcome]
     except Exception as exc:  # compared like any other outcome
         return [family, d, w, caps, cfg, f"error: {type(exc).__name__}: {exc}"]
     finally:
@@ -169,15 +146,14 @@ def digest(rng, index, watch: RestartWatch) -> list:
 
 
 def tally_of(rows) -> Counter:
-    """Statuses, oracle decisions and stall kinds over the digests."""
+    """Statuses and stall kinds over the digests."""
     tally = Counter()
     for row in rows:
         if len(row) == 6:
             tally["error"] += 1
             continue
-        status, stall, oracle_used = row[5], row[7], row[8]
+        status, stall = row[5], row[7]
         tally[status] += 1
-        tally["oracle"] += oracle_used
         if stall is not None:
             tally["stall:" + stall.split(":", 1)[0]] += 1
     return tally

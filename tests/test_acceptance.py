@@ -164,7 +164,7 @@ def test_criterion_5_trace_regressions():
         moves = []
         shrink_gaps(
             a,
-            caps6,
+            [0, *gap_vector(a, caps6)],
             MatchingPermutation((1, 4, 2, 3, 6, 5)),
             moves,
         )
@@ -188,7 +188,7 @@ def test_criterion_5_trace_regressions():
         moves = []
         shrink_gaps(
             a,
-            caps5,
+            [0, *gap_vector(a, caps5)],
             MatchingPermutation((1, 2, 3, 4, 5)),
             moves,
         )

@@ -462,6 +462,26 @@ class TestAssignment:
             Assignment(1, (2, 1), (1, 1), [[(c, 1)], [(0, 1)]])
         assert str(exc.value) == f"bin 1 holds unknown class {c}"
 
+    @pytest.mark.parametrize("q", [5.5, True, 8.0])
+    def test_non_integer_counts_are_refused(self, q):
+        # Half a ball once passed: bins of 5.5 + 2.5 balls met every sum.
+        # A count must be an int; a bool or a float is refused at once.
+        w = WeightProfile((3, 1, 1))
+        message = f"bin 1: count {q!r} is not an integer"
+        with pytest.raises(ProfileError, match=message):
+            Assignment.from_bins(w, 8, [{3: q, 1: 8 - q}, {1: 8 - q, 3: q}, {1: 8}])
+        with pytest.raises(ProfileError, match=message):
+            Assignment(1, (2, 1), (1, 1), [[(0, q)], [(1, 1)]])
+
+    @pytest.mark.parametrize("q", [0.5, True, 1.0])
+    def test_apply_refuses_non_integer_counts(self, q):
+        a = Assignment.diagonal(WeightProfile((3, 1)), 2)
+        message = f"transfer count must be a non-negative integer, got {q!r}"
+        with pytest.raises(ProfileError, match=message):
+            a.apply([(3, q, 0, 1), (1, q, 1, 0)])
+        assert a == Assignment.diagonal(WeightProfile((3, 1)), 2)
+        a.validate()
+
     def test_unknown_value_rejected(self):
         with pytest.raises(ProfileError):
             Assignment.from_bins(WeightProfile((2, 1)), 1, [{2: 1}, {7: 1}])
