@@ -296,9 +296,10 @@ class Assignment:
     Bin ``j`` (0-based; reports print bins 1-based) is a dict ``{value:
     count}`` of positive counts, kept with its load; every bin holds ``d``
     balls, and all hold ``class_supply[c]`` of ``class_values[c]``
-    (decreasing). The constructor takes per-bin ``(class, count)`` pairs,
-    ``class`` indexing ``class_values`` (any other raises), ``count`` an
-    ``int`` (a bool or a float raises) and repeated classes adding up, and
+    (decreasing). The constructor takes ``int`` ``d``, values and supplies
+    and per-bin ``(class, count)`` pairs, ``class`` indexing
+    ``class_values`` (any other raises), ``count`` an ``int`` and repeated
+    classes adding up (a bool or a float anywhere raises), and
     runs one check; :attr:`counts` is a dense view
     ``counts[c][j]``. Only :meth:`apply`, which moves balanced
     groups of transfers, and :meth:`prepend_bin`, which adds a full bin and
@@ -308,7 +309,11 @@ class Assignment:
     __slots__ = ("d", "class_values", "class_supply", "_bins", "_bin_weights")
 
     def __init__(self, d: int, class_values, class_supply, bins) -> None:
-        values = tuple(class_values)
+        values, supply = tuple(class_values), tuple(class_supply)
+        for what, row in (("d", (d,)), ("class value", values), ("supply", supply)):
+            for x in row:
+                if type(x) is not int:
+                    raise ProfileError(f"{what} {x!r} is not an integer")
         m = len(values)
         held = [0] * m
         stored, loads, sizes = [], [], []
@@ -333,7 +338,7 @@ class Assignment:
             sizes.append(balls)
         if low <= 0:  # a count may net to 0
             stored = [{v: q for v, q in b.items() if q} for b in stored]
-        self.d, self.class_values, self.class_supply = d, values, tuple(class_supply)
+        self.d, self.class_values, self.class_supply = d, values, supply
         self._bins, self._bin_weights = stored, loads
         self._check(held, sizes, low)
 
@@ -465,8 +470,11 @@ class Assignment:
 
         ``value`` joins the top class when it equals the top value and opens
         a new top class above it when heavier; a lighter value would break
-        the non-increasing order of the positions and raises.
+        the non-increasing order of the positions and raises, as does a
+        value that is not an ``int``.
         """
+        if type(value) is not int:
+            raise ProfileError(f"prepended value {value!r} is not an integer")
         top = self.class_values[0]
         if value < top:
             raise ProfileError(

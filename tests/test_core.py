@@ -473,6 +473,35 @@ class TestAssignment:
         with pytest.raises(ProfileError, match=message):
             Assignment(1, (2, 1), (1, 1), [[(0, q)], [(1, 1)]])
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.0, (3,), (2,), [[(0, 2)]]), "d 2.0 is not an integer"),
+            ((True, (3,), (1,), [[(0, 1)]]), "d True is not an integer"),
+            ((2, (3.5,), (2,), [[(0, 2)]]), "class value 3.5 is not an integer"),
+            ((1, (1, True), (1, 1), [[(0, 1)], [(1, 1)]]), "class value True is"),
+            ((2, (3,), (2.0,), [[(0, 2)]]), "supply 2.0 is not an integer"),
+            ((1, (2, 1), (1, False), [[(0, 1)], []]), "supply False is not"),
+        ],
+        ids=[
+            "float-d", "bool-d", "float-value", "bool-value", "float-supply", "bool-supply"
+        ],
+    )
+    def test_non_integer_d_values_and_supplies_are_refused(self, args, message):
+        # Assignment(2.0, ...) once built d=2.0, and a supply of 2.0 was kept
+        # as given: d, every class value and every supply must be an int.
+        with pytest.raises(ProfileError, match=message):
+            Assignment(*args)
+
+    @pytest.mark.parametrize("top, value", [(3, 3.5), (3, 3.0), (0, True)])
+    def test_prepend_bin_refuses_non_integer_values(self, top, value):
+        # single_bin(3, 2).prepend_bin(3.5) once gave [3.5^2 | 3^2].
+        a = Assignment.single_bin(top, 2)
+        with pytest.raises(ProfileError, match=f"prepended value {value!r} is not"):
+            a.prepend_bin(value)
+        assert a == Assignment.single_bin(top, 2)
+        assert a.class_supply == (2,)
+
     @pytest.mark.parametrize("q", [0.5, True, 1.0])
     def test_apply_refuses_non_integer_counts(self, q):
         a = Assignment.diagonal(WeightProfile((3, 1)), 2)

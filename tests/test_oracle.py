@@ -13,21 +13,28 @@ from pathlib import Path
 
 import pytest
 
+import differential
 import hmbp
-from bruteforce import decide_naive, min_bin1_naive
-import kernel_differential
+import reference
 from helpers import normalize
 from hmbp import _search
 from hmbp.core import (
     Instance,
     ProfileError,
     WeightProfile,
+    b_constant,
+    d_threshold,
     is_k_feasible,
     make_instance,
 )
-from hmbp.criteria import classify
+from hmbp.criteria import classify, tight_profile
 from hmbp.oracle import BudgetExceeded, OracleError, decide, min_bin1_weight
-from hmbp.witness import extremal_witness, relaxed_witness, verify_witness
+from hmbp.witness import (
+    extremal_capacities,
+    extremal_witness,
+    relaxed_witness,
+    verify_witness,
+)
 
 SEVEN_DISTINCT = make_instance(
     7, (6, 5, 4, 3, 2, 1, 0), tuple(7 * v + 2 for v in (6, 5, 4, 3, 2, 1, 0))
@@ -116,12 +123,13 @@ class TestAgainstNaiveReference:
         rng = random.Random(5)
         for inst in small_instances(rng, 250):
             k = rng.randint(0, inst.n)
-            assert decide(inst, k).feasible == decide_naive(inst, k), inst
+            want = reference.decide(inst, k) is not None
+            assert decide(inst, k).feasible == want, inst
 
     def test_min_bin1_matches(self):
         rng = random.Random(6)
         for inst in small_instances(rng, 200):
-            expected = min_bin1_naive(inst)
+            expected = reference.min_bin1(inst)
             if expected is None:
                 with pytest.raises(OracleError):
                     min_bin1_weight(inst)
@@ -212,37 +220,92 @@ def test_free_bins_are_filled_heaviest_first(d, w, caps, k, witness, nodes):
     assert res.nodes_explored == nodes
 
 
+SRC = str(Path(hmbp.__file__).parent.parent)
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["--calls", "200"],
-        ["--calls", "40", "--wide"],
-        ["--calls", "12", "--near-tight"],
-    ],
+    "family, count",
+    [("narrow", 200), ("wide", 40), ("near-tight", 12)],
     ids=["narrow", "wide", "near-tight"],
 )
-def test_kernel_differential_runs_against_this_kernel(argv, capsys):
-    # Keeps the differential script working: this tree's kernel against its
-    # own source file must agree on every call and meet all three statuses.
-    code = kernel_differential.main([_search.__file__, *argv])
+def test_kernel_differential_runs_against_this_kernel(family, count, capsys):
+    # Keeps tests/differential.py working on the kernel families: this tree
+    # against its own src, loaded through --other, agrees on every call and
+    # meets all three statuses.
+    argv = ["--family", family, "--count", str(count), "--other", SRC]
+    code = differential.main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert " 0 mismatches;" in out
+    assert f"{count} cases, 0 mismatches;" in out
     for status in ("infeasible", "feasible", "budget"):
         assert f"'{status}':" in out
 
 
 def test_kernel_differential_runs_against_the_reference(capsys):
     # The --reference mode compares this tree's statuses with the reference
-    # decider's on the narrow draw, and takes no other kernel.
-    code = kernel_differential.main(["--reference", "--calls", "30"])
+    # decider's on the narrow family, and takes no other tree or family.
+    code = differential.main(["--reference", "--count", "30"])
     out = capsys.readouterr().out
     assert code == 0
-    assert " 0 mismatches;" in out
+    assert "30 cases, 0 mismatches;" in out
     for status in ("infeasible", "feasible"):
         assert f"'{status}':" in out
-    with pytest.raises(SystemExit):
-        kernel_differential.main([_search.__file__, "--reference"])
+    for argv in (["--other", SRC], ["--family", "wide"]):
+        with pytest.raises(SystemExit):
+            differential.main(["--reference", *argv])
+
+
+def test_differential_families_have_their_shapes():
+    # Each family of tests/differential.py draws what its docstring states,
+    # over 250 draws at seed 1.
+    shapes = Counter()
+    exact = 0
+    rng = random.Random(1)
+    for index in range(250):
+        shape, d, w, caps, _ = differential.FAMILIES["solve"].draw(rng, index)
+        n, b = len(w), b_constant(WeightProfile(w))
+        s = sum(caps) - d * sum(w)
+        if shape == "squeezed":
+            # A squeeze keeps the tight profile's total. That total is
+            # d*sum(w) + b(w) unless raising a dip in d*w_i + b_i - b_(i+1)
+            # adds to it, as on 4 of these 50 draws: w = (2, 2, 0, 0) has
+            # b(w) = 3 and tight slack 4.
+            tight = sum(tight_profile(WeightProfile(w), d)) - d * sum(w)
+            assert list(caps) == sorted(caps, reverse=True)
+            assert s == tight >= b, (w, d, caps)
+            exact += s == b
+        elif shape in ("wide", "balanced"):
+            assert d == d_threshold(WeightProfile(w))
+            assert 0 <= s - b <= 6 * n, (w, d, caps)
+        else:
+            assert shape == "below" and 1 <= d <= 40 and 2 <= n <= 6
+        shapes[shape] += 1
+    assert shapes == {"wide": 25, "balanced": 50, "squeezed": 50, "below": 125}
+    assert exact == 46
+    for family, sizes in (("narrow", (1, 12)), ("wide", (13, 40))):
+        rng, draw = random.Random(1), differential.FAMILIES[family].draw
+        for index in range(250):
+            values, supply, caps, d, k, _ = draw(rng, index)
+            n = len(caps)
+            assert sizes[0] <= n <= sizes[1] and 0 <= k <= n
+            assert all(a > b for a, b in zip(values, values[1:])), values
+            assert len(supply) == len(values) and sum(supply) == d * n
+    rng, draw = random.Random(1), differential.FAMILIES["near-tight"].draw
+    shapes = Counter()
+    for index in range(250):
+        values, supply, caps, d, k, _ = draw(rng, index)
+        n = len(values)
+        assert 30 <= n <= 60 and n <= d <= n + 3 and len(caps) == n
+        assert all(a > b for a, b in zip(values, values[1:])), values
+        assert supply == [d] * n
+        if caps == [d * v + 1 for v in values]:
+            assert k == 0
+            shapes["d*v + 1"] += 1
+        else:
+            assert caps == list(extremal_capacities(WeightProfile(values), d))
+            assert k in (0, 1)
+            shapes["extremal"] += 1
+    assert min(shapes.values()) > 50
 
 
 SIXTY_W = tuple(range(60, 0, -1))

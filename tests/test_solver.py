@@ -48,7 +48,7 @@ from hmbp.solver import (
     solve,
 )
 
-import solve_differential
+import differential
 from family import cross_check
 from helpers import bins_as_dicts
 
@@ -731,7 +731,7 @@ def test_a_late_stage_restarts_from_its_start(monkeypatch):
 
     monkeypatch.setattr(hmbp.solver, "descend", recording_descend)
     inst = make_instance(10, (6, 6, 2, 1, 0), (69, 58, 19, 9, 8))
-    with solve_differential.RestartWatch() as watch:
+    with differential.RestartWatch() as watch:
         result = solve(inst)
         watch.solved(inst.n)
     assert result.status == "feasible"
@@ -836,9 +836,9 @@ def test_stages_whose_head_bin_fits_make_no_descent(monkeypatch, w, shape, desce
     # non-constant suffix on these anchors).
     d = d_threshold(WeightProfile(w))
     if shape == "balanced":
-        caps = solve_differential.balanced(w, d, 5 * len(w))
+        caps = differential.balanced(w, d, 5 * len(w))
     else:
-        caps = solve_differential.squeezed(w, d, Fraction(1, 3))
+        caps = differential.squeezed(w, d, Fraction(1, 3))
     calls = []
     original = hmbp.solver.descend
 
@@ -1138,7 +1138,7 @@ def test_feasible_solve_replays_its_trace():
     cases = [(make_instance(r["d"], r["w"], r["C"]), r["cfg"]) for r in records]
     rng = random.Random(1)
     for index in range(500):
-        _, d, w, caps, cfg = solve_differential.draw(rng, index)
+        _, d, w, caps, cfg = differential.draw(rng, index)
         cases.append((make_instance(d, w, caps), cfg))
     replayed = Counter()
     for case, (inst, cfg) in enumerate(cases):
@@ -1229,10 +1229,11 @@ def test_family_slice_solver_feasible_is_oracle_feasible():
 
 
 def test_solve_differential_runs_against_this_tree(monkeypatch, capsys):
-    # Keeps tests/solve_differential.py working: this tree against its own
-    # src in a subprocess agrees on every solve, and a hundred draws meet
-    # both statuses of solve, the stall kinds that end solves on these
-    # draws and stage restarts (stalls that _descend_stage retries).
+    # Keeps tests/differential.py working on the solve family: this tree
+    # against its own src, loaded through --other, agrees on every solve,
+    # and a hundred draws meet both statuses of solve, the stall kinds that
+    # end solves on these draws and stage restarts (stalls that
+    # _descend_stage retries).
     caught = Counter()
     original = hmbp.solver.descend
 
@@ -1245,12 +1246,14 @@ def test_solve_differential_runs_against_this_tree(monkeypatch, capsys):
 
     monkeypatch.setattr(hmbp.solver, "descend", counting_descend)
     src = Path(hmbp.solver.__file__).parent.parent
-    argv = ["--solves", "100", "--seed", "3", "--other", str(src)]
-    code = solve_differential.main(argv)
+    argv = ["--family", "solve", "--count", "100", "--seed", "3", "--other", str(src)]
+    code = differential.main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert "100 solves, 0 mismatches;" in out
-    tally = ast.literal_eval(out.split(";", 1)[1].strip())
+    assert out.startswith("100 cases, 0 mismatches;")
+    _, tally, times = out.split("; ")
+    assert times.startswith("this tree ") and ", other " in times
+    tally = ast.literal_eval(tally)
     for key in ("feasible", "indeterminate"):
         assert tally.get(key, 0) > 0, key
     assert not {"infeasible", "error"} & set(tally)
@@ -1266,8 +1269,8 @@ def test_solve_differential_runs_against_this_tree(monkeypatch, capsys):
 
 def test_solve_differential_requires_its_restarts(capsys):
     # These hundred draws restart 11 stages, none of stage 2 or later.
-    argv = ["--solves", "100", "--seed", "3", "--min-restarts", "11"]
-    assert solve_differential.main(argv) == 0
-    assert solve_differential.main(argv + ["--min-stage2-restarts", "1"]) == 1
+    argv = ["--family", "solve", "--count", "100", "--seed", "3", "--min", "restart=11"]
+    assert differential.main(argv) == 0
+    assert differential.main(argv + ["--min", "restart:stage2+=1"]) == 1
     err = capsys.readouterr().err
     assert err == "0 restart:stage2+ below the required 1\n"
