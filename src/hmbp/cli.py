@@ -22,8 +22,10 @@ import time
 from contextlib import nullcontext
 
 from . import oracle as _oracle
+from . import solver as _solver
 from . import witness as _witness
 from .core import (
+    DEFAULT_NODE_BUDGET,
     CapacityProfile,
     Instance,
     ProfileError,
@@ -33,7 +35,6 @@ from .core import (
     gap_vector,
 )
 from .criteria import Feasibility, classify, suffix_report, tight_profile
-from .solver import SolverConfig, solve
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -164,11 +165,11 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load(args.file)
-    cfg = SolverConfig(r=args.r, N=args.N, max_rounds=args.max_rounds)
+    cfg = _solver.SolverConfig(r=args.r, N=args.N, max_rounds=args.max_rounds)
     # The trace file is opened first, so that a path that cannot be opened
     # exits 3 before the solve rather than after it.
     with _open(args.trace, "w") if args.trace else nullcontext() as trace:
-        result = solve(inst, cfg)
+        result = _solver.solve(inst, cfg)
         if trace is not None:
             trace.write(result.trace.serialize())
     out = sys.stdout
@@ -284,7 +285,7 @@ def _bench_rows(w: WeightProfile, d_lo: int, d_hi: int, mode: str):
                 continue  # the witness construction needs d >= n
             inst = _witness.extremal_witness(w, d).instance
         verdict = classify(inst)
-        result = solve(inst, SolverConfig())
+        result = _solver.solve(inst, _solver.SolverConfig())
         oracle_word = ""
         try:
             res = _oracle.decide(inst, 0, node_budget=_BENCH_ORACLE_BUDGET)
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     only = p.add_mutually_exclusive_group()
     only.add_argument("--k", type=int, default=None)
     only.add_argument("--wmin", action="store_true")
-    p.add_argument("--budget", type=_positive_int, default=_oracle.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("witness", help="emit an infeasibility witness instance")

@@ -20,12 +20,17 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, repeat
-from operator import index, sub
+from operator import gt, index, sub
 from typing import NamedTuple
 
 
 class ProfileError(ValueError):
     """Raised for malformed weight/capacity profiles or invalid queries."""
+
+
+# The exact search's node budget when the caller names none. It lives here,
+# not in `oracle`, so that a default read at import time loads no engine.
+DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class _Record:
@@ -296,8 +301,8 @@ class Assignment:
     Bin ``j`` (0-based; reports print bins 1-based) is a dict ``{value:
     count}`` of positive counts, kept with its load; every bin holds ``d``
     balls, and all hold ``class_supply[c]`` of ``class_values[c]``
-    (decreasing). The constructor takes ``int`` ``d``, values and supplies
-    and per-bin ``(class, count)`` pairs, ``class`` indexing
+    (strictly decreasing). The constructor takes ``int`` ``d`` (at least 1),
+    values and supplies and per-bin ``(class, count)`` pairs, ``class`` indexing
     ``class_values`` (any other raises), ``count`` an ``int`` and repeated
     classes adding up (a bool or a float anywhere raises), and
     runs one check; :attr:`counts` is a dense view
@@ -345,9 +350,14 @@ class Assignment:
     def _check(self, held, sizes, low) -> None:
         """The one check of the constructor and :meth:`validate`, given the
         balls of each class and of each bin and the least count. First fault
-        raises: by class, heaviest first, a negative count or a total other
-        than the supply; then the first bin without ``d`` balls."""
+        raises: ``d`` below 1, then class values that do not strictly
+        decrease; then by class, heaviest first, a negative count or a total
+        other than the supply; then the first bin without ``d`` balls."""
         values, supply, d = self.class_values, self.class_supply, self.d
+        if d < 1:
+            raise ProfileError(f"d {d} is not positive")
+        if not all(map(gt, values, values[1:])):
+            raise ProfileError(f"class values {values} do not strictly decrease")
         if low < 0 or tuple(held) != supply:
             for c, v in enumerate(values):
                 if any(b.get(v, 0) < 0 for b in self._bins):
@@ -497,12 +507,16 @@ class Assignment:
     def validate(self) -> None:
         """Check the counts from scratch, with the check of the constructor."""
         held = dict.fromkeys(self.class_values, 0)
+        sizes = []
         low = 1
-        for v, q in chain.from_iterable(map(dict.items, self._bins)):
-            held[v] += q
-            if q < low:
-                low = q
-        sizes = list(map(sum, map(dict.values, self._bins)))
+        for b in self._bins:
+            balls = 0
+            for v, q in b.items():
+                held[v] += q
+                balls += q
+                if q < low:
+                    low = q
+            sizes.append(balls)
         self._check(list(held.values()), sizes, low)
 
     def bin_notation(self, j: int) -> str:

@@ -19,9 +19,13 @@ import time
 from typing import NamedTuple
 
 from . import _search
-from .core import Assignment, Instance, ProfileError, is_k_feasible
-
-DEFAULT_NODE_BUDGET = 10_000_000
+from .core import (
+    DEFAULT_NODE_BUDGET,
+    Assignment,
+    Instance,
+    ProfileError,
+    is_k_feasible,
+)
 
 
 class BudgetExceeded(RuntimeError):

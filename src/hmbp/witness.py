@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from . import oracle as _oracle
 from .core import (
+    DEFAULT_NODE_BUDGET,
     Assignment,
     CapacityProfile,
     Instance,
@@ -214,7 +215,7 @@ class WitnessVerification(NamedTuple):
 
 def verify_witness(
     wit: WitnessInstance,
-    node_budget: int = _oracle.DEFAULT_NODE_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WitnessVerification:
     """Check every claim the witness makes, by oracle where affordable.
 

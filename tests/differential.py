@@ -57,6 +57,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import hmbp._search
 import hmbp.solver
 import reference
 from hmbp.core import WeightProfile, b_constant, d_threshold
@@ -70,7 +71,8 @@ STATUSES = ("infeasible", "feasible", "budget")  # by kernel status code
 
 def load_tree(src):
     """The ``hmbp`` package in the directory ``src``, imported afresh as
-    ``hmbp_other``."""
+    ``hmbp_other``, with its kernel ``_search`` imported by name: a package
+    that loads its engines lazily has not imported the kernel yet."""
     for name in [m for m in sys.modules if m.split(".")[0] == "hmbp_other"]:
         del sys.modules[name]
     package = Path(src, "hmbp")
@@ -79,6 +81,7 @@ def load_tree(src):
     )
     tree = sys.modules["hmbp_other"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tree)
+    importlib.import_module("hmbp_other._search")
     return tree
 
 

@@ -529,21 +529,22 @@ class TestExitCodeContract:
         assert err.startswith("error: [Errno ")
 
     @pytest.mark.parametrize(
-        "argv, work",
+        "argv, owner, work",
         [
-            (["solve", "{file}", "--trace", "{dir}"], "solve"),
+            # the CLI reads `solve` from the solver module at call time
+            (["solve", "{file}", "--trace", "{dir}"], hmbp.solver, "solve"),
             (["bench", "--w", "3", "1", "--d-min", "2", "--d-max", "2", "--mode",
-              "tight", "--out", "{dir}"], "_bench_rows"),
+              "tight", "--out", "{dir}"], hmbp.cli, "_bench_rows"),
         ],
         ids=["solve-trace-dir", "bench-out-dir"],
     )
     def test_unopenable_output_exits_before_the_work(
-        self, argv, work, six_bin_file, tmp_path, capsys, monkeypatch
+        self, argv, owner, work, six_bin_file, tmp_path, capsys, monkeypatch
     ):
         def never(*args, **kwargs):
             raise AssertionError(f"{work} ran before the output path was opened")
 
-        monkeypatch.setattr(hmbp.cli, work, never)
+        monkeypatch.setattr(owner, work, never)
         argv = [a.format(file=six_bin_file, dir=tmp_path) for a in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_INPUT_ERROR

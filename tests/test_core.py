@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 from collections import Counter
 from operator import mul
@@ -491,6 +492,22 @@ class TestAssignment:
         # Assignment(2.0, ...) once built d=2.0, and a supply of 2.0 was kept
         # as given: d, every class value and every supply must be an int.
         with pytest.raises(ProfileError, match=message):
+            Assignment(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, (1, 3), (1, 1), [[(0, 1)], [(1, 1)]]), "(1, 3) do not strictly"),
+            ((1, (3, 3), (1, 1), [[(0, 1)], [(1, 1)]]), "(3, 3) do not strictly"),
+            ((0, (3,), (0,), [[]]), "d 0 is not positive"),
+            ((-1, (3,), (0,), []), "d -1 is not positive"),
+        ],
+        ids=["increasing-values", "equal-values", "zero-d", "negative-d"],
+    )
+    def test_unordered_values_and_d_below_one_are_refused(self, args, message):
+        # Values (1, 3) once built [1^1 | 3^1], (3, 3) two classes of one
+        # value, and d = 0 or -1 an assignment of empty bins or of none.
+        with pytest.raises(ProfileError, match=re.escape(message)):
             Assignment(*args)
 
     @pytest.mark.parametrize("top, value", [(3, 3.5), (3, 3.0), (0, True)])

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hmbp
 
 
@@ -191,20 +193,100 @@ def test_no_dataclasses_import():
     assert found == []
 
 
-def test_cli_import_loads_every_layer_and_no_dataclasses():
-    # `-S` skips `site`, so nothing preloaded by a .pth file can hide an
-    # import; `src` goes on the path by hand. The package stays eager: the
-    # bench's tracer looks every layer up in sys.modules once `hmbp` is in.
+def _fresh(body):
+    """The stdout of ``body`` run in a fresh ``python -S`` process. `-S`
+    skips `site`, so nothing preloaded by a .pth file can hide an import;
+    `src` goes on the path by hand."""
     src = str(Path(hmbp.__file__).parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import hmbp.cli; print(*sys.modules)"
+    code = f"import sys; sys.path.insert(0, {src!r})\n{body}"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return proc.stdout
+
+
+# Prints, as its last line, the `hmbp` modules that have run. A lazy module
+# is in sys.modules from registration on, but its type stays a subclass of
+# ModuleType until its first attribute read runs it.
+_PRINT_EXECUTED = """
+import types
+print(*sorted(
+    name for name, module in list(sys.modules.items())
+    if name.split(".")[0] == "hmbp" and type(module) is types.ModuleType
+))
+"""
+EAGER = {"hmbp", "hmbp.core", "hmbp.criteria", "hmbp.witness"}
+ORACLE = {"hmbp.oracle", "hmbp._search"}
+
+
+def _executed(body):
+    return set(_fresh(body + _PRINT_EXECUTED).splitlines()[-1].split())
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    # Every layer is in sys.modules once `hmbp` is in, as the bench's tracer
+    # needs, but the two engines are registered there unexecuted.
+    out = _fresh("import hmbp.cli; print(*sys.modules)" + _PRINT_EXECUTED)
+    loaded, executed = (set(line.split()) for line in out.splitlines()[-2:])
     assert {"dataclasses", "inspect"} & loaded == set()
     layers = ("core", "criteria", "oracle", "solver", "witness")
     assert {f"hmbp.{name}" for name in layers} <= loaded
+    assert "hmbp._search" not in loaded
+    assert executed == EAGER | {"hmbp.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (["check", "{file}"], set()),
+        (["info", "--w", "3", "1"], set()),
+        (["witness", "--w", "3", "1", "--d", "2"], set()),
+        (["solve", "{file}"], {"hmbp.solver"}),
+        (["oracle", "{file}"], ORACLE),
+        (["oracle", "--wmin", "{file}"], ORACLE),
+        (
+            ["bench", "--w", "3", "1", "--d-min", "2", "--d-max", "2",
+             "--mode", "tight"],
+            ORACLE | {"hmbp.solver"},
+        ),
+    ],
+    ids=["check", "info", "witness", "solve", "oracle", "oracle-wmin", "bench"],
+)
+def test_each_command_runs_only_the_engines_it_uses(argv, engines, tmp_path):
+    # Compiling an engine costs a CLI process more than most commands
+    # compute, so each command runs only the engines it calls.
+    path = tmp_path / "inst.txt"
+    path.write_text("d: 2\nw: 3 1\nC: 6 3\n", encoding="utf-8")
+    argv = [a.format(file=path) for a in argv]
+    executed = _executed(f"from hmbp.cli import main; main({argv!r})")
+    assert executed == EAGER | {"hmbp.cli"} | engines
+
+
+def test_an_engine_runs_on_its_first_attribute_read():
+    # The bench's tracer reads each traced function off the module in
+    # sys.modules; that read runs the engine, and only that one.
+    executed = _executed(
+        'import hmbp; getattr(sys.modules["hmbp.solver"], "solve")'
+    )
+    assert executed == EAGER | {"hmbp.solver"}
+
+
+def test_package_names_resolve_and_are_listed():
+    # `dir` lists the engines' names without running them; reading one
+    # resolves it through the module `__getattr__`.
+    out = _fresh(
+        "import hmbp; print(*dir(hmbp))" + _PRINT_EXECUTED
+        + "print(all(hasattr(hmbp, name) for name in hmbp.__all__))"
+        + _PRINT_EXECUTED
+    )
+    listed, before, resolved, after = out.splitlines()
+    assert set(hmbp.__all__) <= set(listed.split())
+    assert set(before.split()) == EAGER
+    assert resolved == "True"
+    assert set(after.split()) == EAGER | ORACLE | {"hmbp.solver"}
+    assert hmbp.decide is hmbp.oracle.decide and hmbp.solve is hmbp.solver.solve
+    assert not hasattr(hmbp, "no_such_name")
 
 
 def _resolves(dotted):
