@@ -200,9 +200,11 @@ class WitnessVerification(NamedTuple):
     """The checks :func:`verify_witness` ran, in order.
 
     ``ok`` is true when every check passed. ``oracle_backed`` is true when
-    the oracle decided every claim the companion did not settle: always the
-    infeasibility claim, and the feasibility claim when no companion holding
-    this instance's balls shows it.
+    the exact search decided every claim the companion did not settle:
+    always the infeasibility claim, and the feasibility claim when no
+    companion holding this instance's balls shows it. The search may have
+    decided a claim in this call or earlier on the same instance, whose
+    record (:mod:`hmbp.oracle`) then answers it within the same budget.
     """
 
     ok: bool
@@ -226,7 +228,9 @@ def verify_witness(
     ``"feasible-above-claim"``. The exact search confirms the infeasibility
     claim, and the feasibility claim too when no companion settled it,
     unless the node budget runs out, in which case the result is flagged as
-    analytic-only. ``node_budget=0`` asks for the analytic checks only.
+    analytic-only. An infeasibility the search already decided on this
+    instance is read from the instance's record, charged its node count.
+    ``node_budget=0`` asks for the analytic checks only.
     """
     inst, i0, level = wit.instance, wit.relax_index, wit.companion_level
     if not 1 <= i0 <= inst.n:

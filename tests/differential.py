@@ -20,6 +20,14 @@ threshold (n = 2..6, ``d = 1..40``), with the total split evenly or each
 capacity near its bin's diagonal load, and random ``r``, ``N`` and
 ``max_rounds``, so that stage restarts and stalls occur.
 
+The ``wmin`` family asks ``hmbp.oracle.min_bin1_weight`` (W^min) of desk
+instances: n = 3..10, d = 1..9, balanced capacities with slack 0, 1, 2,
+n or 3n, then up to three moves of 1..3 units between bins. Every other
+draw asks ``decide(inst, 1)`` of the same instance first, so W^min's first
+question is read from the instance's record on half the draws and searched
+on the other half. The outcome is the value, ``not-1-feasible`` (an
+``OracleError``) or ``budget`` (a refusal at ``WMIN_BUDGET`` nodes).
+
 Without ``--other`` the script prints one digest line per case: the case
 and this tree's outcome (a kernel's ``(status, bins, nodes)``; a solve's
 status, rounds, stall text, ``trace.serialize()`` and final counts) as one
@@ -31,13 +39,14 @@ the summary line then ends with each side's seconds. A difference, or a
 feasible kernel answer of this tree that is not a valid assignment, is a
 mismatch: the first ones go to stderr, and the exit status is non-zero.
 ``--reference`` takes no other tree: it compares this tree's statuses on the
-narrow family with those of ``tests/reference.py``, which shares no rule
-with the kernel, skipping the calls the kernel refuses at its budget and
-those on which the reference tries more than ``REFERENCE_FILLS`` count
-vectors.
+narrow family, or its W^min outcomes on the wmin family, with those of
+``tests/reference.py``, which shares no rule with the kernel, skipping the
+cases this tree refuses at its budget and those on which the reference
+tries more than ``REFERENCE_FILLS`` count vectors.
 
 The summary line tallies this tree's outcomes: kernel statuses, or solve
-statuses, stall kinds (the operation that stalled) and stage restarts.
+statuses, stall kinds (the operation that stalled) and stage restarts, or
+W^min outcomes and how many draws asked ``decide`` first.
 ``restart`` counts every stage that ``solve`` undid and began again after a
 stall, and ``restart:stage2+`` those of stage 2 or later, whose moves are
 undone at a bin offset. ``--min KEY=N`` makes a run whose tally holds fewer
@@ -60,13 +69,15 @@ from typing import Callable, NamedTuple
 import hmbp._search
 import hmbp.solver
 import reference
-from hmbp.core import WeightProfile, b_constant, d_threshold
+from hmbp.core import WeightProfile, b_constant, d_threshold, make_instance
 from hmbp.criteria import tight_profile
 from hmbp.witness import extremal_capacities
 
 # The count vectors the reference may try on one call before it is skipped.
 REFERENCE_FILLS = 100_000
 STATUSES = ("infeasible", "feasible", "budget")  # by kernel status code
+# The node budget of each oracle call of the wmin family.
+WMIN_BUDGET = 200_000
 
 
 def load_tree(src):
@@ -292,17 +303,79 @@ def solve_keys(case, outcome):
     return [status] + ([] if stall is None else ["stall:" + stall.split(":", 1)[0]])
 
 
+def wmin_draw(rng, index):
+    """One W^min case ``(d, w, caps, ask_first)``; ``ask_first`` on every
+    other draw."""
+    n, top = rng.randint(3, 10), rng.randint(1, 9)
+    w = [top] + sorted((rng.randint(0, top) for _ in range(n - 1)), reverse=True)
+    d = rng.randint(1, 9)
+    caps = balanced(w, d, rng.choice([0, 1, 2, n, 3 * n]))
+    for _ in range(rng.randint(0, 3)):
+        src, dst = rng.sample(range(n), 2)
+        units = rng.randint(1, 3)
+        caps[src] -= units
+        caps[dst] += units
+    return d, w, sorted(caps, reverse=True), index % 2 == 0
+
+
+def wmin_outcome(tree, case, watch):
+    """``tree``'s W^min of a draw, after ``decide(inst, 1)`` on the same
+    instance when the draw asks it first; the ``watch`` sees nothing."""
+    d, w, caps, ask_first = case
+    inst = tree.make_instance(d, w, caps)
+    if ask_first:
+        try:
+            tree.decide(inst, 1, WMIN_BUDGET)
+        except tree.BudgetExceeded:
+            pass
+    try:
+        return [tree.min_bin1_weight(inst, node_budget=WMIN_BUDGET)]
+    except tree.OracleError:
+        return ["not-1-feasible"]
+    except tree.BudgetExceeded:
+        return ["budget"]
+
+
+def wmin_keys(case, outcome):
+    """The kind of a W^min outcome, and ``asked-first`` when the draw asked
+    ``decide`` first."""
+    kind = outcome[0] if isinstance(outcome[0], str) else "value"
+    return [kind] + ["asked-first"] * case[3]
+
+
+def wmin_reference_keys(case, outcome):
+    """The keys of a W^min outcome that ``reference.min_bin1`` confirms, or
+    ``None`` when the two disagree; ``reference-budget`` in place of the
+    outcome's kind when the reference tries too many fills."""
+    keys = wmin_keys(case, outcome)
+    if keys[0] == "budget":
+        return keys
+    d, w, caps, _ = case
+    try:
+        expected = reference.min_bin1(make_instance(d, w, caps), REFERENCE_FILLS)
+    except reference.TooManyFills:
+        return ["reference-budget"] + keys[1:]
+    want = "not-1-feasible" if expected is None else expected
+    return keys if outcome == [want] else None
+
+
 class Family(NamedTuple):
     draw: Callable  # (rng, index) -> one case
     run: Callable  # (tree, case, watch) -> the tree's outcome
     keys: Callable  # (case, outcome) -> tally keys; None for a malformed outcome
+    # (case, outcome) -> tally keys checked against tests/reference.py; None
+    # when the family has no reference check.
+    reference: Callable | None = None
 
 
 FAMILIES = {
-    "narrow": Family(lambda rng, i: random_call(rng, False), search, search_keys),
+    "narrow": Family(
+        lambda rng, i: random_call(rng, False), search, search_keys, reference_keys
+    ),
     "wide": Family(lambda rng, i: random_call(rng, True), search, search_keys),
     "near-tight": Family(lambda rng, i: near_tight_call(rng), search, search_keys),
     "solve": Family(draw, solve_outcome, solve_keys),
+    "wmin": Family(wmin_draw, wmin_outcome, wmin_keys, wmin_reference_keys),
 }
 
 
@@ -321,10 +394,10 @@ def main(argv=None) -> int:
     p.add_argument("--reference", action="store_true")
     p.add_argument("--min", type=least, action="append", default=[], metavar="KEY=N")
     args = p.parse_args(argv)
-    if args.reference and (args.other or args.family != "narrow"):
-        p.error("--reference runs the narrow family against no other tree")
     family = FAMILIES[args.family]
-    keys = reference_keys if args.reference else family.keys
+    if args.reference and (args.other or family.reference is None):
+        p.error("--reference runs the narrow or wmin family against no other tree")
+    keys = family.reference if args.reference else family.keys
     trees = [hmbp] + ([load_tree(args.other)] if args.other else [])
     rng = random.Random(args.seed)
     seconds = [0.0] * len(trees)

@@ -83,10 +83,18 @@ def decide(inst: Instance, k: int):
     return free + bins
 
 
-def min_bin1(inst: Instance):
+class TooManyFills(Exception):
+    """The reference tried more count vectors than its budget allows."""
+
+
+def min_bin1(inst: Instance, budget=None):
     """The least bin-1 load over the 1-feasible assignments, or ``None``
-    when there is none: the lightest residual left for bin 1."""
+    when there is none: the lightest residual left for bin 1. With a
+    ``budget``, :class:`TooManyFills` is raised once more fills than that
+    have been tried."""
     values, supply = _classes(inst)
-    layers = leave(values, supply, inst.capacities.entries, inst.d, 1)
+    layers = leave(values, supply, inst.capacities.entries, inst.d, 1, budget)
+    if layers is None:
+        raise TooManyFills(f"more than {budget} fills")
     left = layers[-1] if layers else {supply: None}
     return min((sum(map(mul, r, values)) for r in left), default=None)

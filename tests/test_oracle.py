@@ -36,9 +36,14 @@ from hmbp.witness import (
     verify_witness,
 )
 
-SEVEN_DISTINCT = make_instance(
-    7, (6, 5, 4, 3, 2, 1, 0), tuple(7 * v + 2 for v in (6, 5, 4, 3, 2, 1, 0))
-)
+
+def seven_distinct():
+    # Built afresh by each test: an instance keeps the searches decided on
+    # it, and one left by an earlier test would hide a search.
+    return make_instance(
+        7, (6, 5, 4, 3, 2, 1, 0), tuple(7 * v + 2 for v in (6, 5, 4, 3, 2, 1, 0))
+    )
+
 
 # (w, d, C, W^min or None when not 1-feasible) at n = 5..8, beyond the naive
 # reference. Values were recorded from an exhaustive max-packing search of
@@ -255,6 +260,22 @@ def test_kernel_differential_runs_against_the_reference(capsys):
             differential.main(["--reference", *argv])
 
 
+def test_wmin_differential_runs(capsys):
+    # The wmin family agrees with this tree's own src, loaded through
+    # --other, and with the reference's W^min, on values, OracleErrors and
+    # draws that ask decide(inst, 1) first.
+    for argv in (["--other", SRC], ["--reference"]):
+        code = differential.main(["--family", "wmin", "--count", "40", *argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "40 cases, 0 mismatches;" in out
+        for key in ("value", "not-1-feasible", "asked-first"):
+            assert f"'{key}':" in out
+    for family in ("wide", "near-tight", "solve"):
+        with pytest.raises(SystemExit):
+            differential.main(["--reference", "--family", family])
+
+
 def test_differential_families_have_their_shapes():
     # Each family of tests/differential.py draws what its docstring states,
     # over 250 draws at seed 1.
@@ -290,6 +311,19 @@ def test_differential_families_have_their_shapes():
             assert sizes[0] <= n <= sizes[1] and 0 <= k <= n
             assert all(a > b for a, b in zip(values, values[1:])), values
             assert len(supply) == len(values) and sum(supply) == d * n
+    rng, draw = random.Random(1), differential.FAMILIES["wmin"].draw
+    asked = Counter()
+    for index in range(250):
+        d, w, caps, ask_first = draw(rng, index)
+        n = len(w)
+        assert 3 <= n <= 10 and 1 <= d <= 9 and len(caps) == n
+        assert list(w) == sorted(w, reverse=True) and 1 <= w[0] <= 9
+        assert list(caps) == sorted(caps, reverse=True)
+        slack = sum(caps) - d * sum(w) - b_constant(WeightProfile(w))
+        assert slack in (0, 1, 2, n, 3 * n), (w, d, caps)
+        assert ask_first == (index % 2 == 0)
+        asked[ask_first] += 1
+    assert asked == {True: 125, False: 125}
     rng, draw = random.Random(1), differential.FAMILIES["near-tight"].draw
     shapes = Counter()
     for index in range(250):
@@ -309,22 +343,26 @@ def test_differential_families_have_their_shapes():
 
 
 SIXTY_W = tuple(range(60, 0, -1))
-SIXTY = make_instance(60, SIXTY_W, tuple(60 * v + 1 for v in SIXTY_W))
+
+
+def sixty():
+    return make_instance(60, SIXTY_W, tuple(60 * v + 1 for v in SIXTY_W))
 
 
 class TestSearchDepth:
     # The search's Python stack depth must not grow with n*m: a recursive
     # search of 60 bins of 60 classes exceeds the default recursion limit.
     def test_sixty_bins_at_default_limit(self):
-        res = decide(SIXTY, 0)
+        inst = sixty()
+        res = decide(inst, 0)
         assert res.feasible and res.nodes_explored == 2011
-        assert is_k_feasible(res.witness, SIXTY.capacities, 0)
+        assert is_k_feasible(res.witness, inst.capacities, 0)
 
     def test_sixty_bins_under_a_low_recursion_limit(self):
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(100)
         try:
-            res = decide(SIXTY, 0)
+            res = decide(sixty(), 0)
         finally:
             sys.setrecursionlimit(old)
         assert res.feasible and res.nodes_explored == 2011
@@ -344,7 +382,7 @@ class TestSearchCost:
             return bisect_left(*args)
 
         monkeypatch.setattr(_search, "bisect_left", counted)
-        res = decide(SIXTY, 0)
+        res = decide(sixty(), 0)
         assert res.feasible and res.nodes_explored == 2011
         assert len(calls) <= res.nodes_explored
 
@@ -360,7 +398,7 @@ class TestSearchCost:
             return top_count(*args)
 
         monkeypatch.setattr(_search, "_top_count", counted)
-        res = decide(SIXTY, 0)
+        res = decide(sixty(), 0)
         assert res.feasible and res.nodes_explored == 2011
         assert len(calls) < res.nodes_explored // 4
 
@@ -382,7 +420,7 @@ class TestSearchCost:
             return table
 
         monkeypatch.setattr(_search, "_light_table", counted)
-        res = decide(SIXTY, 0)
+        res = decide(sixty(), 0)
         assert res.feasible and res.nodes_explored == 2011
         assert len(looped) == 60 and sum(looped) == 120
 
@@ -398,7 +436,7 @@ class TestSearchCost:
             return least_slack(*args)
 
         monkeypatch.setattr(_search, "_least_slack", counted)
-        res = decide(SIXTY, 0)
+        res = decide(sixty(), 0)
         assert res.feasible and res.nodes_explored == 2011
         assert len(walks) == 14
 
@@ -442,14 +480,15 @@ class TestMemoKeys:
     # unwinds nothing and builds no memo key, where unwinding would add one
     # key per bin that no lookup ever reads.
     @pytest.mark.parametrize(
-        "wit, nodes",
+        "build, nodes",
         [
-            (extremal_witness(SEEDED_60, 62), 1948),
-            (relaxed_witness(SEEDED_60, 62, 14), 1801),
+            (lambda: extremal_witness(SEEDED_60, 62), 1948),
+            (lambda: relaxed_witness(SEEDED_60, 62, 14), 1801),
         ],
         ids=["extremal-k0", "relaxed-at-claim"],
     )
-    def test_failed_wide_search_builds_no_key(self, monkeypatch, wit, nodes):
+    def test_failed_wide_search_builds_no_key(self, monkeypatch, build, nodes):
+        wit = build()
         keys = MemoKeys(monkeypatch)
         res = decide(wit.instance, wit.relax_index - 1)
         assert not res.feasible and res.nodes_explored == nodes
@@ -809,21 +848,21 @@ class TestSearchProperties:
 class TestErrorPaths:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded, match="undecided"):
-            decide(SEVEN_DISTINCT, 0, node_budget=10)
+            decide(seven_distinct(), 0, node_budget=10)
 
     def test_min_bin1_budget_refusal(self):
         with pytest.raises(BudgetExceeded, match="undecided"):
-            min_bin1_weight(SEVEN_DISTINCT, node_budget=10)
+            min_bin1_weight(seven_distinct(), node_budget=10)
 
     @pytest.mark.parametrize("call", [decide, min_bin1_weight])
     def test_negative_budget_is_a_caller_error(self, call):
         # Not a BudgetExceeded, which callers read as an honest refusal.
         with pytest.raises(OracleError, match="node_budget=-1 is negative"):
-            call(SEVEN_DISTINCT, node_budget=-1)
+            call(seven_distinct(), node_budget=-1)
 
     def test_zero_budget_still_refuses(self):
         with pytest.raises(BudgetExceeded, match="node budget 0 exhausted"):
-            decide(SEVEN_DISTINCT, 0, node_budget=0)
+            decide(seven_distinct(), 0, node_budget=0)
 
     def test_min_bin1_budget_is_shared_by_probes(self, monkeypatch):
         # The budget caps the nodes summed over every bisection probe. This
@@ -846,18 +885,20 @@ class TestErrorPaths:
             min_bin1_weight(inst, node_budget=total - 1)
 
     @pytest.mark.parametrize(
-        "inst, wmin, caps_probed",
+        "build, wmin, caps_probed",
         [
-            (SEVEN_DISTINCT, 30, [42]),
-            (make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0)), 30,
+            (seven_distinct, 30, [42]),
+            (lambda: make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0)), 30,
              [30, 28, 29]),
         ],
         ids=["seven-distinct", "six-bin-extremal"],
     )
-    def test_min_bin1_probes(self, inst, wmin, caps_probed, monkeypatch):
+    def test_min_bin1_probes(self, build, wmin, caps_probed, monkeypatch):
         # The bin-1 capacities probed are a deterministic work counter: the
-        # first probe at d*w_1 finds a load that bounds W^min from above, and
-        # d*sum(w) - sum(C_2..C_n) bounds it from below.
+        # first probe, the k = 1 search with bin 1 at d*w_1, finds a load
+        # that bounds W^min from above, and d*sum(w) - sum(C_2..C_n) bounds
+        # it from below.
+        inst = build()
         probed = []
         search = _search.search_feasible
 
@@ -951,3 +992,128 @@ except AssertionError as exc:
         )
         assert proc.returncode == 0, proc.stderr
         assert "caught: oracle witness is not 0-feasible" in proc.stdout
+
+
+class KernelCalls:
+    """Records ``(bin-1 capacity, k)`` of every kernel search while
+    installed in place of ``_search.search_feasible``."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        search = _search.search_feasible
+
+        def counted(values, supply, caps, d, k, budget):
+            self.calls.append((caps[0], k))
+            return search(values, supply, caps, d, k, budget)
+
+        monkeypatch.setattr(_search, "search_feasible", counted)
+
+
+def six_bin_extremal():
+    # 1-feasible, not 0-feasible; W^min = 30 after probes at 30, 28 and 29.
+    return make_instance(6, (5, 5, 3, 1, 1, 0), (29, 29, 21, 7, 7, 0))
+
+
+def outcome(call, *args, **kwargs):
+    """What ``call`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args, **kwargs)
+    except (BudgetExceeded, OracleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestDecisionRecord:
+    # Each instance keeps the searches decided on its own capacities, so the
+    # exact search is asked each question of it once.
+    def test_min_bin1_reads_the_one_feasibility_decision(self, monkeypatch):
+        kernel = KernelCalls(monkeypatch)
+        fresh = min_bin1_weight(six_bin_extremal())
+        assert kernel.calls == [(30, 1), (28, 0), (29, 0)]
+        inst = six_bin_extremal()
+        assert decide(inst, 1).feasible
+        kernel.calls.clear()
+        assert min_bin1_weight(inst) == fresh == 30
+        assert kernel.calls == [(28, 0), (29, 0)]
+
+    @pytest.mark.parametrize("asked_first", [False, True], ids=["fresh", "after-decide"])
+    def test_min_bin1_budget_counts_recorded_nodes(self, monkeypatch, asked_first):
+        # The nodes summed over every probe of a fresh instance are the
+        # budget W^min needs, whether or not decide(inst, 1) has already
+        # answered its first question, and every smaller budget refuses
+        # with the message a fresh search gives.
+        def build():
+            return make_instance(7, (9, 6, 0), (69, 44, 5))
+
+        nodes = []
+        search = _search.search_feasible
+
+        def counted(*args):
+            result = search(*args)
+            nodes.append(result[2])
+            return result
+
+        monkeypatch.setattr(_search, "search_feasible", counted)
+        assert min_bin1_weight(build()) == 63
+        monkeypatch.undo()
+        total = sum(nodes)
+        assert len(nodes) == 4 and total == 36
+        for budget in range(total + 1):
+            inst = build()
+            if asked_first:
+                assert decide(inst, 1).nodes_explored == nodes[0]
+            expected = outcome(min_bin1_weight, build(), node_budget=budget)
+            assert outcome(min_bin1_weight, inst, node_budget=budget) == expected
+            assert (expected == 63) == (budget == total)
+
+    def test_recorded_infeasible_answer_is_charged_its_nodes(self, monkeypatch):
+        inst = six_bin_extremal()
+        first = decide(inst, 0)
+        assert not first.feasible and first.nodes_explored == 28
+        kernel = KernelCalls(monkeypatch)
+        again = decide(inst, 0, node_budget=28)
+        assert (again.feasible, again.witness, again.nodes_explored) == (False, None, 28)
+        for budget in (0, 27):
+            expected = outcome(decide, six_bin_extremal(), 0, node_budget=budget)
+            assert expected[0] == "BudgetExceeded"
+            assert outcome(decide, inst, 0, node_budget=budget) == expected
+        assert len(kernel.calls) == 2  # the two fresh instances only
+
+    def test_refusal_is_not_recorded(self, monkeypatch):
+        inst = seven_distinct()
+        kernel = KernelCalls(monkeypatch)
+        with pytest.raises(BudgetExceeded, match="node budget 0 exhausted"):
+            decide(inst, 0, node_budget=0)
+        res = decide(inst, 0)
+        assert res.nodes_explored > 0
+        with pytest.raises(BudgetExceeded, match="node budget 0 exhausted"):
+            decide(inst, 1, node_budget=0)
+        with pytest.raises(BudgetExceeded, match="node budget 0 exhausted"):
+            min_bin1_weight(inst, node_budget=0)
+        assert min_bin1_weight(inst) == 30
+        assert kernel.calls == [(44, 0), (44, 0), (44, 1), (42, 1), (42, 1)]
+
+    def test_feasible_witnesses_are_distinct(self, monkeypatch):
+        # A feasible answer carries no certificate in the record: each call
+        # searches and builds its own witness.
+        inst = make_instance(6, (5, 5, 3, 1, 1, 0), (17, 17, 17, 17, 17, 8))
+        kernel = KernelCalls(monkeypatch)
+        first, second = decide(inst, 0), decide(inst, 0)
+        assert len(kernel.calls) == 2
+        a, b = first.witness, second.witness
+        assert a == b and a is not b
+        before = b.copy()
+        # Bin 1 holds 5^1 3^3 1^2 and bin 6 holds 5^1 3^1 0^4: swap a 3 and a 0.
+        a.apply([(3, 1, 0, 5), (0, 1, 5, 0)])
+        assert a != b and b == before
+
+    def test_record_leaves_equality_hash_and_repr(self, monkeypatch):
+        inst, twin = six_bin_extremal(), six_bin_extremal()
+        before = (repr(inst), hash(inst))
+        decide(inst, 0)
+        decide(inst, 1)
+        min_bin1_weight(inst)
+        kernel = KernelCalls(monkeypatch)
+        assert not decide(inst, 0).feasible
+        assert kernel.calls == []  # the record is written
+        assert (repr(inst), hash(inst)) == before == (repr(twin), hash(twin))
+        assert inst == twin and twin == inst

@@ -441,6 +441,20 @@ class TestSearchCount:
         assert checks["companion-level"] == ("analytic", False)
         assert checks["feasible-above-claim"] == ("oracle", True)
 
+    def test_recorded_claim_needs_no_search(self, searches):
+        # The infeasibility claim decided earlier on the same instance is
+        # read from its record: still oracle-backed, with no search, and
+        # still refused by a budget below the nodes it took.
+        wit = extremal_witness(WeightProfile((5, 5, 3, 1, 1, 0)), 6)
+        nodes = decide(wit.instance, 0).nodes_explored
+        assert searches == [0]
+        ver = verify_witness(wit)
+        assert ver.ok and ver.oracle_backed
+        assert checks_by_name(ver)["infeasible-at-claim"] == ("oracle", True)
+        ver = verify_witness(wit, node_budget=nodes - 1)
+        assert ver.ok and not ver.oracle_backed
+        assert searches == [0]
+
     def test_constant_tail_has_no_feasibility_claim(self, searches):
         wit = relaxed_witness(WeightProfile((3, 1)), 4, 2)
         assert wit.construction == "relaxed-constant-tail"
